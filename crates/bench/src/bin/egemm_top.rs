@@ -180,11 +180,10 @@ fn draw(addr: &str, prev: Option<&Scrape>, cur: &Scrape, dt: f64, clear: bool) {
             .map_or("-".into(), |ns| format!("{:.2}ms", ns / 1e6)),
     ));
     out.push_str(&format!(
-        "  cache hits {:>9}   misses {:>6}   resident {:>10}B   staging saved {:>10}B\n",
+        "  cache hits {:>9}   misses {:>6}   resident {:>10}B\n",
         fmt_si(get(cur, "egemm_cache_hits")),
         fmt_si(get(cur, "egemm_cache_misses")),
         fmt_si(get(cur, "egemm_cache_resident_bytes")),
-        fmt_si(get(cur, "egemm_bytes_staging_saved")),
     ));
     out.push_str(&format!(
         "  steals     {:>9}   tiles stolen {:>6}   panel reuse {:>8}   spans dropped {:>6}\n",

@@ -229,7 +229,6 @@ fn smoke_throughput(threads: usize) -> RunStats {
         EngineRuntime::new(RuntimeConfig {
             threads: 1,
             cache_bytes: 0,
-            ..RuntimeConfig::default()
         }),
     );
 
@@ -412,7 +411,6 @@ fn smoke_event() -> EventStats {
         EngineRuntime::new(RuntimeConfig {
             threads: 1,
             cache_bytes: 0,
-            ..RuntimeConfig::default()
         }),
     );
     let want0 = reference

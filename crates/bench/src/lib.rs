@@ -134,45 +134,6 @@ pub fn perf_table(
         .collect()
 }
 
-/// The pre-engine row-streaming executor, kept verbatim as the baseline
-/// for the blocked-engine benchmarks (`BENCH_engine.json`): each output
-/// row streams the entire B operand per `tk` chunk, with no packing,
-/// cache blocking, or register tiling. Accumulation order per output
-/// element is identical to [`emulated_gemm`], so the two executors are
-/// bit-identical — only throughput differs.
-pub fn row_streaming_gemm(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    scheme: EmulationScheme,
-    tk: usize,
-) -> Matrix<f32> {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let terms = scheme.terms();
-    let mut out = Matrix::<f32>::zeros(m, n);
-    out.as_mut_slice()
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, crow)| {
-            let mut kt = 0;
-            while kt < k {
-                let chunk = tk.min(k - kt);
-                for &(a_lo, b_lo) in terms {
-                    let ap = a.plane(a_lo);
-                    let bp = b.plane(b_lo);
-                    for kk in kt..kt + chunk {
-                        let av = ap[i * k + kk];
-                        let brow = &bp[kk * n..kk * n + n];
-                        for (cj, &bj) in crow.iter_mut().zip(brow) {
-                            *cj += av * bj;
-                        }
-                    }
-                }
-                kt += chunk;
-            }
-        });
-    out
-}
-
 /// The f32 single-precision reference (scalar k-ascending accumulation)
 /// restricted to a set of rows — the Figure 7 yardstick at large sizes.
 pub fn f32_reference_rows(a: &Matrix<f32>, b: &Matrix<f32>, rows: &[usize]) -> Vec<f64> {

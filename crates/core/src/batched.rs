@@ -8,8 +8,7 @@
 //! sizes stops being the bottleneck the §7.3 small-size discussion
 //! describes.
 
-use crate::config::TilingConfig;
-use crate::engine;
+use crate::engine::{self, BOperand, Operand};
 use crate::gemm::Egemm;
 use crate::kernel::build_kernel;
 use crate::telemetry::{probe, GemmReport};
@@ -49,59 +48,22 @@ impl Egemm {
         // Prepare phase: route every B through the runtime's
         // content-addressed cache, so a batch sharing one B (the common
         // serving pattern) prepares it exactly once — the remaining
-        // items hit the fingerprint and reuse the resident panels. On
-        // the default fused pipeline B packs straight from raw f32 and
-        // A splits per tile inside the workers; the staged knob restores
-        // up-front splits of every operand.
+        // items hit the fingerprint and reuse the resident panels. B
+        // packs straight from raw f32 and A splits per tile inside the
+        // workers.
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        let tk = TilingConfig::TC.k;
-        let scheme = self.scheme.split_scheme();
-        let rt = self.runtime();
-        let d: Vec<Matrix<f32>> = if self.opts.engine.staged {
-            let prepared: Vec<_> = b
-                .iter()
-                .map(|bi| engine::prepare_b(rt, bi, scheme, tk, self.opts.engine))
-                .collect();
-            let split_a: Vec<_> = a.iter().map(|ai| rt.split_cached(ai, scheme)).collect();
-            // Compute phase: each problem runs the one blocked
-            // accumulation-order engine, honouring this Egemm's
-            // EngineConfig.
-            split_a
-                .par_iter()
-                .zip(prepared.par_iter())
-                .map(|(sa, pb)| {
-                    engine::gemm_blocked_prepared(
-                        rt,
-                        sa,
-                        pb,
-                        None,
-                        self.scheme,
-                        tk,
-                        self.opts.engine,
-                    )
-                })
-                .collect()
-        } else {
-            let prepared: Vec<_> = b
-                .iter()
-                .map(|bi| engine::prepare_b_fused(rt, bi, scheme, tk, self.opts.engine))
-                .collect();
-            a.par_iter()
-                .zip(prepared.par_iter())
-                .map(|(ai, pb)| {
-                    engine::gemm_blocked_prepared_fused(
-                        rt,
-                        ai,
-                        pb,
-                        None,
-                        self.scheme,
-                        tk,
-                        self.opts.engine,
-                    )
-                })
-                .collect()
-        };
+        let prepared: Vec<_> = b.iter().map(|bi| self.prepare(bi)).collect();
+        // Compute phase: each problem runs the one blocked
+        // accumulation-order engine, honouring this Egemm's EngineConfig.
+        let d: Vec<Matrix<f32>> = a
+            .par_iter()
+            .zip(prepared.par_iter())
+            .map(|(ai, pb)| {
+                let plan = self.plan(Operand::Raw(ai), BOperand::Prepared(pb));
+                engine::execute(self.runtime(), &plan)
+            })
+            .collect();
         let report = self.trace_end(
             window,
             format!(
@@ -198,19 +160,10 @@ mod tests {
         let b: Vec<Matrix<f32>> = (0..5).map(|_| b0.clone()).collect();
         let out = eng.gemm_batched(&a, &b);
         let s = rt.cache_stats();
-        // One shared B: fused-packed once, hit 4 times. The fused
-        // pipeline never splits — A operands are split per tile inside
-        // the workers, and B packs straight from the raw f32 data.
+        // One shared B: packed once straight from the raw f32 data, hit
+        // 4 times. A operands are split per tile inside the workers.
         assert_eq!(s.packs, 1, "shared B must pack exactly once: {s:?}");
-        assert_eq!(s.splits, 0, "fused pipeline must not split: {s:?}");
         assert_eq!(s.hits, 4, "4 of 5 B lookups must hit: {s:?}");
-        // The avoided staging: split planes for the one packed B, plus
-        // one per-call note for each of the five raw A operands.
-        assert_eq!(
-            s.bytes_staging_saved,
-            (12 * (24 * 16) + 5 * 12 * (32 * 24)) as u64,
-            "{s:?}"
-        );
         // And the cached path is bit-identical to uncached singles.
         let cold = engine().with_runtime(EngineRuntime::new(RuntimeConfig {
             cache_bytes: 0,

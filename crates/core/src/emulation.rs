@@ -28,7 +28,7 @@
 //! large-size precision experiments (Figure 7).
 
 use crate::config::TilingConfig;
-use crate::engine::{self, EngineConfig};
+use crate::engine::{self, BOperand, EngineConfig, EngineRuntime, GemmPlan, Operand};
 use crate::split_matrix::SplitMatrix;
 use egemm_fp::{PrecisionFormat, SplitScheme};
 use egemm_matrix::Matrix;
@@ -155,7 +155,17 @@ pub fn emulated_gemm_tk(
     scheme: EmulationScheme,
     tk: usize,
 ) -> Matrix<f32> {
-    engine::gemm_blocked(a, b, c, scheme, tk, EngineConfig::default())
+    let plan = GemmPlan {
+        c,
+        ..GemmPlan::new(
+            Operand::Split(a),
+            BOperand::Split(b),
+            scheme,
+            tk,
+            EngineConfig::default(),
+        )
+    };
+    engine::execute(EngineRuntime::global(), &plan)
 }
 
 /// Row-sampled emulated GEMM: compute only the output rows in `rows`
@@ -173,14 +183,17 @@ pub fn emulated_gemm_rows(
     rows: &[usize],
     scheme: EmulationScheme,
 ) -> Matrix<f32> {
-    engine::gemm_blocked_rows(
-        a,
-        b,
-        rows,
-        scheme,
-        TilingConfig::TC.k,
-        EngineConfig::default(),
-    )
+    let plan = GemmPlan {
+        rows: Some(rows),
+        ..GemmPlan::new(
+            Operand::Split(a),
+            BOperand::Split(b),
+            scheme,
+            TilingConfig::TC.k,
+            EngineConfig::default(),
+        )
+    };
+    engine::execute(EngineRuntime::global(), &plan)
 }
 
 /// Independent per-element oracle with identical numerics to
@@ -212,12 +225,7 @@ pub fn emulated_gemm_entrywise(
     acc
 }
 
-pub(crate) fn check(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-) {
+fn check(a: &SplitMatrix, b: &SplitMatrix, c: Option<&Matrix<f32>>, scheme: EmulationScheme) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
     assert_eq!(a.scheme, scheme.split_scheme(), "A split scheme mismatch");
     assert_eq!(b.scheme, scheme.split_scheme(), "B split scheme mismatch");

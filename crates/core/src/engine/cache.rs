@@ -1,7 +1,7 @@
-//! Bounded LRU cache of prepared (split and/or fused-packed) operands.
+//! Bounded LRU cache of prepared (packed) B operands.
 //!
-//! The host engine's per-call costs — the O(N²) hi/lo split and the
-//! panel pack of B — are pure functions of the operand's *contents* and
+//! The host engine's per-call B preparation — the fused hi/lo split and
+//! panel pack — is a pure function of the operand's *contents* and
 //! a handful of layout parameters. For serving workloads one operand is
 //! typically a long-lived weight matrix, so this cache keys prepared
 //! operands by a 128-bit content fingerprint plus shape, split scheme
@@ -12,27 +12,20 @@
 //! output bit — it only decides whether the bit-identical preparation
 //! work is reused or redone.
 //!
-//! An entry holds up to two artifacts, each attached lazily behind its
-//! own mutex: the split planes (staged pipeline, A-side reuse) and the
-//! packed B panels. The fused pipeline goes straight from raw f32 to
-//! packed panels ([`get_or_pack_fused`](PanelCache::get_or_pack_fused)),
-//! leaving the split slot empty — a fused entry's resident charge is
-//! the packed panels alone, roughly half what staged split-then-pack
-//! keeps resident, and the split-plane bytes it never materialized are
-//! tallied in [`CacheStats::bytes_staging_saved`].
+//! An entry holds the operand's packed B panels, packed straight from
+//! raw f32 ([`PanelCache::get_or_pack`]) and attached lazily behind the
+//! entry's mutex; its resident charge is the packed panels alone.
 //!
 //! Concurrency: the map is a mutex-guarded `HashMap` of slots. Racing
 //! callers for the same key agree on one entry under the map lock, then
-//! exactly one of them runs each expensive initialization while holding
-//! the artifact's mutex and the others block on the result — so a batch
-//! sharing one B operand prepares it exactly once (asserted by the
-//! cache-stats test in `crates/core/src/batched.rs`).
+//! exactly one of them packs while holding the entry's mutex and the
+//! others block on the result — so a batch sharing one B operand
+//! prepares it exactly once (asserted by the cache-stats test in
+//! `crates/core/src/batched.rs`).
 //!
-//! Eviction is LRU by total resident bytes (whatever artifacts each
-//! entry holds). Evicted entries stay alive for as long as callers hold
+//! Eviction is LRU by total resident bytes. Evicted entries stay alive for as long as callers hold
 //! their `Arc`s; the cache merely drops its reference.
 
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry;
 use egemm_fp::SplitScheme;
 use std::collections::HashMap;
@@ -63,16 +56,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to respect the byte bound.
     pub evictions: u64,
-    /// Bytes currently resident (split planes + packed panels).
+    /// Bytes currently resident (packed panels).
     pub bytes: u64,
-    /// O(N²) splits actually executed (not served from cache).
-    pub splits: u64,
     /// Full-operand B packs actually executed (not served from cache).
     pub packs: u64,
-    /// Split-plane bytes (12 per element) the fused pipeline avoided
-    /// materializing — staging traffic a staged split-then-pack would
-    /// have written and read back. Monotone.
-    pub bytes_staging_saved: u64,
     /// Microkernel JIT compilations attempted (each key compiles at
     /// most once per runtime, successful or not).
     pub jit_compiles: u64,
@@ -97,22 +84,18 @@ impl CacheStats {
 }
 
 impl fmt::Display for CacheStats {
-    /// One-line rendering shared by `profiling.rs` / `engine_bench`:
-    /// `hits/misses/evictions + splits/packs executed + resident KiB +
-    /// hit ratio`.
+    /// One-line rendering used by `profiling.rs`: `hits/misses/evictions
+    /// + packs executed + resident KiB + hit ratio + JIT counters`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hit / {} miss / {} evict, {} split + {} pack run, {:.1} KiB resident, \
-             {:.1} KiB staging saved, {:.1}% hit ratio, {} jit compile / {} jit hit \
-             ({:.1} KiB code)",
+            "{} hit / {} miss / {} evict, {} pack run, {:.1} KiB resident, \
+             {:.1}% hit ratio, {} jit compile / {} jit hit ({:.1} KiB code)",
             self.hits,
             self.misses,
             self.evictions,
-            self.splits,
             self.packs,
             self.bytes as f64 / 1024.0,
-            self.bytes_staging_saved as f64 / 1024.0,
             100.0 * self.hit_ratio(),
             self.jit_compiles,
             self.jit_hits,
@@ -162,8 +145,9 @@ fn fmix64(mut h: u64) -> u64 {
 }
 
 /// Cache key: content fingerprint + shape + split scheme. The packed-B
-/// blocking geometry is validated per entry (see [`CacheEntry::packed`])
-/// rather than keyed, since one `Egemm` uses one blocking config.
+/// blocking geometry is validated per entry (see
+/// [`PanelCache::get_or_pack`]) rather than keyed, since one `Egemm`
+/// uses one blocking config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     pub fp: (u64, u64),
@@ -172,38 +156,16 @@ pub(crate) struct CacheKey {
     pub scheme: SplitScheme,
 }
 
-/// One prepared operand: up to two lazily attached artifacts. The
-/// staged pipeline fills `split` (and `packed` for B-side reuse); the
-/// fused pipeline fills only `packed`, going straight from raw f32 to
-/// panel slivers. Each mutex is held across its expensive
-/// initialization so racing callers run it exactly once.
-pub(crate) struct CacheEntry {
-    split: Mutex<Option<Arc<SplitMatrix>>>,
-    packed: Mutex<Option<Arc<PackedB>>>,
-}
-
-impl CacheEntry {
-    fn empty() -> CacheEntry {
-        CacheEntry {
-            split: Mutex::new(None),
-            packed: Mutex::new(None),
-        }
-    }
-}
-
-/// Resident bytes of split planes for an `rows x cols` operand:
-/// binary16 hi/lo (2+2 bytes/element) plus the binary32 widenings
-/// (4+4). Also the staging traffic a fused pack avoids writing.
-pub(crate) fn split_plane_bytes(rows: usize, cols: usize) -> usize {
-    12 * rows * cols
-}
+/// One prepared operand: its packed panels, attached lazily. The mutex
+/// is held across the pack so racing callers run it exactly once.
+type CacheEntry = Mutex<Option<Arc<PackedB>>>;
 
 struct Slot {
     entry: Arc<CacheEntry>,
     /// LRU stamp, refreshed on every touch.
     last_used: u64,
-    /// Bytes charged against the cache bound for this slot (whatever
-    /// artifacts the entry holds: split planes and/or packed panels).
+    /// Bytes charged against the cache bound for this slot (its packed
+    /// panels).
     charged: usize,
 }
 
@@ -218,9 +180,7 @@ pub(crate) struct PanelCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     bytes: AtomicU64,
-    splits: AtomicU64,
     packs: AtomicU64,
-    staging_saved: AtomicU64,
 }
 
 impl PanelCache {
@@ -233,9 +193,7 @@ impl PanelCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
             packs: AtomicU64::new(0),
-            staging_saved: AtomicU64::new(0),
         }
     }
 
@@ -245,9 +203,7 @@ impl PanelCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
             packs: self.packs.load(Ordering::Relaxed),
-            bytes_staging_saved: self.staging_saved.load(Ordering::Relaxed),
             // The JIT series live in the runtime's kernel cache and are
             // merged in by EngineRuntime::cache_stats.
             jit_compiles: 0,
@@ -257,21 +213,14 @@ impl PanelCache {
         }
     }
 
-    /// Tally split-plane bytes the fused pipeline avoided materializing
-    /// outside the cache (per-tile fused packs in the workers).
-    pub(crate) fn note_staging_saved(&self, bytes: u64) {
-        self.staging_saved.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Look up the entry for `key`, counting a hit if the slot already
-    /// existed (including slots whose artifacts are still being
-    /// prepared by a racing caller). With retention disabled
-    /// (`capacity_bytes == 0`) every lookup is a miss on a fresh
-    /// detached entry.
-    pub(crate) fn entry_for_key(&self, key: CacheKey) -> Arc<CacheEntry> {
+    /// existed (including slots whose panels are still being packed by
+    /// a racing caller). With retention disabled (`capacity_bytes == 0`)
+    /// every lookup is a miss on a fresh detached entry.
+    fn entry_for_key(&self, key: CacheKey) -> Arc<CacheEntry> {
         if self.capacity_bytes == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(CacheEntry::empty());
+            return Arc::new(Mutex::new(None));
         }
         let t_lookup = telemetry::span_start();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +232,7 @@ impl PanelCache {
                     (s.entry.clone(), false)
                 }
                 None => {
-                    let entry = Arc::new(CacheEntry::empty());
+                    let entry = Arc::new(Mutex::new(None));
                     map.insert(
                         key,
                         Slot {
@@ -305,81 +254,19 @@ impl PanelCache {
         entry
     }
 
-    /// Return the split planes of `entry`, running `split_fn` (charged
-    /// to the `splits` counter) if none exist yet. The entry's split
-    /// mutex is held across the split so racing callers split exactly
-    /// once.
-    pub(crate) fn split_of(
-        &self,
-        key: CacheKey,
-        entry: &CacheEntry,
-        split_fn: impl FnOnce() -> SplitMatrix,
-    ) -> Arc<SplitMatrix> {
-        let mut guard = lock_unpoisoned(&entry.split);
-        if let Some(s) = guard.as_ref() {
-            return s.clone();
-        }
-        self.splits.fetch_add(1, Ordering::Relaxed);
-        let split = Arc::new(split_fn());
-        let bytes = split_plane_bytes(split.rows(), split.cols());
-        *guard = Some(split.clone());
-        drop(guard);
-        if self.capacity_bytes > 0 {
-            self.charge(key, bytes);
-        }
-        split
-    }
-
-    /// Return the packed panels of `entry`, packing (charged to the
-    /// `packs` counter) only if none exist yet or the stored geometry
-    /// disagrees with `kc`. The entry's pack mutex is held across the
-    /// pack so concurrent callers pack exactly once.
+    /// Return the packed panels for `key`, running `pack_fn` (charged
+    /// to the `packs` counter) only if none exist yet or the stored
+    /// geometry disagrees with `kc`. The entry's mutex is held across
+    /// the pack so concurrent callers pack exactly once.
     pub(crate) fn get_or_pack(
         &self,
         key: CacheKey,
-        entry: &CacheEntry,
         kc: usize,
         pack_fn: impl FnOnce() -> PackedB,
     ) -> Arc<PackedB> {
-        self.pack_impl(key, entry, kc, pack_fn, telemetry::Phase::PackB, 0)
-    }
-
-    /// Fused variant of [`get_or_pack`](PanelCache::get_or_pack):
-    /// `pack_fn` goes straight from raw f32 to packed panels, so the
-    /// span is attributed to the `fused_split_pack` phase and the
-    /// split-plane bytes a staged pipeline would have materialized for
-    /// this operand are added to `bytes_staging_saved`. The entry's
-    /// split slot stays empty — packed panels are the only resident
-    /// charge.
-    pub(crate) fn get_or_pack_fused(
-        &self,
-        key: CacheKey,
-        entry: &CacheEntry,
-        kc: usize,
-        pack_fn: impl FnOnce() -> PackedB,
-    ) -> Arc<PackedB> {
-        let saved = split_plane_bytes(key.rows, key.cols) as u64;
-        self.pack_impl(
-            key,
-            entry,
-            kc,
-            pack_fn,
-            telemetry::Phase::FusedSplitPack,
-            saved,
-        )
-    }
-
-    fn pack_impl(
-        &self,
-        key: CacheKey,
-        entry: &CacheEntry,
-        kc: usize,
-        pack_fn: impl FnOnce() -> PackedB,
-        phase: telemetry::Phase,
-        staging_saved: u64,
-    ) -> Arc<PackedB> {
+        let entry = self.entry_for_key(key);
         let t_lookup = telemetry::span_start();
-        let mut guard = lock_unpoisoned(&entry.packed);
+        let mut guard = lock_unpoisoned(&entry);
         if let Some(p) = guard.as_ref() {
             if p.kc() == kc {
                 telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 1);
@@ -388,14 +275,10 @@ impl PanelCache {
         }
         telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 0);
         self.packs.fetch_add(1, Ordering::Relaxed);
-        if staging_saved > 0 {
-            self.staging_saved
-                .fetch_add(staging_saved, Ordering::Relaxed);
-        }
         let t_pack = telemetry::span_start();
         let packed = Arc::new(pack_fn());
         let new_bytes = packed.bytes();
-        telemetry::span_end(phase, t_pack, new_bytes as u64);
+        telemetry::span_end(telemetry::Phase::FusedSplitPack, t_pack, new_bytes as u64);
         let old_bytes = guard.as_ref().map_or(0, |p| p.bytes());
         *guard = Some(packed.clone());
         drop(guard);
@@ -403,17 +286,6 @@ impl PanelCache {
             self.recharge(key, old_bytes, new_bytes);
         }
         packed
-    }
-
-    /// Add `bytes` to `key`'s charge (if the slot is still resident) and
-    /// evict least-recently-used slots until the bound holds.
-    fn charge(&self, key: CacheKey, bytes: usize) {
-        let mut map = lock_unpoisoned(&self.map);
-        if let Some(s) = map.get_mut(&key) {
-            s.charged += bytes;
-            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-        self.evict_over_bound(&mut map, key);
     }
 
     /// Replace `old_bytes` of `key`'s charge with `new_bytes` (a pack
@@ -457,9 +329,10 @@ impl PanelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egemm_fp::SplitKernel;
     use egemm_matrix::Matrix;
 
-    fn split_of(m: usize, n: usize, seed: u64) -> (Matrix<f32>, CacheKey) {
+    fn operand(m: usize, n: usize, seed: u64) -> (Matrix<f32>, CacheKey) {
         let mat = Matrix::<f32>::random_uniform(m, n, seed);
         let key = CacheKey {
             fp: fingerprint(mat.as_slice()),
@@ -468,6 +341,11 @@ mod tests {
             scheme: SplitScheme::Round,
         };
         (mat, key)
+    }
+
+    /// The panels of `mat` at panel depth 8.
+    fn pack(mat: &Matrix<f32>) -> PackedB {
+        PackedB::pack_fused(mat, SplitScheme::Round, SplitKernel::Scalar, 8)
     }
 
     #[test]
@@ -485,61 +363,51 @@ mod tests {
         assert_eq!(fingerprint(&base), h0);
     }
 
-    /// Staged lookup+split, the shape most tests exercise.
-    fn get_or_split(
-        cache: &PanelCache,
-        key: CacheKey,
-        split_fn: impl FnOnce() -> SplitMatrix,
-    ) -> Arc<SplitMatrix> {
-        let entry = cache.entry_for_key(key);
-        cache.split_of(key, &entry, split_fn)
-    }
-
     #[test]
     fn hit_miss_and_split_counting() {
         let cache = PanelCache::new(usize::MAX);
-        let (mat, key) = split_of(8, 8, 1);
-        let s1 = get_or_split(&cache, key, || SplitMatrix::split(&mat, SplitScheme::Round));
-        let s2 = get_or_split(&cache, key, || panic!("second lookup must not split"));
-        assert!(Arc::ptr_eq(&s1, &s2));
+        let (mat, key) = operand(8, 16, 1);
+        let p1 = cache.get_or_pack(key, 8, || pack(&mat));
+        let p2 = cache.get_or_pack(key, 8, || panic!("second lookup must not pack"));
+        assert!(Arc::ptr_eq(&p1, &p2));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.splits), (1, 1, 1));
-        assert_eq!(s.bytes, 12 * 64);
+        assert_eq!((s.hits, s.misses, s.packs), (1, 1, 1));
+        assert_eq!(s.bytes, p1.bytes() as u64);
     }
 
     #[test]
     fn zero_capacity_disables_retention() {
         let cache = PanelCache::new(0);
-        let (mat, key) = split_of(4, 4, 2);
+        let (mat, key) = operand(4, 4, 2);
         for _ in 0..3 {
-            get_or_split(&cache, key, || SplitMatrix::split(&mat, SplitScheme::Round));
+            cache.get_or_pack(key, 8, || pack(&mat));
         }
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.splits, s.bytes), (0, 3, 3, 0));
+        assert_eq!((s.hits, s.misses, s.packs, s.bytes), (0, 3, 3, 0));
     }
 
     #[test]
     fn lru_eviction_respects_byte_bound() {
-        // Each 8x8 split charges 12 * 64 = 768 bytes; bound of 2000
-        // holds two entries, so inserting a third evicts the least
-        // recently used.
-        let cache = PanelCache::new(2000);
-        let (m1, k1) = split_of(8, 8, 3);
-        let (m2, k2) = split_of(8, 8, 4);
-        let (m3, k3) = split_of(8, 8, 5);
-        get_or_split(&cache, k1, || SplitMatrix::split(&m1, SplitScheme::Round));
-        get_or_split(&cache, k2, || SplitMatrix::split(&m2, SplitScheme::Round));
+        // Each 8x16 operand packs to 2 planes x 8 x 16 x 4 = 1024 bytes;
+        // a bound of 2500 holds two entries, so inserting a third evicts
+        // the least recently used.
+        let cache = PanelCache::new(2500);
+        let (m1, k1) = operand(8, 16, 3);
+        let (m2, k2) = operand(8, 16, 4);
+        let (m3, k3) = operand(8, 16, 5);
+        cache.get_or_pack(k1, 8, || pack(&m1));
+        cache.get_or_pack(k2, 8, || pack(&m2));
         // Touch k1 so k2 is the LRU victim.
-        get_or_split(&cache, k1, || panic!("k1 should be resident"));
-        get_or_split(&cache, k3, || SplitMatrix::split(&m3, SplitScheme::Round));
+        cache.get_or_pack(k1, 8, || panic!("k1 should be resident"));
+        cache.get_or_pack(k3, 8, || pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
-        assert!(s.bytes <= 2000, "resident {} over bound", s.bytes);
+        assert!(s.bytes <= 2500, "resident {} over bound", s.bytes);
         // k1 survived, k2 was evicted.
-        get_or_split(&cache, k1, || panic!("k1 evicted unexpectedly"));
-        let before = cache.stats().splits;
-        get_or_split(&cache, k2, || SplitMatrix::split(&m2, SplitScheme::Round));
-        assert_eq!(cache.stats().splits, before + 1, "k2 should re-split");
+        cache.get_or_pack(k1, 8, || panic!("k1 evicted unexpectedly"));
+        let before = cache.stats().packs;
+        cache.get_or_pack(k2, 8, || pack(&m2));
+        assert_eq!(cache.stats().packs, before + 1, "k2 should re-pack");
     }
 
     #[test]
@@ -547,70 +415,45 @@ mod tests {
         // Regression: a panicking pack_fn poisons the entry's pack
         // mutex; the next caller used to abort on `.unwrap()`. It must
         // recover the guard and pack normally instead.
-        use egemm_fp::SplitScheme;
         let cache = PanelCache::new(usize::MAX);
-        let (mat, key) = split_of(8, 16, 11);
-        let entry = cache.entry_for_key(key);
-        let split = cache.split_of(key, &entry, || SplitMatrix::split(&mat, SplitScheme::Round));
+        let (mat, key) = operand(8, 16, 11);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_pack(key, &entry, 8, || panic!("pack failure"));
+            cache.get_or_pack(key, 8, || panic!("pack failure"));
         }));
         assert!(poisoned.is_err());
-        let packed = cache.get_or_pack(key, &entry, 8, || PackedB::pack(&split, 8));
+        let packed = cache.get_or_pack(key, 8, || pack(&mat));
         assert_eq!(packed.kc(), 8);
         // And a further lookup hits the now-resident pack.
-        let again = cache.get_or_pack(key, &entry, 8, || panic!("must be resident"));
+        let again = cache.get_or_pack(key, 8, || panic!("must be resident"));
         assert!(Arc::ptr_eq(&packed, &again));
     }
 
     #[test]
     fn fused_entries_charge_packed_bytes_only() {
-        // Regression for the resident-bytes accounting under the fused
-        // path: an entry prepared via get_or_pack_fused holds no split
-        // planes, so the counter must equal the packed allocation alone
-        // — after hits it must not grow, and after eviction it must
-        // return exactly to the surviving allocation.
-        use egemm_fp::SplitKernel;
+        // The resident-bytes counter equals the packed allocations: after
+        // hits it must not grow, and after eviction it must return
+        // exactly to the surviving allocations.
         let cache = PanelCache::new(3000);
-        let (m1, k1) = split_of(8, 16, 21);
-        let e1 = cache.entry_for_key(k1);
-        let p1 = cache.get_or_pack_fused(k1, &e1, 8, || {
-            PackedB::pack_fused(&m1, SplitScheme::Round, SplitKernel::Scalar, 8)
-        });
-        // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes — no 12-byte
-        // per-element split residency on top.
+        let (m1, k1) = operand(8, 16, 21);
+        let p1 = cache.get_or_pack(k1, 8, || pack(&m1));
+        // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(p1.bytes(), 2 * 4 * 8 * 16);
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
-        assert_eq!(
-            cache.stats().bytes_staging_saved,
-            split_plane_bytes(8, 16) as u64
-        );
-        // A hit reuses the allocation: resident bytes unchanged, no new
-        // staging counted (nothing was packed).
-        let e1b = cache.entry_for_key(k1);
-        let p1b = cache.get_or_pack_fused(k1, &e1b, 8, || panic!("must be resident"));
+        // A hit reuses the allocation: resident bytes unchanged.
+        let p1b = cache.get_or_pack(k1, 8, || panic!("must be resident"));
         assert!(Arc::ptr_eq(&p1, &p1b));
-        let s = cache.stats();
-        assert_eq!(s.bytes, p1.bytes() as u64);
-        assert_eq!(s.bytes_staging_saved, split_plane_bytes(8, 16) as u64);
+        assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // Two more entries (1024 B each) push past the 3000-byte bound;
         // after the eviction the counter matches the surviving
         // allocations exactly.
-        let (m2, k2) = split_of(8, 16, 22);
-        let e2 = cache.entry_for_key(k2);
-        let p2 = cache.get_or_pack_fused(k2, &e2, 8, || {
-            PackedB::pack_fused(&m2, SplitScheme::Round, SplitKernel::Scalar, 8)
-        });
-        let (m3, k3) = split_of(8, 16, 23);
-        let e3 = cache.entry_for_key(k3);
-        let p3 = cache.get_or_pack_fused(k3, &e3, 8, || {
-            PackedB::pack_fused(&m3, SplitScheme::Round, SplitKernel::Scalar, 8)
-        });
+        let (m2, k2) = operand(8, 16, 22);
+        let p2 = cache.get_or_pack(k2, 8, || pack(&m2));
+        let (m3, k3) = operand(8, 16, 23);
+        let p3 = cache.get_or_pack(k3, 8, || pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.bytes, (p2.bytes() + p3.bytes()) as u64);
         assert_eq!(s.packs, 3);
-        assert_eq!(s.splits, 0, "fused path must never split");
     }
 
     #[test]
@@ -620,9 +463,7 @@ mod tests {
             misses: 1,
             evictions: 2,
             bytes: 2048,
-            splits: 1,
             packs: 1,
-            bytes_staging_saved: 3072,
             jit_compiles: 4,
             jit_hits: 9,
             jit_compile_ns: 1_000,
@@ -630,8 +471,8 @@ mod tests {
         };
         let text = s.to_string();
         assert!(text.contains("3 hit"), "{text}");
+        assert!(text.contains("1 pack run"), "{text}");
         assert!(text.contains("2.0 KiB resident"), "{text}");
-        assert!(text.contains("3.0 KiB staging saved"), "{text}");
         assert!(text.contains("75.0% hit ratio"), "{text}");
         assert!(text.contains("4 jit compile / 9 jit hit"), "{text}");
         assert!(text.contains("8.0 KiB code"), "{text}");
@@ -641,7 +482,7 @@ mod tests {
 
     #[test]
     fn mutation_changes_key() {
-        let (mat, key) = split_of(6, 6, 7);
+        let (mat, key) = operand(6, 6, 7);
         let mut mutated = mat.clone();
         let s = mutated.as_mut_slice();
         s[17] += 1.0;

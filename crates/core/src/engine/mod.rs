@@ -27,10 +27,18 @@
 //! stream within one element. Blocking over k is only legal because `kc`
 //! is forced to a multiple of `tk` (panel seams land on chunk
 //! boundaries) and the partial accumulator is carried through the output
-//! buffer in binary32 — a lossless round-trip. Every entry point is
+//! buffer in binary32 — a lossless round-trip. Every output is
 //! therefore bit-identical to [`crate::emulated_gemm_entrywise`]; the
 //! proptest suite in `tests/prop_engine.rs` enforces that with
 //! `to_bits` equality.
+//!
+//! The public surface is one plan and one executor: a [`GemmPlan`]
+//! names the operands (A as split planes or raw f32; B as split planes,
+//! raw f32, or panels packed once by [`prepare_b`]), an optional C, an
+//! optional row sample and k slice, and the scheme/chunk depth/blocking;
+//! [`execute`] validates the whole plan before any compute and runs it.
+//! Raw operands take the fused path — each tile's pack splits them on
+//! the fly, so no split matrix is ever materialized.
 
 mod cache;
 pub(crate) mod jit;
@@ -39,19 +47,19 @@ mod pack;
 pub mod runtime;
 mod sched;
 
-use crate::emulation::{check, EmulationScheme};
+use crate::emulation::EmulationScheme;
 use crate::split_matrix::SplitMatrix;
 use crate::telemetry;
 pub use cache::fingerprint as content_fingerprint;
-use cache::split_plane_bytes;
 use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 pub use jit::{available as jit_available, exec_mappings as jit_exec_mappings};
 use micro::{load_acc, microkernel, store_acc, PlanePair};
-use pack::{pack_a, pack_a_fused, pack_b, pack_b_fused, PackedB, PanelStore, MR, NR};
+use pack::{pack_a, pack_a_fused, pack_b, pack_b_fused, PanelStore, MR, NR};
 pub use runtime::{CacheStats, EngineRuntime, PreparedOperand, RuntimeConfig};
 pub use sched::SchedStats;
 use sched::{Claim, TileScheduler};
+use std::ops::Range;
 
 /// Cache-blocking and threading parameters of the execution engine.
 ///
@@ -74,13 +82,6 @@ pub struct EngineConfig {
     /// Worker threads; `0` resolves `EGEMM_THREADS`, then
     /// `RAYON_NUM_THREADS`, then the machine's available parallelism.
     pub threads: usize,
-    /// Route the high-level entry points ([`crate::Egemm`], batched,
-    /// split-K) through the staged split-then-pack reference pipeline
-    /// instead of the fused one. The staged pipeline materializes full
-    /// [`SplitMatrix`] planes before packing — twice the staging
-    /// traffic and resident bytes — and exists as the bit-identity
-    /// oracle the fused path is property-tested against.
-    pub staged: bool,
     /// Dispatch tiles through JIT-compiled shape-specialized
     /// microkernels when the process supports them (x86-64 Linux with
     /// AVX, `EGEMM_JIT` not set to `0`). The interpreted microkernel
@@ -97,7 +98,6 @@ impl Default for EngineConfig {
             nc: 256,
             kc: 256,
             threads: 0,
-            staged: false,
             jit: true,
         }
     }
@@ -125,166 +125,139 @@ pub(crate) fn clamp_kc(kc: usize, tk: usize) -> usize {
     (kc.max(tk) / tk) * tk
 }
 
-/// Blocked emulated GEMM: `D = A·B (+ C)` with the accumulation
-/// semantics of [`crate::emulated_gemm_tk`]. Executes on the process-wide
-/// [`EngineRuntime::global`] pool.
-pub fn gemm_blocked(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_in(EngineRuntime::global(), a, b, c, scheme, tk, cfg)
+/// The A operand of a [`GemmPlan`]: split planes, or raw f32 that each
+/// tile's pack splits on the fly (the fused path).
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    Split(&'a SplitMatrix),
+    Raw(&'a Matrix<f32>),
 }
 
-/// [`gemm_blocked`] on an explicit runtime (pool + cache instance).
-pub fn gemm_blocked_in(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check(a, b, c, scheme);
-    assert!(tk > 0, "tk must be positive");
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: Some(Operand::Split(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Fused blocked emulated GEMM: both operands arrive as raw f32 and are
-/// split into their hi/lo planes *inside* the per-tile pack — no
-/// [`SplitMatrix`] is ever materialized. Bit-identical to
-/// [`gemm_blocked`] over `SplitMatrix::split_with` of the same operands
-/// (the split is elementwise, so fusing it into the pack cannot change
-/// a bit), at a fraction of the cold-path memory traffic. Executes on
-/// the process-wide [`EngineRuntime::global`] pool.
-pub fn gemm_blocked_fused(
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_fused_in(EngineRuntime::global(), a, b, c, scheme, tk, cfg)
-}
-
-/// [`gemm_blocked_fused`] on an explicit runtime.
-pub fn gemm_blocked_fused_in(
-    rt: &EngineRuntime,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check_raw(a, b.rows(), b.cols(), c);
-    assert!(tk > 0, "tk must be positive");
-    rt.note_staging_saved(
-        (split_plane_bytes(a.rows(), a.cols()) + split_plane_bytes(b.rows(), b.cols())) as u64,
-    );
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Raw(a),
-            b: Some(Operand::Raw(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Fused blocked GEMM over the reduction slice `[k_lo, k_hi)`: the
-/// split-K partial product from raw f32 operands. Chunking restarts at
-/// `k_lo`, and the per-tile fused pack splits exactly the elements of
-/// the slice — bit-identical to [`gemm_blocked_range`] over the staged
-/// splits, including at chunk boundaries. Callers accounting staging
-/// savings should note them once per operand, not per slice.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_range_fused_in(
-    rt: &EngineRuntime,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    k_lo: usize,
-    k_hi: usize,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check_raw(a, b.rows(), b.cols(), None);
-    assert!(tk > 0, "tk must be positive");
-    assert!(
-        k_lo <= k_hi && k_hi <= a.cols(),
-        "k range [{k_lo}, {k_hi}) out of bounds"
-    );
-    let mut out = Matrix::<f32>::zeros(a.rows(), b.cols());
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Raw(a),
-            b: Some(Operand::Raw(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo,
-            k_hi,
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Raw-operand shape validation, mirroring [`check`]'s messages.
-fn check_raw(a: &Matrix<f32>, b_rows: usize, b_cols: usize, c: Option<&Matrix<f32>>) {
-    assert_eq!(a.cols(), b_rows, "inner dimensions disagree");
-    if let Some(c0) = c {
-        assert_eq!((c0.rows(), c0.cols()), (a.rows(), b_cols), "C shape");
+impl Operand<'_> {
+    /// `(rows, cols)` of the operand.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Operand::Split(s) => (s.rows(), s.cols()),
+            Operand::Raw(m) => (m.rows(), m.cols()),
+        }
     }
 }
 
-/// Split `src` and pack its B panels through `rt`'s cache, for reuse as
-/// the right-hand operand of [`gemm_blocked_prepared`] under the same
-/// `tk`/`cfg` blocking. A cache hit skips both the O(N²) split and the
-/// pack; the returned handle pins the data independently of eviction.
+/// The B operand of a [`GemmPlan`]: either input form of [`Operand`], or
+/// whole-operand panels packed once by [`prepare_b`].
+#[derive(Debug, Clone, Copy)]
+pub enum BOperand<'a> {
+    Split(&'a SplitMatrix),
+    Raw(&'a Matrix<f32>),
+    Prepared(&'a PreparedOperand),
+}
+
+/// One emulated GEMM `D = A·B (+ C)` with the accumulation semantics of
+/// [`crate::emulated_gemm_tk`]: per output element, ascending k in
+/// `tk`-sized chunks, the scheme's terms in issue order per chunk.
+///
+/// `rows` computes only the listed A rows (strictly ascending; the
+/// output is `rows.len() x n`, bit-identical to those rows of the full
+/// product). `k_range` computes the split-K partial over `[k_lo, k_hi)`
+/// with chunking restarted at `k_lo`. `c`, when present, seeds the
+/// accumulator and must match the output shape. A prepared B requires
+/// the full k range and a panel depth matching `clamp(cfg.kc, tk)`.
+#[derive(Debug, Clone)]
+pub struct GemmPlan<'a> {
+    pub a: Operand<'a>,
+    pub b: BOperand<'a>,
+    pub c: Option<&'a Matrix<f32>>,
+    pub rows: Option<&'a [usize]>,
+    pub k_range: Option<Range<usize>>,
+    pub scheme: EmulationScheme,
+    pub tk: usize,
+    pub cfg: EngineConfig,
+}
+
+impl<'a> GemmPlan<'a> {
+    /// The full product `A·B`: no C, every row, the whole reduction.
+    pub fn new(
+        a: Operand<'a>,
+        b: BOperand<'a>,
+        scheme: EmulationScheme,
+        tk: usize,
+        cfg: EngineConfig,
+    ) -> GemmPlan<'a> {
+        GemmPlan {
+            a,
+            b,
+            c: None,
+            rows: None,
+            k_range: None,
+            scheme,
+            tk,
+            cfg,
+        }
+    }
+
+    /// Check the whole plan and resolve the output shape and k slice.
+    /// Runs before any compute, so a bad plan never does partial work.
+    fn validate(&self) -> (usize, usize, Range<usize>) {
+        let (a_rows, k) = self.a.shape();
+        let (b_rows, n) = match self.b {
+            BOperand::Split(s) => (s.rows(), s.cols()),
+            BOperand::Raw(m) => (m.rows(), m.cols()),
+            BOperand::Prepared(p) => (p.rows(), p.cols()),
+        };
+        assert_eq!(k, b_rows, "inner dimensions disagree");
+        let split = self.scheme.split_scheme();
+        if let Operand::Split(s) = self.a {
+            assert_eq!(s.scheme, split, "A split scheme mismatch");
+        }
+        match self.b {
+            BOperand::Split(s) => assert_eq!(s.scheme, split, "B split scheme mismatch"),
+            BOperand::Prepared(p) => assert_eq!(p.scheme(), split, "B split scheme mismatch"),
+            BOperand::Raw(_) => {}
+        }
+        assert!(self.tk > 0, "tk must be positive");
+        if let Some(rows) = self.rows {
+            for (pos, &r) in rows.iter().enumerate() {
+                assert!(
+                    r < a_rows,
+                    "sampled row {r} (position {pos}) out of range: A has {a_rows} rows"
+                );
+                if pos > 0 {
+                    assert!(
+                        rows[pos - 1] < r,
+                        "sampled rows must be strictly ascending: rows[{}] = {} precedes {r}",
+                        pos - 1,
+                        rows[pos - 1]
+                    );
+                }
+            }
+        }
+        let m_out = self.rows.map_or(a_rows, <[usize]>::len);
+        if let Some(c0) = self.c {
+            assert_eq!((c0.rows(), c0.cols()), (m_out, n), "C shape");
+        }
+        let ks = self.k_range.clone().unwrap_or(0..k);
+        assert!(
+            ks.start <= ks.end && ks.end <= k,
+            "k range [{}, {}) out of bounds",
+            ks.start,
+            ks.end
+        );
+        if let BOperand::Prepared(p) = self.b {
+            assert!(ks == (0..k), "prepacked B requires a full k range");
+            assert_eq!(
+                p.packed.kc(),
+                clamp_kc(self.cfg.kc, self.tk),
+                "prepacked panel depth disagrees with the blocking in effect"
+            );
+        }
+        (m_out, n, ks)
+    }
+}
+
+/// Pack `src`'s B panels straight from the raw f32 data through `rt`'s
+/// cache, for reuse as [`BOperand::Prepared`] under the same `tk`/`cfg`
+/// blocking. A cache hit skips the pack; the returned handle pins the
+/// panels independently of eviction.
 pub fn prepare_b(
     rt: &EngineRuntime,
     src: &Matrix<f32>,
@@ -296,315 +269,40 @@ pub fn prepare_b(
     rt.prepare_b(src, scheme, clamp_kc(cfg.kc, tk))
 }
 
-/// Fused variant of [`prepare_b`]: pack `src`'s B panels straight from
-/// the raw f32 data through `rt`'s cache, never materializing the split
-/// planes. The packed panels are bit-identical to what [`prepare_b`]
-/// produces — only the resident footprint (packed panels alone) and the
-/// staging traffic differ.
-pub fn prepare_b_fused(
-    rt: &EngineRuntime,
-    src: &Matrix<f32>,
-    scheme: SplitScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> PreparedOperand {
-    assert!(tk > 0, "tk must be positive");
-    rt.prepare_b_fused(src, scheme, clamp_kc(cfg.kc, tk))
-}
-
-/// Blocked emulated GEMM whose B operand was prepared by [`prepare_b`]
-/// with the same `tk` and `cfg`: the per-tile B pack is skipped in favor
-/// of the prepacked panels. Bit-identical to [`gemm_blocked`] on the
-/// same data — the microkernel consumes byte-for-byte the same slivers.
-///
-/// # Panics
-/// If the prepared panel depth disagrees with `clamp_kc(cfg.kc, tk)` or
-/// the operand shapes disagree.
-pub fn gemm_blocked_prepared(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &PreparedOperand,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
-    assert_eq!(a.scheme, scheme.split_scheme(), "A split scheme mismatch");
-    assert_eq!(b.scheme(), scheme.split_scheme(), "B split scheme mismatch");
-    if let Some(c0) = c {
-        assert_eq!((c0.rows(), c0.cols()), (a.rows(), b.cols()), "C shape");
-    }
-    assert!(tk > 0, "tk must be positive");
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: None,
-            b_pack: Some(&b.packed),
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Fully fused hot path: raw f32 A packed-and-split per tile against a
-/// prepared B (staged or fused — the packed panels are bit-identical
-/// either way). No split matrix is materialized for either operand.
-///
-/// # Panics
-/// Same conditions as [`gemm_blocked_prepared`].
-pub fn gemm_blocked_prepared_fused(
-    rt: &EngineRuntime,
-    a: &Matrix<f32>,
-    b: &PreparedOperand,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check_raw(a, b.rows(), b.cols(), c);
-    assert_eq!(b.scheme(), scheme.split_scheme(), "B split scheme mismatch");
-    assert!(tk > 0, "tk must be positive");
-    rt.note_staging_saved(split_plane_bytes(a.rows(), a.cols()) as u64);
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Raw(a),
-            b: None,
-            b_pack: Some(&b.packed),
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Row-sampled blocked GEMM: compute only the output rows in `rows`
-/// (strictly ascending A row indices). Returns a `rows.len() x n`
-/// matrix bit-identical to the corresponding rows of the full product.
-///
-/// # Panics
-/// If any index is out of range or the list is not strictly ascending.
-pub fn gemm_blocked_rows(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    rows: &[usize],
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_rows_in(EngineRuntime::global(), a, b, rows, scheme, tk, cfg)
-}
-
-/// [`gemm_blocked_rows`] on an explicit runtime.
-pub fn gemm_blocked_rows_in(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    rows: &[usize],
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check(a, b, None, scheme);
-    assert!(tk > 0, "tk must be positive");
-    for (pos, &r) in rows.iter().enumerate() {
-        assert!(
-            r < a.rows(),
-            "sampled row {r} (position {pos}) out of range: A has {} rows",
-            a.rows()
-        );
-        if pos > 0 {
-            assert!(
-                rows[pos - 1] < r,
-                "sampled rows must be strictly ascending: rows[{}] = {} precedes {r}",
-                pos - 1,
-                rows[pos - 1]
-            );
-        }
-    }
-    let mut out = Matrix::<f32>::zeros(rows.len(), b.cols());
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: Some(Operand::Split(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: Some(rows),
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Blocked GEMM over the reduction slice `[k_lo, k_hi)`: the split-K
-/// partial product. Chunking restarts at `k_lo`, matching a fused kernel
-/// run over the slice alone.
-pub fn gemm_blocked_range(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    k_lo: usize,
-    k_hi: usize,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_range_in(EngineRuntime::global(), a, b, k_lo, k_hi, scheme, tk, cfg)
-}
-
-/// [`gemm_blocked_range`] on an explicit runtime.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_range_in(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    k_lo: usize,
-    k_hi: usize,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check(a, b, None, scheme);
-    assert!(tk > 0, "tk must be positive");
-    assert!(
-        k_lo <= k_hi && k_hi <= a.cols(),
-        "k range [{k_lo}, {k_hi}) out of bounds"
-    );
-    let mut out = Matrix::<f32>::zeros(a.rows(), b.cols());
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: Some(Operand::Split(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo,
-            k_hi,
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// One GEMM operand as the worker sees it: pre-split planes (staged
-/// pipeline) or the raw f32 matrix (fused pipeline — the per-tile pack
-/// splits on the fly).
-#[derive(Clone, Copy)]
-enum Operand<'a> {
-    Split(&'a SplitMatrix),
-    Raw(&'a Matrix<f32>),
-}
-
-impl Operand<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Operand::Split(s) => s.rows(),
-            Operand::Raw(m) => m.rows(),
-        }
-    }
-
-    fn cols(&self) -> usize {
-        match self {
-            Operand::Split(s) => s.cols(),
-            Operand::Raw(m) => m.cols(),
-        }
-    }
-}
-
-/// One resolved execution: operands, row gather, k slice, chunk depth.
-struct Plan<'a> {
-    a: Operand<'a>,
-    /// The B operand; `None` exactly when `b_pack` carries the whole
-    /// operand prepacked.
-    b: Option<Operand<'a>>,
-    /// Whole-operand prepacked B panels; when present, workers read
-    /// slivers from here instead of packing per tile. Only set for the
-    /// full-range (`k_lo == 0`), full-rows path with a matching `kc`.
-    b_pack: Option<&'a PackedB>,
-    /// Split kernel for fused per-tile packs of `Raw` operands.
-    kernel: SplitKernel,
-    rows: Option<&'a [usize]>,
-    k_lo: usize,
-    k_hi: usize,
-    tk: usize,
-    scheme: EmulationScheme,
-    cfg: EngineConfig,
-}
-
 /// Shared output buffer handed to workers; tiles are disjoint by
 /// construction, so concurrent raw-pointer writes never overlap.
 struct SharedOut(*mut f32);
+// SAFETY: the pointer is only dereferenced inside `execute`'s dispatch,
+// which outlives every worker, and each worker writes only the disjoint
+// tile regions it claimed from the scheduler.
 unsafe impl Send for SharedOut {}
+// SAFETY: as above — shared access never produces overlapping writes.
 unsafe impl Sync for SharedOut {}
 
-fn execute(rt: &EngineRuntime, plan: &Plan<'_>, out: &mut Matrix<f32>) {
-    let m_out = plan.rows.map_or(plan.a.rows(), <[usize]>::len);
-    let (b_rows, n) = match (&plan.b, plan.b_pack) {
-        (Some(b), _) => (b.rows(), b.cols()),
-        (None, Some(p)) => (p.k(), p.n()),
-        (None, None) => unreachable!("plan must carry B or a prepacked B"),
+/// Run `plan` on `rt`'s pool and return `D`.
+///
+/// # Panics
+/// Before any compute, if the plan is invalid: operand or C shapes
+/// disagree, a split scheme differs from the plan's, `tk` is zero, a
+/// sampled row is out of range or out of order, the k range is out of
+/// bounds, or a prepared B meets a partial k range or another `kc`.
+pub fn execute(rt: &EngineRuntime, plan: &GemmPlan<'_>) -> Matrix<f32> {
+    let (m_out, n, ks) = plan.validate();
+    let mut out = match plan.c {
+        Some(c0) => c0.clone(),
+        None => Matrix::zeros(m_out, n),
     };
-    debug_assert_eq!((out.rows(), out.cols()), (m_out, n));
-    if m_out == 0 || n == 0 || plan.k_lo >= plan.k_hi {
-        return; // nothing to accumulate; out already holds C (or zeros)
+    if m_out == 0 || n == 0 || ks.is_empty() {
+        return out; // nothing to accumulate; out already holds C (or zeros)
     }
     // Clamp the blocking to legal values: kc on the chunk grid, mc to at
     // least one register tile, nc to a positive multiple of NR so every
     // macro-tile's column origin is strip-aligned (which is what lets a
     // whole-operand B pack serve any tile). Tiling bounds never affect
     // output bits — only which elements are computed when.
-    let tk = plan.tk;
-    let kc = clamp_kc(plan.cfg.kc, tk);
+    let kc = clamp_kc(plan.cfg.kc, plan.tk);
     let mc = plan.cfg.mc.max(MR);
     let nc = plan.cfg.nc.div_ceil(NR).max(1) * NR;
-    if let Some(p) = plan.b_pack {
-        if let Some(b) = &plan.b {
-            assert_eq!(
-                (p.k(), p.n()),
-                (b.rows(), b.cols()),
-                "prepacked B shape disagrees with the split operand"
-            );
-        }
-        assert_eq!(
-            p.kc(),
-            kc,
-            "prepacked panel depth disagrees with the blocking in effect"
-        );
-        assert_eq!(plan.k_lo, 0, "prepacked B requires a full k range");
-        assert_eq!(plan.k_hi, b_rows, "prepacked B requires a full k range");
-    }
     let tiles_m = m_out.div_ceil(mc);
     let tiles_n = n.div_ceil(nc);
     let n_tiles = tiles_m * tiles_n;
@@ -623,8 +321,11 @@ fn execute(rt: &EngineRuntime, plan: &Plan<'_>, out: &mut Matrix<f32>) {
     let sched = TileScheduler::new(n_tiles, threads);
     // Cooperative B-panel store: present whenever B must be packed this
     // call (absent on the prepacked path, which reads slivers directly).
-    let panels = (plan.k_hi - plan.k_lo).div_ceil(kc);
-    let store = plan.b.as_ref().map(|_| PanelStore::new(tiles_n, panels));
+    let panels = ks.len().div_ceil(kc);
+    let store = match plan.b {
+        BOperand::Prepared(_) => None,
+        _ => Some(PanelStore::new(tiles_n, panels)),
+    };
     let shared = SharedOut(out.as_mut_slice().as_mut_ptr());
     let ctx = WorkerCtx {
         m_out,
@@ -632,11 +333,14 @@ fn execute(rt: &EngineRuntime, plan: &Plan<'_>, out: &mut Matrix<f32>) {
         mc,
         nc,
         kc,
+        k_lo: ks.start,
+        k_hi: ks.end,
         tiles_m,
     };
     rt.run_parallel(threads, &|| {
         worker(&ctx, plan, &sched, store.as_ref(), rt, &shared)
     });
+    out
 }
 
 /// Geometry shared by all workers of one execution.
@@ -646,19 +350,21 @@ struct WorkerCtx {
     mc: usize,
     nc: usize,
     kc: usize,
+    k_lo: usize,
+    k_hi: usize,
     tiles_m: usize,
 }
 
 fn worker(
     ctx: &WorkerCtx,
-    plan: &Plan<'_>,
+    plan: &GemmPlan<'_>,
     sched: &TileScheduler,
     store: Option<&PanelStore>,
     rt: &EngineRuntime,
     shared: &SharedOut,
 ) {
     let terms = plan.scheme.terms();
-    let k = plan.a.cols();
+    let k = plan.a.shape().1;
     let split_scheme = plan.scheme.split_scheme();
     let (a_hi_used, a_lo_used) = (terms.iter().any(|t| !t.0), terms.iter().any(|t| t.0));
     let (b_hi_used, b_lo_used) = (terms.iter().any(|t| !t.1), terms.iter().any(|t| t.1));
@@ -678,6 +384,10 @@ fn worker(
     // when the call or the process opted out) plus a per-worker memo
     // that keeps the tile loop off the cache mutex.
     let jit_active = if plan.cfg.jit { rt.jit_cache() } else { None };
+    let b_pack = match plan.b {
+        BOperand::Prepared(p) => Some(&*p.packed),
+        _ => None,
+    };
     let mut jit_memo = jit::KernelMemo::default();
     let me = sched.join();
 
@@ -716,9 +426,9 @@ fn worker(
         // Panels start at k_lo and advance by kc (a tk multiple), so
         // every seam lands on the per-slice chunk grid; the accumulator
         // carries between panels through the output in exact binary32.
-        let mut pc = plan.k_lo;
-        while pc < plan.k_hi {
-            let kcb = ctx.kc.min(plan.k_hi - pc);
+        let mut pc = ctx.k_lo;
+        while pc < ctx.k_hi {
+            let kcb = ctx.kc.min(ctx.k_hi - pc);
             let a_len = row_blocks * kcb * MR;
             let b_len = strips * kcb * NR;
             match plan.a {
@@ -745,7 +455,7 @@ fn worker(
                         pc,
                         kcb,
                         split_scheme,
-                        plan.kernel,
+                        SplitKernel::Auto,
                         &mut a_hi[..a_len],
                         &mut a_lo[..a_len],
                     );
@@ -761,49 +471,52 @@ fn worker(
             // else reuses the published planes — the packed bytes are a
             // pure function of (operand, jc, pc, blocking), so which
             // worker packs cannot change a bit.
-            let b_planes: Option<(&[f32], &[f32])> = match &plan.b {
+            let b_planes: Option<(&[f32], &[f32])> = match store {
                 None => None, // prepacked: slivers are read directly below
-                Some(op) => {
-                    let store = store.expect("a plan with a B operand has a panel store");
-                    let pc_idx = (pc - plan.k_lo) / ctx.kc;
+                Some(store) => {
+                    let pc_idx = (pc - ctx.k_lo) / ctx.kc;
                     let t_pack = telemetry::span_start();
-                    let (bh, bl, packed_here) = store.acquire(jc_idx, pc_idx, |hi, lo| match *op {
-                        Operand::Split(sb) => {
-                            if b_hi_used {
+                    let (bh, bl, packed_here) =
+                        store.acquire(jc_idx, pc_idx, |hi, lo| match plan.b {
+                            BOperand::Split(sb) => {
+                                if b_hi_used {
+                                    hi.resize(b_len, 0.0);
+                                    pack_b(sb.plane(false), ctx.n, jc, ncb, pc, kcb, hi);
+                                }
+                                if b_lo_used {
+                                    lo.resize(b_len, 0.0);
+                                    pack_b(sb.plane(true), ctx.n, jc, ncb, pc, kcb, lo);
+                                }
+                            }
+                            BOperand::Raw(rb) => {
                                 hi.resize(b_len, 0.0);
-                                pack_b(sb.plane(false), ctx.n, jc, ncb, pc, kcb, hi);
-                            }
-                            if b_lo_used {
                                 lo.resize(b_len, 0.0);
-                                pack_b(sb.plane(true), ctx.n, jc, ncb, pc, kcb, lo);
+                                pack_b_fused(
+                                    rb.as_slice(),
+                                    ctx.n,
+                                    jc,
+                                    ncb,
+                                    pc,
+                                    kcb,
+                                    split_scheme,
+                                    SplitKernel::Auto,
+                                    hi,
+                                    lo,
+                                );
                             }
-                        }
-                        Operand::Raw(rb) => {
-                            hi.resize(b_len, 0.0);
-                            lo.resize(b_len, 0.0);
-                            pack_b_fused(
-                                rb.as_slice(),
-                                ctx.n,
-                                jc,
-                                ncb,
-                                pc,
-                                kcb,
-                                split_scheme,
-                                plan.kernel,
-                                hi,
-                                lo,
-                            );
-                        }
-                    });
+                            BOperand::Prepared(_) => {
+                                unreachable!("a prepacked B has no panel store")
+                            }
+                        });
                     if packed_here {
                         counters.note_panel_packed();
-                        match op {
-                            Operand::Split(_) => telemetry::span_end(
+                        match plan.b {
+                            BOperand::Split(_) => telemetry::span_end(
                                 telemetry::Phase::PackB,
                                 t_pack,
                                 4 * (b_len * (b_hi_used as usize + b_lo_used as usize)) as u64,
                             ),
-                            Operand::Raw(_) => telemetry::span_end(
+                            _ => telemetry::span_end(
                                 telemetry::Phase::FusedSplitPack,
                                 t_pack,
                                 (4 * 2 * b_len) as u64,
@@ -835,7 +548,7 @@ fn worker(
                 // matches (k_lo = 0, same kc), so global strip jc/NR+sb
                 // of panel pc/kc covers exactly the same column range
                 // with the same zero padding.
-                let b_pair = match plan.b_pack {
+                let b_pair = match b_pack {
                     Some(p) => PlanePair {
                         hi: p.sliver_span(false, pc / ctx.kc, kcb, jc / NR + sb, take),
                         lo: p.sliver_span(true, pc / ctx.kc, kcb, jc / NR + sb, take),
@@ -931,6 +644,7 @@ fn sliver_span(buf: &[f32], idx: usize, len: usize, take: usize) -> &[f32] {
 mod tests {
     use super::*;
     use crate::emulation::emulated_gemm_entrywise;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const SCHEMES: [EmulationScheme; 4] = [
         EmulationScheme::EgemmTc,
@@ -965,13 +679,47 @@ mod tests {
         }
     }
 
+    /// Execute a full-product plan on the global runtime.
+    fn run(
+        a: Operand<'_>,
+        b: BOperand<'_>,
+        c: Option<&Matrix<f32>>,
+        scheme: EmulationScheme,
+        tk: usize,
+        cfg: EngineConfig,
+    ) -> Matrix<f32> {
+        let plan = GemmPlan {
+            c,
+            ..GemmPlan::new(a, b, scheme, tk, cfg)
+        };
+        execute(EngineRuntime::global(), &plan)
+    }
+
+    fn assert_bits_eq(got: &Matrix<f32>, want: &Matrix<f32>, what: &str) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+        }
+    }
+
     #[test]
     fn bit_identical_to_oracle_all_schemes() {
         for scheme in SCHEMES {
             let (sa, sb) = split_pair(11, 29, 13, scheme, 7);
             let c = Matrix::<f32>::random_uniform(11, 13, 77);
             for tk in [4usize, 8, 16] {
-                let d = gemm_blocked(&sa, &sb, Some(&c), scheme, tk, tight());
+                let d = run(
+                    Operand::Split(&sa),
+                    BOperand::Split(&sb),
+                    Some(&c),
+                    scheme,
+                    tk,
+                    tight(),
+                );
                 for i in 0..11 {
                     for j in 0..13 {
                         let mut want = c.get(i, j);
@@ -1002,7 +750,14 @@ mod tests {
     fn default_config_matches_oracle() {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(10, 40, 12, scheme, 3);
-        let d = gemm_blocked(&sa, &sb, None, scheme, 8, EngineConfig::default());
+        let d = run(
+            Operand::Split(&sa),
+            BOperand::Split(&sb),
+            None,
+            scheme,
+            8,
+            EngineConfig::default(),
+        );
         for &(i, j) in &[(0usize, 0usize), (9, 11), (4, 7)] {
             let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
             assert_eq!(d.get(i, j).to_bits(), e.to_bits());
@@ -1014,23 +769,58 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         // 1 x k x 1.
         let (sa, sb) = split_pair(1, 17, 1, scheme, 9);
-        let d = gemm_blocked(&sa, &sb, None, scheme, 8, tight());
+        let d = run(
+            Operand::Split(&sa),
+            BOperand::Split(&sb),
+            None,
+            scheme,
+            8,
+            tight(),
+        );
         let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, 0, 0);
         assert_eq!(d.get(0, 0).to_bits(), e.to_bits());
         // k = 0: output is C unchanged.
         let (sa0, sb0) = split_pair(3, 0, 4, scheme, 11);
         let c = Matrix::<f32>::random_uniform(3, 4, 13);
-        let d0 = gemm_blocked(&sa0, &sb0, Some(&c), scheme, 8, tight());
+        let d0 = run(
+            Operand::Split(&sa0),
+            BOperand::Split(&sb0),
+            Some(&c),
+            scheme,
+            8,
+            tight(),
+        );
         assert_eq!(d0.as_slice(), c.as_slice());
+    }
+
+    /// A row-sampled plan over split operands on the global runtime.
+    fn run_rows(
+        sa: &SplitMatrix,
+        sb: &SplitMatrix,
+        rows: &[usize],
+        scheme: EmulationScheme,
+    ) -> Matrix<f32> {
+        let plan = GemmPlan {
+            rows: Some(rows),
+            ..GemmPlan::new(Operand::Split(sa), BOperand::Split(sb), scheme, 8, tight())
+        };
+        execute(EngineRuntime::global(), &plan)
     }
 
     #[test]
     fn rows_gather_matches_full() {
         let scheme = EmulationScheme::Markidis;
         let (sa, sb) = split_pair(23, 31, 10, scheme, 15);
-        let full = gemm_blocked(&sa, &sb, None, scheme, 8, tight());
+        let full = run(
+            Operand::Split(&sa),
+            BOperand::Split(&sb),
+            None,
+            scheme,
+            8,
+            tight(),
+        );
         let rows = [0usize, 2, 3, 9, 17, 22];
-        let sampled = gemm_blocked_rows(&sa, &sb, &rows, scheme, 8, tight());
+        let sampled = run_rows(&sa, &sb, &rows, scheme);
         for (ri, &r) in rows.iter().enumerate() {
             for j in 0..10 {
                 assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
@@ -1043,7 +833,7 @@ mod tests {
     fn rows_out_of_range_rejected() {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(4, 8, 4, scheme, 17);
-        gemm_blocked_rows(&sa, &sb, &[0, 4], scheme, 8, tight());
+        run_rows(&sa, &sb, &[0, 4], scheme);
     }
 
     #[test]
@@ -1051,7 +841,7 @@ mod tests {
     fn rows_descending_rejected() {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(4, 8, 4, scheme, 17);
-        gemm_blocked_rows(&sa, &sb, &[2, 1], scheme, 8, tight());
+        run_rows(&sa, &sb, &[2, 1], scheme);
     }
 
     #[test]
@@ -1061,7 +851,17 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(6, 37, 5, scheme, 19);
         let (k_lo, k_hi, tk) = (13usize, 30usize, 8usize);
-        let d = gemm_blocked_range(&sa, &sb, k_lo, k_hi, scheme, tk, tight());
+        let plan = GemmPlan {
+            k_range: Some(k_lo..k_hi),
+            ..GemmPlan::new(
+                Operand::Split(&sa),
+                BOperand::Split(&sb),
+                scheme,
+                tk,
+                tight(),
+            )
+        };
+        let d = execute(EngineRuntime::global(), &plan);
         for i in 0..6 {
             for j in 0..5 {
                 let mut want = 0f32;
@@ -1086,31 +886,18 @@ mod tests {
     fn thread_count_does_not_change_bits() {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(33, 48, 21, scheme, 23);
-        let one = gemm_blocked(
-            &sa,
-            &sb,
-            None,
-            scheme,
-            8,
-            EngineConfig {
-                threads: 1,
-                ..tight()
-            },
-        );
-        let four = gemm_blocked(
-            &sa,
-            &sb,
-            None,
-            scheme,
-            8,
-            EngineConfig {
-                threads: 4,
-                ..tight()
-            },
-        );
-        for (x, y) in one.as_slice().iter().zip(four.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        let with = |threads| {
+            let cfg = EngineConfig { threads, ..tight() };
+            run(
+                Operand::Split(&sa),
+                BOperand::Split(&sb),
+                None,
+                scheme,
+                8,
+                cfg,
+            )
+        };
+        assert_bits_eq(&with(4), &with(1), "threads 4 vs 1");
     }
 
     #[test]
@@ -1126,12 +913,27 @@ mod tests {
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 45);
             for tk in [4usize, 8] {
-                let baseline = gemm_blocked(&sa, &sb, Some(&c), scheme, tk, tight());
+                let baseline = run(
+                    Operand::Split(&sa),
+                    BOperand::Split(&sb),
+                    Some(&c),
+                    scheme,
+                    tk,
+                    tight(),
+                );
                 let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, tight());
-                let d = gemm_blocked_prepared(&rt, &sa, &pb, Some(&c), scheme, tk, tight());
-                for (x, y) in d.as_slice().iter().zip(baseline.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} tk={tk}");
-                }
+                let plan = GemmPlan {
+                    c: Some(&c),
+                    ..GemmPlan::new(
+                        Operand::Split(&sa),
+                        BOperand::Prepared(&pb),
+                        scheme,
+                        tk,
+                        tight(),
+                    )
+                };
+                let d = execute(&rt, &plan);
+                assert_bits_eq(&d, &baseline, &format!("{scheme:?} tk={tk}"));
             }
         }
     }
@@ -1143,15 +945,17 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         let a = Matrix::<f32>::random_uniform(8, 32, 51);
         let b = Matrix::<f32>::random_uniform(32, 8, 53);
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
         // Same shapes, different kc (16 vs tight()'s clamped 8).
         let other = EngineConfig { kc: 16, ..tight() };
-        gemm_blocked_prepared(&rt, &sa, &pb, None, scheme, 8, other);
+        let plan = GemmPlan::new(Operand::Raw(&a), BOperand::Prepared(&pb), scheme, 8, other);
+        execute(&rt, &plan);
     }
 
     #[test]
     fn fused_entry_bit_identical_to_staged() {
+        // Raw operands (split per tile inside the pack) against the same
+        // operands handed in as split planes.
         for scheme in SCHEMES {
             let a = Matrix::<f32>::random_uniform(11, 29, 61);
             let b = Matrix::<f32>::random_uniform(29, 13, 63);
@@ -1159,11 +963,23 @@ mod tests {
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 65);
             for tk in [4usize, 8] {
-                let staged = gemm_blocked(&sa, &sb, Some(&c), scheme, tk, tight());
-                let fused = gemm_blocked_fused(&a, &b, Some(&c), scheme, tk, tight());
-                for (x, y) in fused.as_slice().iter().zip(staged.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} tk={tk}");
-                }
+                let split = run(
+                    Operand::Split(&sa),
+                    BOperand::Split(&sb),
+                    Some(&c),
+                    scheme,
+                    tk,
+                    tight(),
+                );
+                let raw = run(
+                    Operand::Raw(&a),
+                    BOperand::Raw(&b),
+                    Some(&c),
+                    scheme,
+                    tk,
+                    tight(),
+                );
+                assert_bits_eq(&raw, &split, &format!("{scheme:?} tk={tk}"));
             }
         }
     }
@@ -1180,14 +996,18 @@ mod tests {
         let rt = EngineRuntime::new(RuntimeConfig {
             threads: 2,
             cache_bytes: 0,
-            ..Default::default()
         });
         for (k_lo, k_hi) in [(0usize, 37usize), (13, 30), (8, 8), (5, 37)] {
-            let staged = gemm_blocked_range(&sa, &sb, k_lo, k_hi, scheme, 8, tight());
-            let fused = gemm_blocked_range_fused_in(&rt, &a, &b, k_lo, k_hi, scheme, 8, tight());
-            for (x, y) in fused.as_slice().iter().zip(staged.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "[{k_lo}, {k_hi})");
-            }
+            let ranged = |a, b| {
+                let plan = GemmPlan {
+                    k_range: Some(k_lo..k_hi),
+                    ..GemmPlan::new(a, b, scheme, 8, tight())
+                };
+                execute(&rt, &plan)
+            };
+            let split = ranged(Operand::Split(&sa), BOperand::Split(&sb));
+            let raw = ranged(Operand::Raw(&a), BOperand::Raw(&b));
+            assert_bits_eq(&raw, &split, &format!("[{k_lo}, {k_hi})"));
         }
     }
 
@@ -1203,36 +1023,176 @@ mod tests {
             let sa = SplitMatrix::split(&a, scheme.split_scheme());
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 75);
-            let baseline = gemm_blocked(&sa, &sb, Some(&c), scheme, 8, tight());
-            let pb = prepare_b_fused(&rt, &b, scheme.split_scheme(), 8, tight());
-            assert!(pb.split().is_none(), "fused prepare must not split");
-            let d = gemm_blocked_prepared_fused(&rt, &a, &pb, Some(&c), scheme, 8, tight());
-            for (x, y) in d.as_slice().iter().zip(baseline.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?}");
-            }
-            // A staged-prepared B serves the fused A-side path too.
-            let pb_staged = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
-            let d2 = gemm_blocked_prepared_fused(&rt, &a, &pb_staged, Some(&c), scheme, 8, tight());
-            for (x, y) in d2.as_slice().iter().zip(baseline.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} staged-prepared");
-            }
+            let baseline = run(
+                Operand::Split(&sa),
+                BOperand::Split(&sb),
+                Some(&c),
+                scheme,
+                8,
+                tight(),
+            );
+            let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
+            let plan = GemmPlan {
+                c: Some(&c),
+                ..GemmPlan::new(
+                    Operand::Raw(&a),
+                    BOperand::Prepared(&pb),
+                    scheme,
+                    8,
+                    tight(),
+                )
+            };
+            assert_bits_eq(&execute(&rt, &plan), &baseline, &format!("{scheme:?}"));
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("plan must be rejected");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().copied().unwrap_or("").to_string(),
         }
     }
 
     #[test]
-    fn fused_entry_tallies_staging_saved() {
+    fn plan_validation_rejects_every_bad_plan() {
         let rt = EngineRuntime::new(RuntimeConfig {
-            threads: 1,
+            threads: 2,
             cache_bytes: 0,
-            ..Default::default()
         });
-        let a = Matrix::<f32>::random_uniform(8, 16, 81);
-        let b = Matrix::<f32>::random_uniform(16, 8, 83);
-        gemm_blocked_fused_in(&rt, &a, &b, None, EmulationScheme::EgemmTc, 8, tight());
-        assert_eq!(
-            rt.cache_stats().bytes_staging_saved,
-            (12 * (8 * 16 + 16 * 8)) as u64
+        let scheme = EmulationScheme::EgemmTc;
+        let a = Matrix::<f32>::random_uniform(6, 16, 81);
+        let b = Matrix::<f32>::random_uniform(16, 5, 83);
+        let b_short = Matrix::<f32>::random_uniform(15, 5, 84);
+        let empty_a = Matrix::<f32>::zeros(0, 16);
+        let sa_trunc = SplitMatrix::split(&a, SplitScheme::Truncate);
+        let sb_trunc = SplitMatrix::split(&b, SplitScheme::Truncate);
+        let c_bad = Matrix::<f32>::zeros(5, 5);
+        let c_full = Matrix::<f32>::zeros(6, 5);
+        let cfg = tight(); // kc clamps to 8 under tk = 8
+        let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, cfg);
+        let pb_trunc = prepare_b(&rt, &b, SplitScheme::Truncate, 8, cfg);
+        let pb_kc16 = prepare_b(
+            &rt,
+            &b,
+            scheme.split_scheme(),
+            8,
+            EngineConfig { kc: 16, ..cfg },
         );
+        let base = || GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, 8, cfg);
+        let prepared = |b| GemmPlan::new(Operand::Raw(&a), b, scheme, 8, cfg);
+        let cases: Vec<(GemmPlan<'_>, &str)> = vec![
+            (
+                GemmPlan {
+                    b: BOperand::Raw(&b_short),
+                    ..base()
+                },
+                "inner dimensions disagree",
+            ),
+            (
+                GemmPlan {
+                    a: Operand::Split(&sa_trunc),
+                    ..base()
+                },
+                "A split scheme mismatch",
+            ),
+            (
+                GemmPlan {
+                    b: BOperand::Split(&sb_trunc),
+                    ..base()
+                },
+                "B split scheme mismatch",
+            ),
+            (
+                prepared(BOperand::Prepared(&pb_trunc)),
+                "B split scheme mismatch",
+            ),
+            (
+                GemmPlan {
+                    c: Some(&c_bad),
+                    ..base()
+                },
+                "C shape",
+            ),
+            (
+                // C must match the sampled output, not the full product.
+                GemmPlan {
+                    c: Some(&c_full),
+                    rows: Some(&[1, 3]),
+                    ..base()
+                },
+                "C shape",
+            ),
+            (GemmPlan { tk: 0, ..base() }, "tk must be positive"),
+            (
+                GemmPlan {
+                    rows: Some(&[0, 6]),
+                    ..base()
+                },
+                "out of range",
+            ),
+            (
+                GemmPlan {
+                    rows: Some(&[2, 2]),
+                    ..base()
+                },
+                "strictly ascending",
+            ),
+            (
+                GemmPlan {
+                    k_range: Some(4..17),
+                    ..base()
+                },
+                "k range [4, 17) out of bounds",
+            ),
+            (
+                GemmPlan {
+                    k_range: Some(Range { start: 9, end: 3 }),
+                    ..base()
+                },
+                "k range [9, 3) out of bounds",
+            ),
+            (
+                GemmPlan {
+                    k_range: Some(0..8),
+                    ..prepared(BOperand::Prepared(&pb))
+                },
+                "prepacked B requires a full k range",
+            ),
+            (
+                prepared(BOperand::Prepared(&pb_kc16)),
+                "prepacked panel depth disagrees",
+            ),
+            (
+                // An empty A used to return before the kc check ran.
+                GemmPlan {
+                    a: Operand::Raw(&empty_a),
+                    ..prepared(BOperand::Prepared(&pb_kc16))
+                },
+                "prepacked panel depth disagrees",
+            ),
+            (
+                GemmPlan {
+                    rows: Some(&[]),
+                    ..prepared(BOperand::Prepared(&pb_kc16))
+                },
+                "prepacked panel depth disagrees",
+            ),
+        ];
+        for (plan, want) in &cases {
+            let msg = panic_message(|| {
+                execute(&rt, plan);
+            });
+            assert!(msg.contains(want), "{plan:?}: got {msg:?}, want {want:?}");
+        }
+        // The valid neighbours of those plans run.
+        assert_eq!(execute(&rt, &base()).rows(), 6);
+        let empty = GemmPlan {
+            a: Operand::Raw(&empty_a),
+            ..prepared(BOperand::Prepared(&pb))
+        };
+        assert_eq!(execute(&rt, &empty).rows(), 0);
     }
 
     #[test]

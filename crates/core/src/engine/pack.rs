@@ -17,7 +17,6 @@
 //! row-sampled entry point (`emulated_gemm_rows`) without a gather copy
 //! of A.
 
-use crate::split_matrix::SplitMatrix;
 use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -91,12 +90,12 @@ pub(crate) fn pack_b(
 
 /// Fused split+pack of A: read raw f32 rows and emit both packed planes
 /// directly — same layout as two [`pack_a`] calls over the planes of a
-/// [`SplitMatrix`], with no split matrix materialized in between. Each
-/// real row is split straight into its column-major sliver lane (stride
-/// `MR`); padded rows are zeroed in both planes. Bit-identity with the
-/// staged pipeline holds because the split is elementwise: splitting
-/// element `(i, p)` then packing it lands the exact bits that splitting
-/// the gathered row in place produces.
+/// [`crate::SplitMatrix`], with no split matrix materialized in between.
+/// Each real row is split straight into its column-major sliver lane
+/// (stride `MR`); padded rows are zeroed in both planes. Bit-identity
+/// with packing the split planes holds because the split is elementwise:
+/// splitting element `(i, p)` then packing it lands the exact bits that
+/// splitting the gathered row in place produces.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a_fused(
     src: &[f32],
@@ -141,7 +140,7 @@ pub(crate) fn pack_a_fused(
 
 /// Fused split+pack of B: read raw f32 rows and emit both packed planes
 /// directly — same layout as two [`pack_b`] calls over the planes of a
-/// [`SplitMatrix`]. Each row segment is split contiguously into its
+/// [`crate::SplitMatrix`]. Each row segment is split contiguously into its
 /// strip sliver; padding columns are zeroed in both planes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_fused(
@@ -273,7 +272,8 @@ impl PanelStore {
     }
 }
 
-/// Both planes of a whole B operand packed once for reuse across calls.
+/// Both planes of a whole B operand split and packed once for reuse
+/// across calls.
 ///
 /// Layout: `k.div_ceil(kc)` panels, each holding `n.div_ceil(NR)` strips
 /// of `kcb x NR` row-major slivers — exactly what [`pack_b`] produces for
@@ -299,56 +299,11 @@ pub(crate) struct PackedB {
 }
 
 impl PackedB {
-    /// Pack both planes of `split` with panel depth `kc` (>= 1, already
-    /// clamped to the chunk grid by the caller).
-    pub(crate) fn pack(split: &SplitMatrix, kc: usize) -> PackedB {
-        assert!(kc >= 1, "panel depth must be positive");
-        let k = split.rows();
-        let n = split.cols();
-        let strips = n.div_ceil(NR);
-        let panels = k.div_ceil(kc);
-        let panel_stride = strips * kc * NR;
-        let mut hi = vec![0f32; panels * panel_stride];
-        let mut lo = vec![0f32; panels * panel_stride];
-        let mut pc = 0usize;
-        while pc < k {
-            let kcb = kc.min(k - pc);
-            let base = (pc / kc) * panel_stride;
-            let len = strips * kcb * NR;
-            pack_b(
-                split.plane(false),
-                n,
-                0,
-                n,
-                pc,
-                kcb,
-                &mut hi[base..base + len],
-            );
-            pack_b(
-                split.plane(true),
-                n,
-                0,
-                n,
-                pc,
-                kcb,
-                &mut lo[base..base + len],
-            );
-            pc += kcb;
-        }
-        PackedB {
-            n,
-            k,
-            kc,
-            strips,
-            panel_stride,
-            hi,
-            lo,
-        }
-    }
-
-    /// Fused split+pack of a raw operand with panel depth `kc`: produces
-    /// bit-for-bit the [`PackedB::pack`] of `SplitMatrix::split_with(src,
-    /// scheme, kernel)` without ever materializing the split planes.
+    /// Fused split+pack of a raw operand with panel depth `kc` (>= 1,
+    /// already clamped to the chunk grid by the caller): per panel,
+    /// bit-for-bit the [`pack_b`] of both planes of
+    /// `SplitMatrix::split_with(src, scheme, kernel)`, without ever
+    /// materializing the split planes.
     pub(crate) fn pack_fused(
         src: &egemm_matrix::Matrix<f32>,
         scheme: SplitScheme,
@@ -442,7 +397,7 @@ impl PackedB {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egemm_fp::SplitScheme;
+    use crate::split_matrix::SplitMatrix;
     use egemm_matrix::Matrix;
 
     #[test]
@@ -512,7 +467,7 @@ mod tests {
         let (k, n, kc) = (23usize, 37usize, 8usize);
         let src = Matrix::<f32>::random_uniform(k, n, 42);
         let split = SplitMatrix::split(&src, SplitScheme::Round);
-        let packed = PackedB::pack(&split, kc);
+        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, kc);
         assert_eq!((packed.k(), packed.n(), packed.kc()), (k, n, kc));
         for lo_plane in [false, true] {
             let plane = split.plane(lo_plane);
@@ -539,14 +494,14 @@ mod tests {
     fn pack_a_fused_bit_identical_to_staged() {
         // Ragged everything: 7 rows (MR padding), gathered out of order,
         // panel offset 2, depth 5. Fused output must equal pack_a over
-        // each plane of the staged split, for both kernels and schemes.
+        // each plane of the split matrix, for both kernels and schemes.
         let k = 9;
         let src = Matrix::<f32>::random_uniform(11, k, 7);
         let split_src: Vec<usize> = vec![10, 3, 0, 7, 1, 4, 9];
         let (p0, kcb) = (2usize, 5usize);
         let blocks = split_src.len().div_ceil(MR);
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
-            for kernel in [egemm_fp::SplitKernel::Scalar, egemm_fp::SplitKernel::Auto] {
+            for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
                 let mut want_hi = vec![-1.0f32; blocks * kcb * MR];
                 let mut want_lo = vec![-1.0f32; blocks * kcb * MR];
@@ -583,7 +538,7 @@ mod tests {
         let (j0, ncb, p0, kcb) = (0usize, n, 1usize, 3usize);
         let strips = ncb.div_ceil(NR);
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
-            for kernel in [egemm_fp::SplitKernel::Scalar, egemm_fp::SplitKernel::Auto] {
+            for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
                 let mut want_hi = vec![-1.0f32; strips * kcb * NR];
                 let mut want_lo = vec![-1.0f32; strips * kcb * NR];
@@ -615,27 +570,32 @@ mod tests {
     #[test]
     fn packed_b_fused_bit_identical_to_staged() {
         // Same ragged shape as the sliver test: final panel depth 7,
-        // final strip ragged. The fused whole-operand pack must be
-        // byte-for-byte the staged split-then-pack.
+        // final strip ragged. Each panel of the fused whole-operand pack
+        // must be byte-for-byte the full-width pack_b of the split
+        // planes, for both kernels and schemes.
         let (k, n, kc) = (23usize, 37usize, 8usize);
         let src = Matrix::<f32>::random_uniform(k, n, 42);
+        let strips = n.div_ceil(NR);
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
-            for kernel in [egemm_fp::SplitKernel::Scalar, egemm_fp::SplitKernel::Auto] {
+            for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let staged = PackedB::pack(&split, kc);
                 let fused = PackedB::pack_fused(&src, scheme, kernel, kc);
-                assert_eq!(
-                    fused.hi, staged.hi,
-                    "hi scheme={scheme:?} kernel={kernel:?}"
-                );
-                assert_eq!(
-                    fused.lo, staged.lo,
-                    "lo scheme={scheme:?} kernel={kernel:?}"
-                );
-                assert_eq!(
-                    (fused.k(), fused.n(), fused.kc(), fused.bytes()),
-                    (staged.k(), staged.n(), staged.kc(), staged.bytes())
-                );
+                assert_eq!((fused.k(), fused.n(), fused.kc()), (k, n, kc));
+                for lo_plane in [false, true] {
+                    let mut pc = 0usize;
+                    while pc < k {
+                        let kcb = kc.min(k - pc);
+                        let mut want = vec![-1.0f32; strips * kcb * NR];
+                        pack_b(split.plane(lo_plane), n, 0, n, pc, kcb, &mut want);
+                        let got = fused.sliver_span(lo_plane, pc / kc, kcb, 0, strips);
+                        assert_eq!(
+                            got,
+                            &want[..],
+                            "{scheme:?} {kernel:?} lo={lo_plane} pc={pc}"
+                        );
+                        pc += kcb;
+                    }
+                }
             }
         }
     }
@@ -680,8 +640,7 @@ mod tests {
     #[test]
     fn packed_b_bytes_accounting() {
         let src = Matrix::<f32>::random_uniform(8, 16, 1);
-        let split = SplitMatrix::split(&src, SplitScheme::Round);
-        let packed = PackedB::pack(&split, 8);
+        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, 8);
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(packed.bytes(), 2 * 4 * 8 * 16);
     }

@@ -2,9 +2,8 @@
 //!
 //! The blocked engine used to rebuild its whole execution environment on
 //! every call — resolve thread-count env vars, spawn a fresh
-//! `thread::scope`, split both operands element-by-element, and re-pack
-//! every panel. [`EngineRuntime`] hoists all of that out of the call
-//! path:
+//! `thread::scope`, and re-pack every B panel. [`EngineRuntime`] hoists
+//! all of that out of the call path:
 //!
 //! * **Worker pool** — a fixed set of parked threads created lazily and
 //!   reused across calls. Dispatch hands the pool one type-erased job
@@ -15,9 +14,13 @@
 //! * **Environment** — `EGEMM_THREADS` / `RAYON_NUM_THREADS` and
 //!   `EGEMM_CACHE_BYTES` are read once at runtime construction
 //!   ([`RuntimeConfig::from_env`]), never per call.
-//! * **Prepared-operand cache** — see [`super::cache`]: split planes and
-//!   packed B panels keyed by content fingerprint, plus the explicit
-//!   [`PreparedOperand`] handle for zero-lookup reuse.
+//! * **Prepared-operand cache** — see [`super::cache`]: packed B panels
+//!   keyed by content fingerprint, plus the explicit [`PreparedOperand`]
+//!   handle for zero-lookup reuse.
+//!
+//! Every split the runtime issues (fused per-tile packs and whole-operand
+//! B packs) dispatches [`SplitKernel::Auto`], which is bit-identical to
+//! the scalar split.
 //!
 //! None of this can change an output bit: the pool runs the exact worker
 //! function `thread::scope` used to run (tile regions stay disjoint and
@@ -30,7 +33,6 @@ use super::jit;
 use super::pack::PackedB;
 use super::sched::{SchedCounters, SchedStats};
 use crate::envcfg::{self, EnvNum};
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry;
 use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
@@ -66,11 +68,9 @@ pub struct RuntimeConfig {
     /// Byte bound of the prepared-operand cache; 0 disables retention
     /// (every call re-prepares, the reference cold path).
     pub cache_bytes: usize,
-    /// Split kernel used for every split issued through this runtime.
-    pub split_kernel: SplitKernel,
 }
 
-/// Default cache bound: 256 MiB of split planes + packed panels.
+/// Default cache bound: 256 MiB of packed panels.
 const DEFAULT_CACHE_BYTES: usize = 256 << 20;
 
 impl Default for RuntimeConfig {
@@ -78,7 +78,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             threads: 1,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            split_kernel: SplitKernel::Auto,
         }
     }
 }
@@ -156,33 +155,21 @@ impl RuntimeConfig {
         RuntimeConfig {
             threads,
             cache_bytes,
-            split_kernel: SplitKernel::Auto,
         }
     }
 }
 
-/// A packed (and, on the staged pipeline, split) matrix handed back by
-/// [`crate::Egemm::prepare`] for zero-lookup reuse across calls. The
-/// handle pins its data: it stays valid even after cache eviction.
-///
-/// The fused pipeline prepares the packed panels straight from the raw
-/// f32 operand, so `split` is `None` there — the handle pins roughly
-/// half the bytes a staged preparation would.
+/// A B operand packed straight from raw f32 (no split matrix is ever
+/// materialized), handed back by [`crate::Egemm::prepare`] for
+/// zero-lookup reuse across calls. The handle pins its data: it stays
+/// valid even after cache eviction.
 #[derive(Clone)]
 pub struct PreparedOperand {
-    pub(crate) split: Option<Arc<SplitMatrix>>,
     pub(crate) packed: Arc<PackedB>,
     pub(crate) scheme: SplitScheme,
 }
 
 impl PreparedOperand {
-    /// The split planes (shared with the cache), if the operand was
-    /// prepared through the staged pipeline. Fused preparations never
-    /// materialize them.
-    pub fn split(&self) -> Option<&SplitMatrix> {
-        self.split.as_deref()
-    }
-
     /// The split scheme the operand was prepared with.
     pub fn scheme(&self) -> SplitScheme {
         self.scheme
@@ -198,11 +185,9 @@ impl PreparedOperand {
         self.packed.n()
     }
 
-    /// Resident bytes this handle pins (packed panels, plus split
-    /// planes when staged).
+    /// Resident bytes this handle pins (both packed planes).
     pub fn bytes(&self) -> usize {
-        let split = self.split.as_ref().map_or(0, |s| 12 * s.rows() * s.cols());
-        split + self.packed.bytes()
+        self.packed.bytes()
     }
 }
 
@@ -212,7 +197,6 @@ impl std::fmt::Debug for PreparedOperand {
             .field("rows", &self.rows())
             .field("cols", &self.cols())
             .field("scheme", &self.scheme)
-            .field("fused", &self.split.is_none())
             .field("bytes", &self.bytes())
             .finish()
     }
@@ -222,7 +206,6 @@ impl std::fmt::Debug for PreparedOperand {
 /// [`crate::Egemm`] (or through the process-wide [`EngineRuntime::global`]).
 pub struct EngineRuntime {
     default_threads: usize,
-    split_kernel: SplitKernel,
     cache: PanelCache,
     jit: jit::KernelCache,
     sched: SchedCounters,
@@ -233,7 +216,6 @@ impl std::fmt::Debug for EngineRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineRuntime")
             .field("default_threads", &self.default_threads)
-            .field("split_kernel", &self.split_kernel)
             .field("cache_stats", &self.cache.stats())
             .field("sched_stats", &self.sched.snapshot())
             .finish()
@@ -252,7 +234,6 @@ impl EngineRuntime {
         telemetry::probe::init_from_env();
         Arc::new(EngineRuntime {
             default_threads: cfg.threads.max(1),
-            split_kernel: cfg.split_kernel,
             cache: PanelCache::new(cfg.cache_bytes),
             jit: jit::KernelCache::new(),
             sched: SchedCounters::default(),
@@ -273,14 +254,9 @@ impl EngineRuntime {
         self.default_threads
     }
 
-    /// The split kernel this runtime dispatches.
-    pub fn split_kernel(&self) -> SplitKernel {
-        self.split_kernel
-    }
-
     /// Lifetime cache counters (hits/misses/evictions/resident bytes,
-    /// plus how many splits and packs actually executed, plus the
-    /// compiled-kernel cache's compiles/hits/compile-time/code-bytes).
+    /// plus how many packs actually executed, plus the compiled-kernel
+    /// cache's compiles/hits/compile-time/code-bytes).
     pub fn cache_stats(&self) -> CacheStats {
         let mut s = self.cache.stats();
         self.jit.fill_stats(&mut s);
@@ -310,66 +286,19 @@ impl EngineRuntime {
         &self.sched
     }
 
-    /// Split `src` through the cache: a content-fingerprint hit returns
-    /// the resident planes without touching the O(N²) split.
-    pub(crate) fn split_cached(&self, src: &Matrix<f32>, scheme: SplitScheme) -> Arc<SplitMatrix> {
-        let key = key_of(src, scheme);
-        let entry = self.cache.entry_for_key(key);
-        self.cache.split_of(key, &entry, || {
-            SplitMatrix::split_with(src, scheme, self.split_kernel)
-        })
-    }
-
-    /// Split `src` and pack its B panels for blocking depth `kc`
-    /// (already clamped to the chunk grid), both through the cache —
-    /// the staged reference pipeline.
+    /// Pack `src`'s B panels straight from the raw f32 data for
+    /// blocking depth `kc` (already clamped to the chunk grid), through
+    /// the cache: a content-fingerprint hit skips the pack.
     pub(crate) fn prepare_b(
         &self,
         src: &Matrix<f32>,
         scheme: SplitScheme,
         kc: usize,
     ) -> PreparedOperand {
-        let key = key_of(src, scheme);
-        let entry = self.cache.entry_for_key(key);
-        let split = self.cache.split_of(key, &entry, || {
-            SplitMatrix::split_with(src, scheme, self.split_kernel)
+        let packed = self.cache.get_or_pack(key_of(src, scheme), kc, || {
+            PackedB::pack_fused(src, scheme, SplitKernel::Auto, kc)
         });
-        let packed = self
-            .cache
-            .get_or_pack(key, &entry, kc, || PackedB::pack(&split, kc));
-        PreparedOperand {
-            split: Some(split),
-            packed,
-            scheme,
-        }
-    }
-
-    /// Pack `src`'s B panels straight from the raw f32 data for
-    /// blocking depth `kc`, through the cache, never materializing the
-    /// split planes. Bit-identical to [`prepare_b`](Self::prepare_b) at
-    /// half the resident bytes.
-    pub(crate) fn prepare_b_fused(
-        &self,
-        src: &Matrix<f32>,
-        scheme: SplitScheme,
-        kc: usize,
-    ) -> PreparedOperand {
-        let key = key_of(src, scheme);
-        let entry = self.cache.entry_for_key(key);
-        let packed = self.cache.get_or_pack_fused(key, &entry, kc, || {
-            PackedB::pack_fused(src, scheme, self.split_kernel, kc)
-        });
-        PreparedOperand {
-            split: None,
-            packed,
-            scheme,
-        }
-    }
-
-    /// Tally split-plane bytes the fused path avoided materializing
-    /// outside the cache (per-tile fused packs inside the workers).
-    pub(crate) fn note_staging_saved(&self, bytes: u64) {
-        self.cache.note_staging_saved(bytes);
+        PreparedOperand { packed, scheme }
     }
 
     /// Run `f` on `workers` threads: the caller plus `workers - 1` pool

@@ -1,16 +1,18 @@
 //! The top-level EGEMM-TC API.
 //!
 //! [`Egemm`] ties the pipeline together the way the paper's system does:
-//! data split on the CUDA-core side (host, O(N²)), tiled emulated GEMM on
-//! the Tensor-Core side (functional executor, O(N³)), and the timing layer
-//! costing the kernel the SASS generator would emit. [`Egemm::auto`] runs
+//! data split on the CUDA-core side (fused into the engine's per-tile
+//! pack), tiled emulated GEMM on the Tensor-Core side (functional
+//! executor, O(N³)), and the timing layer costing the kernel the SASS
+//! generator would emit. Every front end builds one
+//! [`engine::GemmPlan`] and runs it through [`engine::execute`]. [`Egemm::auto`] runs
 //! the §6 analytic model to pick the tiling for the device.
 
 use crate::analytic::{solve_tiling, AnalyticModel};
 use crate::config::TilingConfig;
 use crate::emulation::EmulationScheme;
 use crate::engine;
-use crate::engine::{EngineRuntime, PreparedOperand};
+use crate::engine::{BOperand, EngineRuntime, GemmPlan, Operand, PreparedOperand};
 use crate::kernel::build_kernel;
 pub use crate::kernel::KernelOpts;
 use crate::split_matrix::SplitMatrix;
@@ -87,8 +89,8 @@ impl Egemm {
     }
 
     /// Use a private [`EngineRuntime`] instead of the process-wide one
-    /// (builder style) — its pool width, cache bound, and split kernel
-    /// then govern every call through this instance.
+    /// (builder style) — its pool width and cache bound then govern
+    /// every call through this instance.
     pub fn with_runtime(mut self, runtime: Arc<EngineRuntime>) -> Egemm {
         self.runtime = runtime;
         self
@@ -146,38 +148,30 @@ impl Egemm {
         })
     }
 
+    /// A full-product plan under this instance's scheme, chunk depth and
+    /// blocking.
+    pub(crate) fn plan<'a>(&self, a: Operand<'a>, b: BOperand<'a>) -> GemmPlan<'a> {
+        GemmPlan::new(a, b, self.scheme, TilingConfig::TC.k, self.opts.engine)
+    }
+
     /// Pack `b` for reuse as the right-hand operand of
     /// [`Egemm::gemm_prepared`]. The preparation runs at most once per
     /// distinct content; the handle afterwards skips even the cache
-    /// lookup (and survives cache eviction). On the default fused
-    /// pipeline the panels are packed straight from the raw f32 data —
-    /// no split matrix is materialized; set
-    /// [`crate::EngineConfig::staged`] to route through the staged
-    /// split-then-pack reference instead (bit-identical panels, twice
-    /// the staging traffic and residency).
+    /// lookup (and survives cache eviction). The panels are packed
+    /// straight from the raw f32 data — no split matrix is materialized.
     pub fn prepare(&self, b: &Matrix<f32>) -> PreparedOperand {
-        if self.opts.engine.staged {
-            engine::prepare_b(
-                &self.runtime,
-                b,
-                self.scheme.split_scheme(),
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        } else {
-            engine::prepare_b_fused(
-                &self.runtime,
-                b,
-                self.scheme.split_scheme(),
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        }
+        engine::prepare_b(
+            &self.runtime,
+            b,
+            self.scheme.split_scheme(),
+            TilingConfig::TC.k,
+            self.opts.engine,
+        )
     }
 
     /// `D = A·B (+ C)` with a prepared B operand: bit-identical to
     /// [`Egemm::gemm_with_c`] on the same data, minus the per-call B
-    /// split and pack.
+    /// pack.
     ///
     /// # Panics
     /// If `b` was prepared under a different split scheme or blocking
@@ -193,32 +187,14 @@ impl Egemm {
             self.scheme.split_scheme(),
             "operand was prepared under a different split scheme"
         );
-        assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        let d = if self.opts.engine.staged {
-            let sa = self.runtime.split_cached(a, self.scheme.split_scheme());
-            engine::gemm_blocked_prepared(
-                &self.runtime,
-                &sa,
-                b,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        } else {
-            engine::gemm_blocked_prepared_fused(
-                &self.runtime,
-                a,
-                b,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
+        let plan = GemmPlan {
+            c,
+            ..self.plan(Operand::Raw(a), BOperand::Prepared(b))
         };
+        let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(
             window,
             format!("gemm_prepared {}x{}x{}", shape.m, shape.n, shape.k),
@@ -248,52 +224,17 @@ impl Egemm {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        // CUDA-core phase analogue: operand preparation through the
-        // runtime's prepared-operand cache — a content hit on B skips
-        // its pack entirely. The default fused pipeline packs B straight
-        // from the raw f32 data and splits A per tile inside the
-        // workers' pack; the staged knob restores the §3.2-literal
-        // O(N^2) up-front split of both operands (the bit-identity
-        // reference).
-        let scheme = self.scheme.split_scheme();
-        let d = if self.opts.engine.staged {
-            let sa = self.runtime.split_cached(a, scheme);
-            let pb = engine::prepare_b(
-                &self.runtime,
-                b,
-                scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            );
-            // Tensor-core phase: O(N^3) tiled emulated GEMM on the
-            // blocked engine, with this instance's blocking config.
-            engine::gemm_blocked_prepared(
-                &self.runtime,
-                &sa,
-                &pb,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        } else {
-            let pb = engine::prepare_b_fused(
-                &self.runtime,
-                b,
-                scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            );
-            engine::gemm_blocked_prepared_fused(
-                &self.runtime,
-                a,
-                &pb,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
+        // CUDA-core phase analogue: B is packed straight from the raw f32
+        // data through the runtime's prepared-operand cache (a content
+        // hit skips its pack entirely), and A is split per tile inside
+        // the workers' pack. Tensor-core phase: the O(N^3) tiled emulated
+        // GEMM on the blocked engine, with this instance's blocking.
+        let pb = self.prepare(b);
+        let plan = GemmPlan {
+            c,
+            ..self.plan(Operand::Raw(a), BOperand::Prepared(&pb))
         };
+        let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(window, format!("gemm {}x{}x{}", shape.m, shape.n, shape.k));
         Egemm::metrics_end(mwin, shape, 1);
         // Sampled numerical-health check — reads a, b, c, d only.
@@ -319,15 +260,11 @@ impl Egemm {
         let shape = GemmShape::new(sa.rows(), sb.cols(), sa.cols());
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        let d = engine::gemm_blocked_in(
-            &self.runtime,
-            sa,
-            sb,
+        let plan = GemmPlan {
             c,
-            self.scheme,
-            TilingConfig::TC.k,
-            self.opts.engine,
-        );
+            ..self.plan(Operand::Split(sa), BOperand::Split(sb))
+        };
+        let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(
             window,
             format!("gemm_split {}x{}x{}", shape.m, shape.n, shape.k),

@@ -62,11 +62,9 @@ pub use emulation::{
     emulated_gemm, emulated_gemm_entrywise, emulated_gemm_rows, emulated_gemm_tk, EmulationScheme,
 };
 pub use engine::{
-    content_fingerprint, gemm_blocked, gemm_blocked_fused, gemm_blocked_fused_in, gemm_blocked_in,
-    gemm_blocked_prepared, gemm_blocked_prepared_fused, gemm_blocked_range,
-    gemm_blocked_range_fused_in, gemm_blocked_range_in, gemm_blocked_rows, gemm_blocked_rows_in,
-    jit_available, jit_exec_mappings, prepare_b, prepare_b_fused, CacheStats, EngineConfig,
-    EngineRuntime, PreparedOperand, RuntimeConfig, SchedStats,
+    content_fingerprint, execute, jit_available, jit_exec_mappings, prepare_b, BOperand,
+    CacheStats, EngineConfig, EngineRuntime, GemmPlan, Operand, PreparedOperand, RuntimeConfig,
+    SchedStats,
 };
 pub use errbound::{crossover_k, dot_error_bound, dot_error_bound_with_c};
 pub use gemm::{Egemm, GemmOutput, KernelOpts};

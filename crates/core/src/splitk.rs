@@ -19,7 +19,7 @@
 //! kernel only in summation grouping, with the same error envelope.
 
 use crate::config::TilingConfig;
-use crate::engine;
+use crate::engine::{self, BOperand, GemmPlan, Operand};
 use crate::gemm::Egemm;
 use crate::kernel::build_kernel;
 use crate::telemetry::GemmReport;
@@ -56,7 +56,7 @@ pub struct SplitKOutput {
     pub slices: usize,
     /// Simulated timing (main kernel + reduction pass).
     pub timing: KernelTiming,
-    /// Telemetry for the call (splits + all slices + reduction) —
+    /// Telemetry for the call (all slices + reduction) —
     /// `Some` only while tracing is on.
     pub report: Option<GemmReport>,
 }
@@ -89,51 +89,20 @@ impl Egemm {
             .collect();
         // Partials, computed in parallel over slices; each slice runs the
         // blocked engine over its k range (chunking restarts at the slice
-        // start, like a fused kernel over the slice alone). Neither path
-        // can use a prepacked B — the per-slice k grids start mid-operand.
-        let tk = TilingConfig::TC.k;
-        let partials: Vec<Matrix<f32>> = if self.opts.engine.staged {
-            // Staged reference: split both operands up front through the
-            // runtime cache, then stream the staged planes per slice.
-            let sa = rt.split_cached(a, self.scheme.split_scheme());
-            let sb = rt.split_cached(b, self.scheme.split_scheme());
-            bounds
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    engine::gemm_blocked_range_in(
-                        rt,
-                        &sa,
-                        &sb,
-                        lo,
-                        hi,
-                        self.scheme,
-                        tk,
-                        self.opts.engine,
-                    )
-                })
-                .collect()
-        } else {
-            // Fused: every slice splits straight from the raw operands
-            // into packed slivers, so no whole-operand split planes are
-            // ever materialized — note the avoided staging once for the
-            // pair (12 bytes per element of resident SplitMatrix).
-            rt.note_staging_saved((12 * (a.rows() * a.cols() + b.rows() * b.cols())) as u64);
-            bounds
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    engine::gemm_blocked_range_fused_in(
-                        rt,
-                        a,
-                        b,
-                        lo,
-                        hi,
-                        self.scheme,
-                        tk,
-                        self.opts.engine,
-                    )
-                })
-                .collect()
-        };
+        // start, like a fused kernel over the slice alone). A prepacked B
+        // cannot serve — the per-slice k grids start mid-operand — so
+        // every slice splits straight from the raw operands into packed
+        // slivers.
+        let partials: Vec<Matrix<f32>> = bounds
+            .par_iter()
+            .map(|&(lo, hi)| {
+                let plan = GemmPlan {
+                    k_range: Some(lo..hi),
+                    ..self.plan(Operand::Raw(a), BOperand::Raw(b))
+                };
+                engine::execute(rt, &plan)
+            })
+            .collect();
         // Ascending-slice reduction, in f32 like the device's epilogue.
         let mut d = Matrix::<f32>::zeros(shape.m, shape.n);
         for p in &partials {

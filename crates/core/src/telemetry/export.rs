@@ -116,15 +116,13 @@ impl GemmReport {
         }
         s.push_str("},\"cache\":{");
         s.push_str(&format!(
-            "\"hits\":{},\"misses\":{},\"evictions\":{},\"splits\":{},\"packs\":{},\"hit_ratio\":{:.4},\"resident_bytes\":{},\"bytes_staging_saved\":{},\"jit_compiles\":{},\"jit_hits\":{},\"jit_compile_ns\":{},\"jit_code_bytes\":{}",
+            "\"hits\":{},\"misses\":{},\"evictions\":{},\"packs\":{},\"hit_ratio\":{:.4},\"resident_bytes\":{},\"jit_compiles\":{},\"jit_hits\":{},\"jit_compile_ns\":{},\"jit_code_bytes\":{}",
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
-            self.cache.splits,
             self.cache.packs,
             self.cache.hit_ratio(),
             self.cache.bytes,
-            self.cache.bytes_staging_saved,
             self.cache.jit_compiles,
             self.cache.jit_hits,
             self.cache.jit_compile_ns,
@@ -170,18 +168,13 @@ impl GemmReport {
     /// named track (`pid` 1, `tid` = worker id); every span is a
     /// complete (`"ph":"X"`) event with microsecond `ts`/`dur` and its
     /// detail word under `args`. Counter (`"ph":"C"`) tracks record the
-    /// staging bytes the fused split-and-pack pipeline avoided during
-    /// the call, the tiles moved by work-stealing, and the shared
-    /// B panels reused instead of re-packed.
+    /// tiles moved by work-stealing, the shared B panels reused instead
+    /// of re-packed, and the spans the ring dropped.
     pub fn chrome_trace(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         s.push_str(&format!(
-            "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"bytes_staging_saved\",\"ts\":0,\"args\":{{\"bytes_staging_saved\":{}}}}}",
-            self.cache.bytes_staging_saved
-        ));
-        s.push_str(&format!(
-            ",{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"tiles_stolen\",\"ts\":0,\"args\":{{\"tiles_stolen\":{}}}}}",
+            "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"tiles_stolen\",\"ts\":0,\"args\":{{\"tiles_stolen\":{}}}}}",
             self.sched.tiles_stolen
         ));
         s.push_str(&format!(
@@ -437,11 +430,7 @@ mod tests {
         assert!(t.contains("\"ph\":\"M\""), "{t}");
         assert!(t.contains("\"ph\":\"X\""), "{t}");
         assert!(
-            t.contains("\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"bytes_staging_saved\""),
-            "{t}"
-        );
-        assert!(
-            t.contains("\"name\":\"tiles_stolen\",\"ts\":0,\"args\":{\"tiles_stolen\":5}"),
+            t.contains("\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"tiles_stolen\",\"ts\":0,\"args\":{\"tiles_stolen\":5}"),
             "{t}"
         );
         assert!(

@@ -150,10 +150,7 @@ impl GemmReport {
                 misses: cache_after.misses - cache_before.misses,
                 evictions: cache_after.evictions - cache_before.evictions,
                 bytes: cache_after.bytes,
-                splits: cache_after.splits - cache_before.splits,
                 packs: cache_after.packs - cache_before.packs,
-                bytes_staging_saved: cache_after.bytes_staging_saved
-                    - cache_before.bytes_staging_saved,
                 jit_compiles: cache_after.jit_compiles - cache_before.jit_compiles,
                 jit_hits: cache_after.jit_hits - cache_before.jit_hits,
                 jit_compile_ns: cache_after.jit_compile_ns - cache_before.jit_compile_ns,

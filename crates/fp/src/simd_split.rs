@@ -17,9 +17,7 @@
 //! binary16 overflow threshold — the SIMD path must produce the same
 //! `(hi, lo)` encodings and the same widened binary32 planes as the
 //! scalar path, which remains both the portable fallback and the test
-//! oracle (see the exhaustive sweep in this module's tests and the
-//! `split_simd` entry of `engine_bench`, which asserts equality before
-//! timing).
+//! oracle (see the exhaustive sweep in this module's tests).
 
 use crate::half::Half;
 use crate::split::SplitScheme;

@@ -106,15 +106,13 @@ type PrimaryOk<'a> = (&'a Matrix<f32>, usize, Option<&'a Arc<GemmReport>>);
 
 impl ServerInner {
     /// Serve counters plus the engine-side counters that live on the
-    /// shared runtime: fused-pipeline staging savings and the
-    /// work-stealing scheduler's steal / panel-reuse totals. Folding
+    /// shared runtime: the work-stealing scheduler's steal /
+    /// panel-reuse totals. Folding
     /// them in at snapshot time covers every dispatch through this
     /// server's engine without double-counting per request.
     fn stats_snapshot(&self) -> ServeStats {
         let mut s = self.stats.snapshot();
-        let rt = self.engine.runtime();
-        s.bytes_staging_saved = rt.cache_stats().bytes_staging_saved;
-        let sched = rt.sched_stats();
+        let sched = self.engine.runtime().sched_stats();
         s.tiles_stolen = sched.tiles_stolen;
         s.panel_reuse_hits = sched.panel_reuse_hits;
         s.result_cache_hits = self.results.hits.load(Ordering::Relaxed);
@@ -383,7 +381,6 @@ impl Client {
             metrics::gauge("egemm_cache_hits").set(cache.hits as i64);
             metrics::gauge("egemm_cache_misses").set(cache.misses as i64);
             metrics::gauge("egemm_cache_resident_bytes").set(cache.bytes as i64);
-            metrics::gauge("egemm_bytes_staging_saved").set(cache.bytes_staging_saved as i64);
             metrics::gauge("egemm_jit_code_bytes").set(cache.jit_code_bytes as i64);
             let sched = rt.sched_stats();
             metrics::gauge("egemm_sched_steals").set(sched.steals as i64);
@@ -747,16 +744,9 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.engine_calls, 1);
-        // The default engine runs the fused split-and-pack pipeline, and
-        // its avoided-staging counter surfaces through the serve stats
-        // (and therefore the in-band "stats" wire reply).
-        assert!(
-            stats.bytes_staging_saved > 0,
-            "fused engine should report staging savings: {stats:?}"
-        );
+        // Scheduler counters surface through the serve stats (runtime
+        // snapshot), and therefore the in-band "stats" wire reply.
         let j = stats.to_json();
-        assert!(j.contains("\"bytes_staging_saved\":"), "{j}");
-        // Scheduler counters surface the same way (runtime snapshot).
         assert!(j.contains("\"tiles_stolen\":"), "{j}");
         assert!(j.contains("\"panel_reuse_hits\":"), "{j}");
         s.shutdown();

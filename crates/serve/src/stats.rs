@@ -212,7 +212,6 @@ impl StatsInner {
             result_cache_misses: 0,
             result_cache_evictions: 0,
             result_cache_bytes: 0,
-            bytes_staging_saved: 0,
             tiles_stolen: 0,
             panel_reuse_hits: 0,
             p50_ns,
@@ -274,15 +273,10 @@ pub struct ServeStats {
     pub result_cache_evictions: u64,
     /// Bytes currently resident in the result cache.
     pub result_cache_bytes: u64,
-    /// Split-plane staging bytes the engine's fused split-and-pack
-    /// pipeline avoided, summed over the server's lifetime. Read from
-    /// the shared engine runtime at snapshot time (not a serve-side
-    /// counter), so it covers every dispatch through this server's
-    /// engine.
-    pub bytes_staging_saved: u64,
     /// Tiles moved between engine workers by work-stealing, summed over
-    /// the server's lifetime (read from the shared engine runtime at
-    /// snapshot time, like `bytes_staging_saved`).
+    /// the server's lifetime. Read from the shared engine runtime at
+    /// snapshot time (not a serve-side counter), so it covers every
+    /// dispatch through this server's engine.
     pub tiles_stolen: u64,
     /// B panels served from the engine's cooperative panel store
     /// instead of being re-packed per tile, summed over the server's
@@ -323,7 +317,7 @@ impl ServeStats {
              \"engine_failures\":{},\"engine_calls\":{},\"dispatched\":{},\"coalesced\":{},\
              \"batched_ratio\":{:.4},\"dedup_hits\":{},\"result_cache_hits\":{},\
              \"result_cache_misses\":{},\"result_cache_evictions\":{},\"result_cache_bytes\":{},\
-             \"bytes_staging_saved\":{},\"tiles_stolen\":{},\
+             \"tiles_stolen\":{},\
              \"panel_reuse_hits\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
             self.submitted,
             self.admitted,
@@ -342,7 +336,6 @@ impl ServeStats {
             self.result_cache_misses,
             self.result_cache_evictions,
             self.result_cache_bytes,
-            self.bytes_staging_saved,
             self.tiles_stolen,
             self.panel_reuse_hits,
             self.p50_ns,
@@ -358,7 +351,7 @@ impl std::fmt::Display for ServeStats {
             "{} submitted: {} ok, {} busy, {} invalid, {} expired ({} late), {} engine-failed; \
              {} engine call(s) for {} dispatched ({:.2}x batched); \
              {} deduped, {} memoized ({:.1} KiB resident, {} evicted); \
-             {:.1} KiB staging saved; {} tile(s) stolen, {} panel(s) reused; \
+             {} tile(s) stolen, {} panel(s) reused; \
              p50 {:.3} ms, p99 {:.3} ms",
             self.submitted,
             self.completed,
@@ -374,7 +367,6 @@ impl std::fmt::Display for ServeStats {
             self.result_cache_hits,
             self.result_cache_bytes as f64 / 1024.0,
             self.result_cache_evictions,
-            self.bytes_staging_saved as f64 / 1024.0,
             self.tiles_stolen,
             self.panel_reuse_hits,
             self.p50_ns as f64 / 1e6,

@@ -1,7 +1,6 @@
 //! Trace a real engine execution end to end and emit a Chrome-trace
 //! file: cold call (fused split-and-pack + compute), then a warm call
-//! against the populated operand cache, plus a staged-knob reference
-//! call, on a multi-worker pool.
+//! against the populated operand cache, on a multi-worker pool.
 //!
 //! ```text
 //! EGEMM_TRACE=1 cargo run --release -p egemm --example pipeline_trace
@@ -9,16 +8,16 @@
 //!
 //! Writes `target/pipeline_trace.json` (override with `--out PATH`) —
 //! load it in `chrome://tracing` or <https://ui.perfetto.dev> to see
-//! split/pack/tile spans laid out per worker thread. Build artifacts
+//! pack/tile spans laid out per worker thread. Build artifacts
 //! stay under `target/`; the repo root holds only tracked baselines.
 //! The example then validates its own output (the CI
 //! gate): the JSON must be well-formed, every pipeline phase must have
 //! recorded at least one span, and compute spans must be attributed to
 //! more than one worker thread. Any violation panics (nonzero exit).
 
-use egemm::engine::{EngineConfig, EngineRuntime, RuntimeConfig};
+use egemm::engine::{EngineRuntime, RuntimeConfig};
 use egemm::telemetry::{self, Phase};
-use egemm::{Egemm, KernelOpts, TilingConfig};
+use egemm::{Egemm, TilingConfig};
 use egemm_matrix::Matrix;
 use egemm_tcsim::DeviceSpec;
 
@@ -87,43 +86,6 @@ fn main() {
     let warm_report = warm.report.expect("tracing is on: warm call must report");
     println!("warm call (cache hit on the packed B):\n{warm_report}");
 
-    // The staged reference behind the `EngineConfig::staged` knob, on
-    // its own runtime so its split/pack work isn't absorbed by the
-    // fused calls' cache entries. This is the bit-identity oracle; it
-    // also exercises the Split/PackA/PackB phases the fused pipeline
-    // skips.
-    let staged_rt = EngineRuntime::new(RuntimeConfig {
-        threads: 4,
-        ..RuntimeConfig::default()
-    });
-    let staged_eg = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER)
-        .with_runtime(staged_rt)
-        .with_opts(KernelOpts {
-            engine: EngineConfig {
-                staged: true,
-                ..EngineConfig::default()
-            },
-            ..KernelOpts::default()
-        });
-    let staged = staged_eg.gemm(&a, &b);
-    let staged_report = staged
-        .report
-        .expect("tracing is on: staged call must report");
-    println!("staged reference call (split + pack + compute):\n{staged_report}");
-    for (i, (x, y)) in cold
-        .d
-        .as_slice()
-        .iter()
-        .zip(staged.d.as_slice())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "fused and staged outputs diverge at flat index {i}"
-        );
-    }
-
     // Chrome-trace export of the cold call — the interesting timeline.
     // Default under target/ so the artifact never lands in the repo
     // root; --out redirects it.
@@ -150,24 +112,23 @@ fn main() {
     assert_json_well_formed(&trace);
 
     // Every pipeline phase must have recorded at least one span over
-    // the three calls: the fused cold call covers FusedSplitPack, Tile,
-    // CacheLookup, Dispatch, Park and Worker; the staged reference
-    // covers Split, PackA and PackB. Phases the cold call recorded must
-    // also appear by name in its exported trace. Two phases are
-    // machine-dependent: PanelWait needs a second core actually running
-    // a pool worker concurrently (on a 1-core host the submitting
-    // thread drains every tile before any worker wakes, so nobody ever
-    // waits on a racing pack), and JitCompile only fires where the
-    // process can publish JIT kernels at all.
+    // the two calls: the fused cold call covers FusedSplitPack, Tile,
+    // CacheLookup, Dispatch, Park and Worker. Phases the cold call
+    // recorded must also appear by name in its exported trace. Split,
+    // PackA, PackB and PanelWait belong to B operands packed per call
+    // through the panel store (pre-split operands, split-K slices);
+    // `Egemm::gemm` prepares B whole, so these calls never take them.
+    // JitCompile only fires where the process can publish JIT kernels.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for phase in Phase::ALL {
-        let n = cold_report.phase_count(phase)
-            + warm_report.phase_count(phase)
-            + staged_report.phase_count(phase);
-        let machine_dependent = (phase == Phase::PanelWait && cores < 2)
-            || (phase == Phase::JitCompile && !egemm::jit_available());
+        let n = cold_report.phase_count(phase) + warm_report.phase_count(phase);
+        let not_taken = matches!(
+            phase,
+            Phase::Split | Phase::PackA | Phase::PackB | Phase::PanelWait
+        );
+        let no_jit = phase == Phase::JitCompile && !egemm::jit_available();
         assert!(
-            n > 0 || machine_dependent,
+            n > 0 || not_taken || no_jit,
             "phase {} recorded no spans",
             phase.name()
         );
@@ -181,9 +142,8 @@ fn main() {
     }
 
     // The fused pipeline's signature: fused_split_pack spans on the
-    // cold call (whole-operand B pack + per-tile A packs), none of the
-    // staged phases, and the avoided-staging counter both in the report
-    // and as a Chrome counter track in the trace file.
+    // cold call (whole-operand B pack + per-tile A packs) and none of
+    // the pre-split phases.
     assert!(
         cold_report.phase_count(Phase::FusedSplitPack) > 0,
         "fused cold call recorded no fused_split_pack spans"
@@ -196,25 +156,10 @@ fn main() {
         assert_eq!(
             cold_report.phase_count(phase),
             0,
-            "fused cold call staged through phase {}",
+            "fused cold call took pre-split phase {}",
             phase.name()
         );
     }
-    let expect_saved = (12 * (256 * 256 + 256 * 512)) as u64; // both raw operands
-    assert_eq!(
-        cold_report.cache.bytes_staging_saved, expect_saved,
-        "cold call's avoided staging delta is off"
-    );
-    assert!(
-        trace.contains("\"ph\":\"C\"")
-            && trace.contains(&format!("\"bytes_staging_saved\":{expect_saved}")),
-        "bytes_staging_saved counter missing from the trace file"
-    );
-    assert!(
-        staged_report.phase_count(Phase::FusedSplitPack) == 0
-            && staged_report.cache.bytes_staging_saved == 0,
-        "staged reference call took the fused path"
-    );
 
     // Compute spans must be attributed to the worker threads that ran
     // them: more than one lane carries Tile events (4 workers, 8 tiles),
@@ -241,23 +186,12 @@ fn main() {
     );
     assert_eq!(cold_report.dropped_events, 0, "cold call overflowed rings");
 
-    // The warm call must show the cache working: no new splits or
-    // packs — B's fused-packed panels are served from the cache, and
-    // only A's per-call staging note accrues.
-    assert_eq!(
-        (warm_report.cache.splits, warm_report.cache.packs),
-        (0, 0),
-        "warm call re-prepared operands"
-    );
-    assert_eq!(
-        warm_report.cache.bytes_staging_saved,
-        (12 * (256 * 256)) as u64,
-        "warm call's avoided staging should cover A only"
-    );
+    // The warm call must show the cache working: no new packs — B's
+    // packed panels are served from the cache.
+    assert_eq!(warm_report.cache.packs, 0, "warm call re-prepared B");
     println!(
         "validation passed: every phase recorded, tile spans on {} workers, \
-         fused cold call avoided {:.1} MiB of staging, warm call fully cached",
-        tile_lanes.len(),
-        expect_saved as f64 / (1024.0 * 1024.0)
+         warm call fully cached",
+        tile_lanes.len()
     );
 }

@@ -50,7 +50,6 @@ fn main() {
         EngineRuntime::new(RuntimeConfig {
             threads: 1,
             cache_bytes: 0,
-            ..RuntimeConfig::default()
         }),
     );
     let mut max_batch = 0usize;

@@ -1,8 +1,8 @@
 //! Negative test for the `EGEMM_JIT=0` contract: with the knob off,
 //! the engine must never map an executable page — not "map one and not
 //! use it", but zero `mmap(PROT_EXEC)` activity for the life of the
-//! process — and results must stay bit-identical to the interpreted
-//! path.
+//! process — and results must stay bit-identical to the entrywise
+//! scalar oracle.
 //!
 //! This lives in its own test binary because the knob is latched once
 //! per process (first runtime construction); it cannot share a process
@@ -10,10 +10,10 @@
 //! test binary as a separate process, so setting the variable here is
 //! safe and race-free as long as it happens before any engine work.
 
-use egemm::emulation::EmulationScheme;
-use egemm::engine::{gemm_blocked, EngineConfig};
+use egemm::emulation::{emulated_gemm_entrywise, EmulationScheme};
+use egemm::engine::{execute, BOperand, EngineConfig, EngineRuntime, GemmPlan, Operand};
 use egemm::split_matrix::SplitMatrix;
-use egemm::{emulated_gemm_tk, jit_available, jit_exec_mappings};
+use egemm::{jit_available, jit_exec_mappings, TilingConfig};
 use egemm_matrix::Matrix;
 
 #[test]
@@ -38,7 +38,8 @@ fn jit_disabled_process_never_maps_executable_pages() {
         let b = Matrix::<f32>::random_uniform(k, n, 13);
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let tk = 8;
+        // The entrywise oracle chunks at the TC depth.
+        let tk = TilingConfig::TC.k;
         // jit: true in the config is deliberate — the env knob must
         // override per-call opt-ins.
         let cfg = EngineConfig {
@@ -49,10 +50,17 @@ fn jit_disabled_process_never_maps_executable_pages() {
             ..EngineConfig::default()
         };
         assert!(cfg.jit, "default EngineConfig must ask for the JIT");
-        let d = gemm_blocked(&sa, &sb, None, scheme, tk, cfg);
-        let want = emulated_gemm_tk(&sa, &sb, None, scheme, tk);
-        for (x, y) in d.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} diverged");
+        let plan = GemmPlan::new(Operand::Split(&sa), BOperand::Split(&sb), scheme, tk, cfg);
+        let d = execute(EngineRuntime::global(), &plan);
+        for i in 0..m {
+            for j in 0..n {
+                let want = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
+                assert_eq!(
+                    d.get(i, j).to_bits(),
+                    want.to_bits(),
+                    "{scheme:?} diverged at ({i},{j})"
+                );
+            }
         }
     }
 

@@ -9,15 +9,14 @@
 //! non-multiples of every tile size, m << n and m >> n.
 
 use egemm::{
-    emulated_gemm_entrywise, emulated_gemm_rows, gemm_blocked, gemm_blocked_fused, gemm_blocked_in,
-    gemm_blocked_prepared, gemm_blocked_range, gemm_blocked_range_fused_in, prepare_b, Egemm,
-    EmulationScheme, EngineConfig, EngineRuntime, KernelOpts, RuntimeConfig, SplitMatrix,
+    emulated_gemm_entrywise, emulated_gemm_rows, execute, prepare_b, BOperand, Egemm,
+    EmulationScheme, EngineConfig, EngineRuntime, GemmPlan, Operand, RuntimeConfig, SplitMatrix,
     TilingConfig,
 };
-use egemm_fp::SplitKernel;
 use egemm_matrix::Matrix;
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
+use std::ops::Range;
 
 const SCHEMES: [EmulationScheme; 4] = [
     EmulationScheme::EgemmTc,
@@ -27,36 +26,55 @@ const SCHEMES: [EmulationScheme; 4] = [
 ];
 
 /// Scalar replay of the accumulation contract with an explicit `tk` and
-/// k range: ascending k in `tk` chunks from `k_lo`, scheme terms in
-/// issue order per chunk, one separate binary32 multiply and add per
-/// product.
-#[allow(clippy::too_many_arguments)]
+/// k range, for every output element: `C` (or zero), then ascending k in
+/// `tk` chunks from `ks.start`, scheme terms in issue order per chunk,
+/// one separate binary32 multiply and add per product.
 fn entrywise_tk(
     sa: &SplitMatrix,
     sb: &SplitMatrix,
     c: Option<&Matrix<f32>>,
     scheme: EmulationScheme,
     tk: usize,
-    k_lo: usize,
-    k_hi: usize,
-    i: usize,
-    j: usize,
-) -> f32 {
+    ks: Range<usize>,
+) -> Matrix<f32> {
     let (k, n) = (sa.cols(), sb.cols());
-    let mut acc = c.map_or(0.0, |c0| c0.get(i, j));
-    let mut kt = k_lo;
-    while kt < k_hi {
-        let chunk = tk.min(k_hi - kt);
-        for &(a_lo, b_lo) in scheme.terms() {
-            let ap = sa.plane(a_lo);
-            let bp = sb.plane(b_lo);
-            for kk in kt..kt + chunk {
-                acc += ap[i * k + kk] * bp[kk * n + j];
+    Matrix::from_fn(sa.rows(), n, |i, j| {
+        let mut acc = c.map_or(0.0, |c0| c0.get(i, j));
+        let mut kt = ks.start;
+        while kt < ks.end {
+            let chunk = tk.min(ks.end - kt);
+            for &(a_lo, b_lo) in scheme.terms() {
+                let ap = sa.plane(a_lo);
+                let bp = sb.plane(b_lo);
+                for kk in kt..kt + chunk {
+                    acc += ap[i * k + kk] * bp[kk * n + j];
+                }
             }
+            kt += chunk;
         }
-        kt += chunk;
-    }
-    acc
+        acc
+    })
+}
+
+/// The bit patterns of `d`, for zero-tolerance comparisons.
+fn bits(d: &Matrix<f32>) -> Vec<u32> {
+    d.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Run `plan` on the process-wide runtime.
+fn run(plan: GemmPlan<'_>) -> Matrix<f32> {
+    execute(EngineRuntime::global(), &plan)
+}
+
+/// A full-product plan over split operands.
+fn split_plan<'a>(
+    sa: &'a SplitMatrix,
+    sb: &'a SplitMatrix,
+    scheme: EmulationScheme,
+    tk: usize,
+    cfg: EngineConfig,
+) -> GemmPlan<'a> {
+    GemmPlan::new(Operand::Split(sa), BOperand::Split(sb), scheme, tk, cfg)
 }
 
 fn split_pair(
@@ -99,18 +117,9 @@ proptest! {
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
         let cfg = EngineConfig { mc, nc, kc, threads, ..Default::default() };
-        let d = gemm_blocked(&sa, &sb, c_opt, scheme, tk, cfg);
-        for i in 0..m {
-            for j in 0..n {
-                let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0, k, i, j);
-                prop_assert_eq!(
-                    d.get(i, j).to_bits(),
-                    want.to_bits(),
-                    "{:?} tk={} ({},{})",
-                    scheme, tk, i, j
-                );
-            }
-        }
+        let d = run(GemmPlan { c: c_opt, ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
+        prop_assert_eq!(bits(&d), bits(&want), "{:?} tk={}", scheme, tk);
     }
 
     /// Split-K slices chunk from the slice start and stay bit-identical.
@@ -127,27 +136,23 @@ proptest! {
         let (m, n) = (5usize, 7usize);
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let k_hi = k;
         let cfg = EngineConfig { mc: 3, nc: 5, kc: 9, threads: 2, ..Default::default() };
-        let d = gemm_blocked_range(&sa, &sb, k_lo, k_hi, scheme, tk, cfg);
-        for i in 0..m {
-            for j in 0..n {
-                let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo, k_hi, i, j);
-                prop_assert_eq!(d.get(i, j).to_bits(), want.to_bits());
-            }
-        }
+        let d = run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k);
+        prop_assert_eq!(bits(&d), bits(&want));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The fused split-and-pack pipeline is bit-identical to the staged
-    /// split-then-pack reference: random (non-tile-multiple) shapes, all
-    /// four schemes (covering both split schemes), pool sizes 1 and 4,
-    /// full products and split-K slices starting mid-operand.
+    /// The fused split-and-pack path (raw f32 operands, split per tile
+    /// inside the pack) bit-equals the scalar replay: random
+    /// (non-tile-multiple) shapes, all four schemes (covering both split
+    /// schemes), pool sizes 1 and 4, full products and split-K slices
+    /// starting mid-operand, with and without C.
     #[test]
-    fn fused_pipeline_bit_identical_to_staged(
+    fn fused_pipeline_bit_identical_to_entrywise(
         m in 1usize..24,
         k in 2usize..48,
         n in 1usize..28,
@@ -168,41 +173,37 @@ proptest! {
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
         let cfg = EngineConfig { mc: 5, nc: 9, kc: 12, threads, ..Default::default() };
+        let raw = GemmPlan {
+            c: c_opt,
+            ..GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg)
+        };
 
-        // Full product: fused raw-operand entry vs the staged engine.
-        let want = gemm_blocked(&sa, &sb, c_opt, scheme, tk, cfg);
-        let got = gemm_blocked_fused(&a, &b, c_opt, scheme, tk, cfg);
-        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "fused full product diverged ({:?}, tk={}, threads={})",
-                scheme, tk, threads
-            );
-        }
+        // Full product.
+        let got = run(raw.clone());
+        let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
+        prop_assert_eq!(
+            bits(&got), bits(&want),
+            "fused full product diverged ({:?}, tk={}, threads={})",
+            scheme, tk, threads
+        );
 
-        // Split-K slice: chunking restarts at k_lo on both paths.
+        // Split-K slice: chunking restarts at k_lo.
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let rt = EngineRuntime::new(RuntimeConfig {
-            threads,
-            cache_bytes: 0,
-            ..Default::default()
-        });
-        let want_r = gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, cfg);
-        let got_r = gemm_blocked_range_fused_in(&rt, &a, &b, k_lo, k, scheme, tk, cfg);
-        for (x, y) in got_r.as_slice().iter().zip(want_r.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "fused slice diverged ({:?}, tk={}, k_lo={})",
-                scheme, tk, k_lo
-            );
-        }
+        let rt = EngineRuntime::new(RuntimeConfig { threads, cache_bytes: 0 });
+        let got_r = execute(&rt, &GemmPlan { k_range: Some(k_lo..k), ..raw });
+        let want_r = entrywise_tk(&sa, &sb, c_opt, scheme, tk, k_lo..k);
+        prop_assert_eq!(
+            bits(&got_r), bits(&want_r),
+            "fused slice diverged ({:?}, tk={}, k_lo={})",
+            scheme, tk, k_lo
+        );
     }
 
-    /// The `EngineConfig::staged` knob routes the whole public API
-    /// (gemm, prepared handles, split-K) through the staged reference,
-    /// and both routes agree bitwise at pool sizes 1 and 4.
+    /// The public `Egemm` front ends — gemm, pre-split gemm, prepared
+    /// handles, split-K — bit-equal the scalar replay at pool sizes 1
+    /// and 4.
     #[test]
-    fn staged_knob_agrees_with_fused_default(
+    fn public_api_bit_identical_to_entrywise(
         m in 1usize..16,
         k in 2usize..32,
         n in 1usize..16,
@@ -211,32 +212,35 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let scheme = SCHEMES[scheme_idx];
+        let tk = TilingConfig::TC.k;
         let a = Matrix::<f32>::random_uniform(m, k, seed);
         let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
+        let sa = SplitMatrix::split(&a, scheme.split_scheme());
+        let sb = SplitMatrix::split(&b, scheme.split_scheme());
+        let want = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k));
+        // Split-K: per-slice replays reduced in ascending-slice order
+        // into zeros, exactly as the front end reduces its partials.
+        let s = slices.min(k);
+        let mut want_sk = Matrix::<f32>::zeros(m, n);
+        for i in 0..s {
+            let p = entrywise_tk(&sa, &sb, None, scheme, tk, k * i / s..k * (i + 1) / s);
+            for (acc, &x) in want_sk.as_mut_slice().iter_mut().zip(p.as_slice()) {
+                *acc += x;
+            }
+        }
         for threads in [1usize, 4] {
-            let rc = RuntimeConfig { threads, ..Default::default() };
-            let fused = egemm_on(scheme, rc);
-            let staged = egemm_on(scheme, rc).with_opts(KernelOpts {
-                engine: EngineConfig { staged: true, ..Default::default() },
-                ..Default::default()
-            });
-            let df = fused.gemm(&a, &b).d;
-            let ds = staged.gemm(&a, &b).d;
-            prop_assert_eq!(df.as_slice(), ds.as_slice(), "gemm (threads={})", threads);
-
-            let pf = fused.prepare(&b);
-            let ps = staged.prepare(&b);
-            prop_assert!(pf.split().is_none(), "fused prepare must not stage planes");
-            prop_assert!(ps.split().is_some(), "staged prepare must retain planes");
-            let dpf = fused.gemm_prepared(&a, &pf, None).d;
-            let dps = staged.gemm_prepared(&a, &ps, None).d;
-            prop_assert_eq!(dpf.as_slice(), df.as_slice(), "fused prepared (threads={})", threads);
-            prop_assert_eq!(dps.as_slice(), df.as_slice(), "staged prepared (threads={})", threads);
-
-            let s = slices.min(k);
-            let skf = fused.gemm_split_k(&a, &b, s).d;
-            let sks = staged.gemm_split_k(&a, &b, s).d;
-            prop_assert_eq!(skf.as_slice(), sks.as_slice(), "split-k s={} (threads={})", s, threads);
+            let eg = egemm_on(scheme, RuntimeConfig { threads, ..Default::default() });
+            prop_assert_eq!(bits(&eg.gemm(&a, &b).d), want.clone(), "gemm (threads={})", threads);
+            let d_split = eg.gemm_split(&sa, &sb, None).d;
+            prop_assert_eq!(bits(&d_split), want.clone(), "gemm_split (threads={})", threads);
+            let pb = eg.prepare(&b);
+            let d_prep = eg.gemm_prepared(&a, &pb, None).d;
+            prop_assert_eq!(bits(&d_prep), want.clone(), "prepared (threads={})", threads);
+            let d_sk = eg.gemm_split_k(&a, &b, s).d;
+            prop_assert_eq!(
+                bits(&d_sk), bits(&want_sk),
+                "split-k s={} (threads={})", s, threads
+            );
         }
     }
 }
@@ -249,15 +253,13 @@ fn egemm_on(scheme: EmulationScheme, cfg: RuntimeConfig) -> Egemm {
         .with_runtime(EngineRuntime::new(cfg))
 }
 
-/// The pre-runtime reference path: no caching, scalar split kernel,
-/// single thread.
+/// The uncached reference path: no caching, single thread.
 fn cold_reference(scheme: EmulationScheme) -> Egemm {
     egemm_on(
         scheme,
         RuntimeConfig {
             threads: 1,
             cache_bytes: 0,
-            split_kernel: SplitKernel::Scalar,
         },
     )
 }
@@ -266,7 +268,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Cache-miss, cache-hit, and prepared-handle paths are all bitwise
-    /// identical to the uncached scalar path, at pool sizes 1 and 4.
+    /// identical to the uncached path, at pool sizes 1 and 4.
     #[test]
     fn cached_paths_bit_identical_to_uncached(
         m in 1usize..16,
@@ -281,8 +283,8 @@ proptest! {
         let want = cold_reference(scheme).gemm(&a, &b).d;
         for threads in [1usize, 4] {
             let eg = egemm_on(scheme, RuntimeConfig { threads, ..Default::default() });
-            let miss = eg.gemm(&a, &b).d; // cold cache: both operands miss
-            let hit = eg.gemm(&a, &b).d; // warm cache: both operands hit
+            let miss = eg.gemm(&a, &b).d; // cold cache: B misses
+            let hit = eg.gemm(&a, &b).d; // warm cache: B hits
             let pb = eg.prepare(&b);
             let prepared = eg.gemm_prepared(&a, &pb, None).d;
             let prepared_again = eg.gemm_prepared(&a, &pb, None).d;
@@ -304,7 +306,7 @@ proptest! {
                 }
             }
             let s = eg.runtime().cache_stats();
-            prop_assert!(s.hits >= 2, "warm call must hit both operands: {:?}", s);
+            prop_assert!(s.hits >= 2, "warm lookups of B must hit: {:?}", s);
         }
     }
 }
@@ -315,7 +317,7 @@ proptest! {
     /// Work-stealing pool sizes 2/4/8 under deliberately tiny blocking
     /// (many tiles per worker, so idle workers must steal, and every
     /// jc column's B panel is contended through the cooperative store)
-    /// agree bitwise with the 1-worker output across the staged, fused,
+    /// bit-equal the scalar replay across the split-operand, fused,
     /// prepared-B, and split-K paths.
     #[test]
     fn pool_sizes_bit_identical_under_tiny_blocking(
@@ -332,32 +334,26 @@ proptest! {
         let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let cfg_for =
-            |threads: usize| EngineConfig { mc: 5, nc: 9, kc: 7, threads, ..Default::default() };
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let bits = |d: &Matrix<f32>| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-
-        let want = bits(&gemm_blocked(&sa, &sb, None, scheme, tk, cfg_for(1)));
-        let want_range = bits(&gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, cfg_for(1)));
+        let want = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k));
+        let want_range = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k));
 
         for threads in [2usize, 4, 8] {
-            let cfg = cfg_for(threads);
-            let staged = bits(&gemm_blocked(&sa, &sb, None, scheme, tk, cfg));
-            prop_assert_eq!(&staged, &want, "staged diverged (threads={})", threads);
+            let cfg = EngineConfig { mc: 5, nc: 9, kc: 7, threads, ..Default::default() };
+            let split = bits(&run(split_plan(&sa, &sb, scheme, tk, cfg)));
+            prop_assert_eq!(&split, &want, "split operands diverged (threads={})", threads);
 
-            let fused = bits(&gemm_blocked_fused(&a, &b, None, scheme, tk, cfg));
+            let raw = GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg);
+            let fused = bits(&run(raw.clone()));
             prop_assert_eq!(&fused, &want, "fused diverged (threads={})", threads);
 
-            let rt = EngineRuntime::new(RuntimeConfig {
-                threads,
-                cache_bytes: 0,
-                ..Default::default()
-            });
+            let rt = EngineRuntime::new(RuntimeConfig { threads, cache_bytes: 0 });
             let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
-            let prepared = bits(&gemm_blocked_prepared(&rt, &sa, &pb, None, scheme, tk, cfg));
+            let prepared = GemmPlan::new(Operand::Raw(&a), BOperand::Prepared(&pb), scheme, tk, cfg);
+            let prepared = bits(&execute(&rt, &prepared));
             prop_assert_eq!(&prepared, &want, "prepared-B diverged (threads={})", threads);
 
-            let ranged = bits(&gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, cfg));
+            let ranged = bits(&run(GemmPlan { k_range: Some(k_lo..k), ..raw }));
             prop_assert_eq!(&ranged, &want_range, "split-K diverged (threads={})", threads);
         }
     }
@@ -378,7 +374,6 @@ fn panel_store_packs_each_panel_exactly_once_per_call() {
         let rt = EngineRuntime::new(RuntimeConfig {
             threads,
             cache_bytes: 0,
-            ..Default::default()
         });
         let cfg = EngineConfig {
             mc: 5,
@@ -389,7 +384,7 @@ fn panel_store_packs_each_panel_exactly_once_per_call() {
         };
         for call in 0..2 {
             let before = rt.sched_stats();
-            let _ = gemm_blocked_in(&rt, &sa, &sb, None, scheme, tk, cfg);
+            let _ = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
             let d = rt.sched_stats().delta_since(&before);
             assert_eq!(
                 d.panels_packed, 8,
@@ -457,10 +452,11 @@ fn adversarial_shapes_bit_identical() {
                     threads: 2,
                     ..Default::default()
                 };
-                let d = gemm_blocked(&sa, &sb, None, scheme, tk, cfg);
+                let d = run(split_plan(&sa, &sb, scheme, tk, cfg));
+                let replay = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
                 for i in 0..m {
                     for j in 0..n {
-                        let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0, k, i, j);
+                        let want = replay.get(i, j);
                         assert_eq!(
                             d.get(i, j).to_bits(),
                             want.to_bits(),
@@ -544,26 +540,23 @@ proptest! {
         let jit_cfg = EngineConfig { jit: true, ..base };
         let int_cfg = EngineConfig { jit: false, ..base };
 
-        let dj = gemm_blocked(&sa, &sb, None, scheme, tk, jit_cfg);
-        let di = gemm_blocked(&sa, &sb, None, scheme, tk, int_cfg);
-        for (x, y) in dj.as_slice().iter().zip(di.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
-            );
-        }
+        let dj = run(split_plan(&sa, &sb, scheme, tk, jit_cfg));
+        let di = run(split_plan(&sa, &sb, scheme, tk, int_cfg));
+        prop_assert_eq!(
+            bits(&dj), bits(&di),
+            "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
+        );
 
         // Split-K slice: kernels bake the panel depth, so an offset
         // range exercises short first/last panels under the JIT too.
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let rj = gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, jit_cfg);
-        let ri = gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, int_cfg);
-        for (x, y) in rj.as_slice().iter().zip(ri.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
-            );
-        }
+        let ranged = |cfg| {
+            run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) })
+        };
+        prop_assert_eq!(
+            bits(&ranged(jit_cfg)), bits(&ranged(int_cfg)),
+            "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
+        );
     }
 }
 
@@ -587,18 +580,10 @@ fn jit_edge_masks_bit_identical() {
             threads: 1,
             ..Default::default()
         };
-        let dj = gemm_blocked(&sa, &sb, None, scheme, tk, base);
-        let di = gemm_blocked(
-            &sa,
-            &sb,
-            None,
-            scheme,
-            tk,
-            EngineConfig { jit: false, ..base },
-        );
-        for (x, y) in dj.as_slice().iter().zip(di.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "edge sweep n={n} m={m}");
-        }
+        let dj = run(split_plan(&sa, &sb, scheme, tk, base));
+        let interp = EngineConfig { jit: false, ..base };
+        let di = run(split_plan(&sa, &sb, scheme, tk, interp));
+        assert_eq!(bits(&dj), bits(&di), "edge sweep n={n} m={m}");
     }
 }
 
@@ -621,9 +606,9 @@ fn jit_cache_compiles_each_key_exactly_once() {
         threads: 2,
         ..Default::default()
     };
-    let d1 = gemm_blocked_in(&rt, &sa, &sb, None, scheme, tk, cfg);
+    let d1 = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
     let after1 = rt.cache_stats();
-    let d2 = gemm_blocked_in(&rt, &sa, &sb, None, scheme, tk, cfg);
+    let d2 = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
     let after2 = rt.cache_stats();
     assert_eq!(
         after1.jit_compiles, after2.jit_compiles,

@@ -37,7 +37,6 @@ fn cold() -> Egemm {
         RuntimeConfig {
             threads: 1,
             cache_bytes: 0,
-            ..RuntimeConfig::default()
         },
     ))
 }

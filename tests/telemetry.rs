@@ -168,7 +168,7 @@ proptest! {
 
 /// A batched call over one shared B must show the sharing in its
 /// attached report: the cache delta records exactly one fused pack for
-/// B (every other lookup hits) and zero splits — the fused pipeline
+/// B (every other lookup hits) and no split spans — the fused pipeline
 /// stages no split planes — at both pool sizes. This is the
 /// telemetry-side witness of the amortization the serving tier's
 /// bucketing exists to exploit.
@@ -194,22 +194,14 @@ fn batched_report_shows_shared_b_prepared_once() {
             report.cache
         );
         assert_eq!(
-            report.cache.splits, 0,
-            "fused pipeline must not stage splits ({threads} thread(s)): {:?}",
-            report.cache
+            report.phase_count(Phase::Split),
+            0,
+            "fused pipeline must not stage splits ({threads} thread(s))"
         );
         assert_eq!(
             report.cache.hits,
             a.len() as u64 - 1,
             "all B lookups after the first must hit ({threads} thread(s)): {:?}",
-            report.cache
-        );
-        // The fused pipeline records where the staging went: split
-        // planes avoided for the one packed B plus each raw A operand.
-        assert_eq!(
-            report.cache.bytes_staging_saved,
-            (12 * (24 * 16) + a.len() * 12 * (32 * 24)) as u64,
-            "({threads} thread(s)): {:?}",
             report.cache
         );
         // And the fused-split-pack phase fired (B's whole-operand pack
