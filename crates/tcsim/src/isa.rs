@@ -143,16 +143,14 @@ impl LoopBody {
     }
 
     /// Append an instruction; returns its index for use in later `deps`.
+    ///
+    /// `Prev` dependencies may name instructions not pushed yet, so they
+    /// are checked against the finished body when it is simulated.
     pub fn push(&mut self, op: Op, deps: Vec<DepRef>) -> usize {
         for d in &deps {
-            let i = match d {
-                DepRef::Same(i) => {
-                    assert!(*i < self.instrs.len(), "Same({i}) refers forward");
-                    *i
-                }
-                DepRef::Prev(i) => *i,
-            };
-            let _ = i;
+            if let DepRef::Same(i) = *d {
+                assert!(i < self.instrs.len(), "Same({i}) refers forward");
+            }
         }
         self.instrs.push(Instr { op, deps });
         self.instrs.len() - 1

@@ -23,10 +23,14 @@
 //! The simulator is a deterministic greedy list scheduler over
 //! (warp, instruction) events; it reports total cycles and per-pipe busy
 //! time, from which [`steady_cycles_per_iter`] extracts the steady-state
-//! cost of one iteration.
+//! cost of one iteration. That cost depends only on (latencies, body,
+//! warps, mode), never on the problem shape, so it is memoized
+//! process-wide and each distinct kernel body is simulated once.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::isa::{DepRef, LoopBody, Pipe, PIPE_COUNT};
-use crate::spec::DeviceSpec;
+use crate::spec::{DeviceSpec, InstrLatencies};
 
 /// Issue discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,6 +187,16 @@ fn simulate_inner(
 ) -> SimResult {
     assert!(warps > 0, "at least one warp");
     let n = body.instrs.len();
+    for (j, instr) in body.instrs.iter().enumerate() {
+        for dep in &instr.deps {
+            if let DepRef::Prev(i) = *dep {
+                assert!(
+                    i < n,
+                    "instruction {j}: Prev({i}) is out of range for a {n}-instruction body"
+                );
+            }
+        }
+    }
     if n == 0 || iterations == 0 {
         return SimResult {
             cycles: 0,
@@ -287,16 +301,80 @@ fn simulate_inner(
     }
 }
 
+/// Most entries the steady-state memo holds. A process costs a few
+/// kernel bodies at a few warp counts each; the cap only bounds callers
+/// that sweep many tilings, which then simulate uncached past it.
+const STEADY_MEMO_CAP: usize = 128;
+
+/// One memoized [`steady_cycles_per_iter`] result. The key is everything
+/// [`simulate_inner`] reads: the spec's latencies, the body, the warp
+/// count and the mode.
+struct SteadyEntry {
+    lat: InstrLatencies,
+    body: LoopBody,
+    warps: usize,
+    mode: ScheduleMode,
+    cycles: f64,
+}
+
+static STEADY_MEMO: Mutex<Vec<SteadyEntry>> = Mutex::new(Vec::new());
+
+/// The memo, recovered if a thread panicked while holding it: the only
+/// update is a single `push` of a fully built entry, so the store is
+/// valid at every step.
+fn steady_memo() -> MutexGuard<'static, Vec<SteadyEntry>> {
+    STEADY_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Look up a key by comparing against the borrowed body, so a hit never
+/// allocates.
+fn steady_lookup(
+    memo: &[SteadyEntry],
+    lat: &InstrLatencies,
+    body: &LoopBody,
+    warps: usize,
+    mode: ScheduleMode,
+) -> Option<f64> {
+    memo.iter()
+        .find(|e| e.warps == warps && e.mode == mode && e.lat == *lat && e.body == *body)
+        .map(|e| e.cycles)
+}
+
 /// Steady-state cycles per iteration per partition: simulate `base` and
 /// `2*base` iterations and difference out the warm-up. Under
 /// [`ScheduleMode::LockstepBarrier`] an iteration is simulated in
 /// isolation — the barrier forbids any cross-iteration overlap.
+///
+/// The simulation is deterministic, so the result is memoized per
+/// (`spec.lat`, `body`, `warps`, `mode`) and a repeated call returns the
+/// exact `f64` of the first.
 pub fn steady_cycles_per_iter(
     spec: &DeviceSpec,
     body: &LoopBody,
     warps: usize,
     mode: ScheduleMode,
 ) -> f64 {
+    let lat = &spec.lat;
+    if let Some(cycles) = steady_lookup(&steady_memo(), lat, body, warps, mode) {
+        return cycles;
+    }
+    // Simulate outside the lock; a racing thread may do the same work,
+    // and the re-check below keeps one entry per key.
+    let cycles = simulate_steady(spec, body, warps, mode);
+    let mut memo = steady_memo();
+    if memo.len() < STEADY_MEMO_CAP && steady_lookup(&memo, lat, body, warps, mode).is_none() {
+        memo.push(SteadyEntry {
+            lat: *lat,
+            body: body.clone(),
+            warps,
+            mode,
+            cycles,
+        });
+    }
+    cycles
+}
+
+fn simulate_steady(spec: &DeviceSpec, body: &LoopBody, warps: usize, mode: ScheduleMode) -> f64 {
     if mode == ScheduleMode::LockstepBarrier {
         return simulate_loop(spec, body, warps, 1, ScheduleMode::Sequential).cycles as f64;
     }
@@ -475,6 +553,39 @@ mod tests {
         // Degenerate inputs produce empty output, not panics.
         assert!(render_timeline(&[], 100, 60).is_empty());
         assert!(render_timeline(&events, 0, 60).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction 3: Prev(5) is out of range for a 4-instruction body")]
+    fn out_of_range_prev_dep_rejected() {
+        let mut b = toy_body();
+        b.push(Op::Sts128, vec![DepRef::Prev(5)]);
+        simulate_loop(&t4(), &b, 1, 2, ScheduleMode::Interleaved);
+    }
+
+    #[test]
+    fn steady_memo_stays_at_cap_and_exact() {
+        let spec = t4();
+        let keys: Vec<(LoopBody, usize)> = (1..=17)
+            .flat_map(|hmmas| {
+                let mut b = LoopBody::new();
+                let l = b.push(Op::Lds128, vec![]);
+                for _ in 0..hmmas {
+                    b.push(Op::Hmma1688, vec![DepRef::Same(l)]);
+                }
+                (1..=8).map(move |warps| (b.clone(), warps))
+            })
+            .collect();
+        assert!(keys.len() > STEADY_MEMO_CAP);
+        let mode = ScheduleMode::Interleaved;
+        for (body, warps) in &keys {
+            let direct = simulate_steady(&spec, body, *warps, mode);
+            let first = steady_cycles_per_iter(&spec, body, *warps, mode);
+            let again = steady_cycles_per_iter(&spec, body, *warps, mode);
+            assert_eq!(first.to_bits(), direct.to_bits(), "warps={warps}");
+            assert_eq!(again.to_bits(), direct.to_bits(), "warps={warps}");
+        }
+        assert_eq!(steady_memo().len(), STEADY_MEMO_CAP);
     }
 
     #[test]

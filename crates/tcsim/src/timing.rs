@@ -99,26 +99,21 @@ pub fn kernel_time(spec: &DeviceSpec, desc: &KernelDesc) -> KernelTiming {
         spec.name,
         desc.resources
     );
-    // Cycles for one co-resident block set at a given blocks/SM level:
+    // Steady cycles per partition iteration at a given blocks/SM level:
     // `warps_per_partition` warps advance together, so one "partition
     // iteration" covers that many warp iterations.
-    let set_cycles = |occupancy: usize| -> f64 {
+    let steady = |occupancy: usize| -> f64 {
         if desc.body.instrs.is_empty() {
-            return desc.prologue_cycles as f64;
+            return 0.0;
         }
         let warps_per_sm = desc.warps_per_block * occupancy;
         let warps_per_partition = warps_per_sm.div_ceil(spec.partitions_per_sm).max(1);
-        let cpi = steady_cycles_per_iter(spec, &desc.body, warps_per_partition, desc.schedule);
-        desc.prologue_cycles as f64 + desc.iterations_per_warp as f64 * cpi
-    };
-    let cycles_per_iter = if desc.body.instrs.is_empty() {
-        0.0
-    } else {
-        let warps_per_partition = (desc.warps_per_block * bpsm)
-            .div_ceil(spec.partitions_per_sm)
-            .max(1);
         steady_cycles_per_iter(spec, &desc.body, warps_per_partition, desc.schedule)
     };
+    // Cycles for one co-resident block set.
+    let set_cycles =
+        |cpi: f64| -> f64 { desc.prologue_cycles as f64 + desc.iterations_per_warp as f64 * cpi };
+    let cycles_per_iter = steady(bpsm);
     // Full waves run at the occupancy limit; the trailing partial wave
     // spreads its blocks thinner (fewer blocks per SM -> fewer resident
     // warps but proportionally less work per SM).
@@ -126,10 +121,10 @@ pub fn kernel_time(spec: &DeviceSpec, desc: &KernelDesc) -> KernelTiming {
     let full_waves = desc.blocks / sets_capacity.max(1);
     let rem_blocks = desc.blocks % sets_capacity.max(1);
     let waves = full_waves + u64::from(rem_blocks > 0);
-    let mut total_cycles = full_waves as f64 * set_cycles(bpsm);
+    let mut total_cycles = full_waves as f64 * set_cycles(cycles_per_iter);
     if rem_blocks > 0 {
         let rem_occupancy = ((rem_blocks as usize).div_ceil(spec.sm_count)).clamp(1, bpsm);
-        total_cycles += set_cycles(rem_occupancy);
+        total_cycles += set_cycles(steady(rem_occupancy));
     }
     let clock_ghz = if desc.fp32_clock {
         spec.sustained_clock_fp32_ghz

@@ -4,7 +4,7 @@
 //! model: EGEMM-TC's throughput band on T4 and RTX 6000, the benefit of
 //! each optimization, and the scaling behaviour over matrix sizes.
 
-use egemm::{build_kernel, EmulationScheme, KernelOpts, TilingConfig};
+use egemm::{build_kernel, Egemm, EmulationScheme, KernelOpts, TilingConfig};
 use egemm_matrix::GemmShape;
 use egemm_tcsim::{kernel_time, Bound, DeviceSpec};
 
@@ -172,4 +172,32 @@ fn dram_roofline_engages_for_thin_k() {
     );
     let t = kernel_time(&spec, &d);
     assert_eq!(t.bound, Bound::Memory, "thin-k should be DRAM bound: {t:?}");
+}
+
+#[test]
+fn repeated_timing_calls_are_identical() {
+    // The steady-state simulation behind every costing is memoized; a
+    // repeat (a memo hit) must reproduce the first call exactly, across
+    // full and partial waves, batching and split-K.
+    for scheme in [EmulationScheme::EgemmTc, EmulationScheme::Markidis] {
+        let eg = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER).with_scheme(scheme);
+        for shape in [
+            GemmShape::square(32),
+            GemmShape::square(1000),
+            GemmShape::new(16, 4096, 4096),
+            GemmShape::new(8192, 128, 512),
+        ] {
+            assert_eq!(eg.time(shape), eg.time(shape), "{shape}");
+            assert_eq!(
+                eg.time_batched(shape, 3),
+                eg.time_batched(shape, 3),
+                "{shape}"
+            );
+            assert_eq!(
+                eg.time_split_k(shape, 4),
+                eg.time_split_k(shape, 4),
+                "{shape}"
+            );
+        }
+    }
 }

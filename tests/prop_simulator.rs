@@ -4,6 +4,7 @@
 
 use egemm::{build_kernel, AnalyticModel, EmulationScheme, KernelOpts, TilingConfig};
 use egemm_matrix::GemmShape;
+use egemm_tcsim::sched::steady_cycles_per_iter;
 use egemm_tcsim::{
     kernel_time, simulate_loop, simulate_loop_traced, DepRef, DeviceSpec, LoopBody, Op,
     ScheduleMode,
@@ -89,6 +90,35 @@ proptest! {
                 last = e.issue;
                 seen = true;
                 prop_assert!(e.complete > e.issue);
+            }
+        }
+    }
+
+    /// The memoized steady-state cost equals a direct recomputation, on
+    /// the first call (a miss) and the second (a hit): differencing 32
+    /// and 64 iterations, or one isolated iteration under the barrier.
+    /// Every warp count and mode runs on the same body, so a key that
+    /// dropped either would return another entry's value.
+    #[test]
+    fn steady_memo_matches_direct_simulation(body in arb_body()) {
+        let spec = DeviceSpec::t4();
+        for mode in [
+            ScheduleMode::Sequential,
+            ScheduleMode::Interleaved,
+            ScheduleMode::LockstepBarrier,
+        ] {
+            for warps in 1usize..5 {
+                let direct = if mode == ScheduleMode::LockstepBarrier {
+                    simulate_loop(&spec, &body, warps, 1, ScheduleMode::Sequential).cycles as f64
+                } else {
+                    let c32 = simulate_loop(&spec, &body, warps, 32, mode).cycles;
+                    let c64 = simulate_loop(&spec, &body, warps, 64, mode).cycles;
+                    (c64 - c32) as f64 / 32.0
+                };
+                for _ in 0..2 {
+                    let memo = steady_cycles_per_iter(&spec, &body, warps, mode);
+                    prop_assert_eq!(memo.to_bits(), direct.to_bits(), "{:?} warps={}", mode, warps);
+                }
             }
         }
     }

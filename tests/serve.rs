@@ -17,7 +17,7 @@ use egemm_matrix::Matrix;
 use egemm_serve::{GemmRequest, JobKind, ServeError, Server, ServerConfig};
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// An engine on a private runtime with a pinned pool size (tests must
 /// not share cache state through the process-global runtime).
@@ -223,15 +223,31 @@ fn deadline_expires_before_dispatch() {
 /// reported as a timeout — with the `after_dispatch` flag set.
 #[test]
 fn deadline_expires_after_dispatch() {
-    let server = Server::start(engine(1), ServerConfig::default());
+    // The deadline is an eighth of a directly timed call of the same
+    // shape on the same engine, so the served call outlives it in any
+    // build profile and under a contended test run. A first call
+    // compiles the kernels; the timed one and the served one each pack
+    // a B of their own, so they do the same work.
+    let n = 512;
+    let eng = engine(1);
+    let a = Matrix::<f32>::random_uniform(n, n, 1);
+    let b = Matrix::<f32>::random_uniform(n, n, 2);
+    eng.gemm(&a, &Matrix::<f32>::random_uniform(n, n, 3));
+    let start = Instant::now();
+    eng.gemm(&a, &Matrix::<f32>::random_uniform(n, n, 4));
+    let call = start.elapsed();
+    // The floor keeps the deadline far above the scheduler's
+    // microsecond dequeue, so it is still live at dispatch.
+    let deadline = (call / 8).max(Duration::from_millis(2));
+    assert!(
+        call >= deadline * 2,
+        "a {n}^3 call took {call:?}; too fast for a {deadline:?} deadline"
+    );
+
+    let server = Server::start(eng, ServerConfig::default());
     let client = server.client();
-    // Big enough that the emulated call comfortably outlives a 10 ms
-    // deadline; the scheduler dequeues in microseconds, so the deadline
-    // is still live at dispatch.
-    let a = Matrix::<f32>::random_uniform(256, 256, 1);
-    let b = Matrix::<f32>::random_uniform(256, 256, 2);
     let err = client
-        .call(GemmRequest::gemm(a, b).with_deadline(Duration::from_millis(10)))
+        .call(GemmRequest::gemm(a, b).with_deadline(deadline))
         .unwrap_err();
     assert_eq!(
         err,
