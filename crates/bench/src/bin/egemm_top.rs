@@ -1,12 +1,13 @@
 //! `egemm-top`: a live terminal dashboard over the serving layer's
 //! `METRICS` verb.
 //!
-//! Polls a running TCP frontend (`serve_loadgen --serve ADDR` or any
-//! embedder of `egemm_serve::TcpServer`), parses the Prometheus-style
-//! exposition, and redraws a compact ANSI dashboard: request and GEMM
-//! call rates (from counter deltas between polls), queue depth, batching
-//! ratio, cache and scheduler gauges, engine phase split, and the
-//! numerical-health histogram with its violation counter.
+//! Polls a running network frontend (`serve_loadgen --serve ADDR` or
+//! any embedder of `egemm_serve::EventServer`) over `binwire`, parses
+//! the Prometheus-style exposition, and redraws a compact ANSI
+//! dashboard: request and GEMM call rates (from counter deltas between
+//! polls), queue depth, batching ratio, cache and scheduler gauges,
+//! engine phase split, and the numerical-health histogram with its
+//! violation counter.
 //!
 //! ```text
 //! egemm_top --connect 127.0.0.1:7070 [--interval MS] [--once]
@@ -15,7 +16,7 @@
 //! `--once` prints a single frame without clearing the screen (useful in
 //! scripts and CI); the default is a 1 s refresh loop until killed.
 
-use egemm_serve::wire;
+use egemm_serve::binwire;
 use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -26,16 +27,12 @@ type Scrape = BTreeMap<String, f64>;
 
 fn scrape(addr: &str) -> Result<Scrape, String> {
     let mut conn = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    wire::write_frame(&mut conn, wire::encode_metrics_request(0).as_bytes())
+    binwire::write_frame(&mut conn, &binwire::encode_metrics_request(0))
         .map_err(|e| format!("write: {e}"))?;
-    let frame = wire::read_frame(&mut conn)
+    let frame = binwire::read_frame(&mut conn)
         .map_err(|e| format!("read: {e}"))?
         .ok_or("connection closed before the metrics response")?;
-    let v = wire::parse(std::str::from_utf8(&frame).map_err(|e| e.to_string())?)?;
-    let text = v
-        .get("metrics")
-        .and_then(wire::Value::as_str)
-        .ok_or("response carries no \"metrics\" payload")?;
+    let (_, text) = binwire::decode_text_response(&frame)?;
     let mut out = Scrape::new();
     for line in text.lines() {
         if line.starts_with('#') || line.is_empty() {

@@ -1,20 +1,19 @@
-//! Compact binary wire codec, negotiated per frame.
+//! The wire codec of the network frontend: length-prefixed binary
+//! frames.
 //!
-//! The transport framing is identical to the JSON protocol (4-byte
-//! big-endian length prefix, [`crate::wire::read_frame`] /
-//! [`crate::wire::write_frame`]); only the payload differs. A binary
-//! payload starts with the magic byte [`MAGIC`] (`0xEB`), which can
-//! never open a JSON document, so the server distinguishes the codecs
-//! by the first payload byte and always answers in the codec the
-//! request arrived in — connections may mix codecs frame by frame, and
-//! "negotiation" needs no handshake.
+//! Every message is one frame: a 4-byte big-endian payload length
+//! ([`write_frame`] / [`read_frame`], capped at [`MAX_FRAME`]) followed
+//! by the payload. A payload opens with the magic byte [`MAGIC`]
+//! (`0xEB`) and the codec [`VERSION`]; a payload that does not is
+//! answered in-band with an `invalid` error, and the connection keeps
+//! serving.
 //!
-//! Why a second codec: JSON carries every f32 as shortest-roundtrip
-//! decimal text (~2.5x the bytes, plus parse cost per element). The
-//! binary encoding ships operand payloads as raw little-endian f32 —
-//! *bit-exact by construction*, including NaN payloads, infinities, and
-//! subnormals — so the wire can never perturb a value the engine's
-//! bit-identity guarantee covers.
+//! Why binary: operand and result payloads travel as raw little-endian
+//! f32 — *bit-exact by construction*, including NaN payloads,
+//! infinities, and subnormals — so the wire can never perturb a value
+//! the engine's bit-identity guarantee covers. A decimal text encoding
+//! would cost ~2.5x the bytes plus a parse per element, and has no
+//! spelling for a NaN payload.
 //!
 //! Payload layout (all integers little-endian after the 4-byte header):
 //!
@@ -33,16 +32,21 @@
 //! ```
 //!
 //! Job `kind`: 0 = gemm, 1 = gemm-with-C, 2 = split-K (`slices` used).
-//! Error `code`: 0 busy (`aux` = queued), 1 timeout (`aux` = 1 when
-//! after dispatch), 2 invalid, 3 engine, 4 shutdown.
+//! Job `scheme`: 0 = EGEMM-TC, 1 = Markidis, 2 = Markidis four-term,
+//! 3 = TC half. Error `code`: 0 busy (`aux` = queued), 1 timeout
+//! (`aux` = 1 when after dispatch), 2 invalid, 3 engine, 4 shutdown;
+//! `msg` is the inner message of `invalid` and `engine`.
 
 use crate::request::{GemmRequest, JobKind, ServeError, ServeOutput};
-use crate::wire::{scheme_from_name, scheme_name, WireRequest, WireResponse, MAX_FRAME};
+use egemm::EmulationScheme;
 use egemm_matrix::{GemmShape, Matrix};
+use std::io::{Read, Write};
 use std::time::Duration;
 
-/// First payload byte of every binary frame. JSON payloads start with
-/// `{` or whitespace, never `0xEB` (not valid leading UTF-8 either).
+/// Upper bound on one frame's payload; a peer announcing more is
+/// disconnected rather than allocated for.
+pub const MAX_FRAME: usize = 64 << 20;
+/// First payload byte of every frame.
 pub const MAGIC: u8 = 0xEB;
 /// Codec version; bumped on any layout change.
 pub const VERSION: u8 = 1;
@@ -54,9 +58,56 @@ const TYPE_STATS: u8 = 4;
 const TYPE_METRICS: u8 = 5;
 const TYPE_TEXT: u8 = 6;
 
-/// Whether a frame payload is binary (vs JSON), by leading byte.
-pub fn is_binary(payload: &[u8]) -> bool {
-    payload.first() == Some(&MAGIC)
+/// A decoded client frame.
+pub enum WireRequest {
+    /// A compute job to submit to the server.
+    Job { id: u64, req: GemmRequest },
+    /// A counters-snapshot query, answered inline with
+    /// [`crate::ServeStats::to_json`].
+    Stats { id: u64 },
+    /// A metrics scrape, answered inline with the registry's
+    /// Prometheus-style text exposition.
+    Metrics { id: u64 },
+}
+
+/// A decoded job response on the client side.
+pub struct WireResponse {
+    pub id: u64,
+    pub result: Result<ServeOutput, ServeError>,
+}
+
+// --------------------------------------------------------------------
+// Framing (blocking client side; the reactor frames its own buffers)
+// --------------------------------------------------------------------
+
+/// Write one frame: 4-byte big-endian length, then the payload.
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(payload.len())
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
+    w.write_all(&len.to_be_bytes())?;
+    w.write_all(payload)?;
+    w.flush()
+}
+
+/// Read one frame. `Ok(None)` on clean EOF at a frame boundary; an
+/// error for oversized frames or mid-frame EOF.
+pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
+    let mut len_buf = [0u8; 4];
+    match r.read_exact(&mut len_buf) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let len = u32::from_be_bytes(len_buf) as usize;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
+        ));
+    }
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)?;
+    Ok(Some(payload))
 }
 
 // --------------------------------------------------------------------
@@ -163,26 +214,23 @@ fn open(payload: &[u8]) -> Result<(u8, Reader<'_>), String> {
     Ok((payload[2], r))
 }
 
-fn scheme_code(scheme: egemm::EmulationScheme) -> u8 {
-    // Reuse the wire-name table as the single source of scheme identity
-    // so the two codecs can never drift apart.
-    match scheme_name(scheme) {
-        "egemm_tc" => 0,
-        "markidis" => 1,
-        "markidis4" => 2,
-        _ => 3, // tc_half
+fn scheme_code(scheme: EmulationScheme) -> u8 {
+    match scheme {
+        EmulationScheme::EgemmTc => 0,
+        EmulationScheme::Markidis => 1,
+        EmulationScheme::MarkidisFourTerm => 2,
+        EmulationScheme::TcHalf => 3,
     }
 }
 
-fn scheme_from_code(code: u8) -> Result<egemm::EmulationScheme, String> {
-    let name = match code {
-        0 => "egemm_tc",
-        1 => "markidis",
-        2 => "markidis4",
-        3 => "tc_half",
-        other => return Err(format!("unknown scheme code {other}")),
-    };
-    scheme_from_name(name)
+fn scheme_from_code(code: u8) -> Result<EmulationScheme, String> {
+    match code {
+        0 => Ok(EmulationScheme::EgemmTc),
+        1 => Ok(EmulationScheme::Markidis),
+        2 => Ok(EmulationScheme::MarkidisFourTerm),
+        3 => Ok(EmulationScheme::TcHalf),
+        other => Err(format!("unknown scheme code {other}")),
+    }
 }
 
 // --------------------------------------------------------------------
@@ -228,7 +276,7 @@ pub fn encode_metrics_request(id: u64) -> Vec<u8> {
     buf
 }
 
-/// Decode one binary client frame into the codec-neutral [`WireRequest`].
+/// Decode one client frame.
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, String> {
     let (msg_type, mut r) = open(payload)?;
     match msg_type {
@@ -302,10 +350,15 @@ pub fn encode_response(id: u64, result: &Result<ServeOutput, ServeError>) -> Vec
     }
 }
 
-/// Encode an error response (also used for undecodable binary frames).
+/// Encode an error response (also used for undecodable frames).
 pub fn encode_error(id: u64, e: &ServeError) -> Vec<u8> {
     let (code, aux) = error_fields(e);
-    let msg = e.to_string();
+    // `invalid` and `engine` carry their inner message, so the client
+    // rebuilds the same error; the others are rebuilt from code and aux.
+    let msg = match e {
+        ServeError::Invalid(msg) | ServeError::Engine(msg) => msg.clone(),
+        other => other.to_string(),
+    };
     let mut buf = header(TYPE_ERROR);
     put_u64(&mut buf, id);
     buf.push(code);
@@ -324,9 +377,9 @@ pub fn encode_text_response(id: u64, text: &str) -> Vec<u8> {
     buf
 }
 
-/// Decode a binary server response (the loadgen client side). Text
-/// responses (stats/metrics) decode to an error here, mirroring
-/// [`crate::wire::decode_response`].
+/// Decode a job response (the client side). Text responses
+/// (stats/metrics) decode to an error here; read those with
+/// [`decode_text_response`].
 pub fn decode_response(payload: &[u8]) -> Result<WireResponse, String> {
     let (msg_type, mut r) = open(payload)?;
     match msg_type {
@@ -378,7 +431,7 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, String> {
     }
 }
 
-/// Decode a binary text response (stats/metrics), returning `(id, text)`.
+/// Decode a text response (stats/metrics), returning `(id, text)`.
 pub fn decode_text_response(payload: &[u8]) -> Result<(u64, String), String> {
     let (msg_type, mut r) = open(payload)?;
     if msg_type != TYPE_TEXT {
@@ -408,11 +461,10 @@ mod tests {
             b: b.clone(),
             c: None,
             kind: JobKind::SplitK { slices: 3 },
-            scheme: egemm::EmulationScheme::Markidis,
+            scheme: EmulationScheme::Markidis,
             deadline: Some(Duration::from_millis(250)),
         };
         let frame = encode_request(42, &req);
-        assert!(is_binary(&frame));
         let WireRequest::Job { id, req: back } = decode_request(&frame).unwrap() else {
             panic!("expected a job");
         };
@@ -421,7 +473,7 @@ mod tests {
         assert_eq!(bits(&back.a), bits(&a), "A bit-exact incl. NaN payload");
         assert_eq!(bits(&back.b), bits(&b));
         assert_eq!(back.kind, JobKind::SplitK { slices: 3 });
-        assert_eq!(back.scheme, egemm::EmulationScheme::Markidis);
+        assert_eq!(back.scheme, EmulationScheme::Markidis);
         assert_eq!(back.deadline, Some(Duration::from_millis(250)));
     }
 
@@ -430,7 +482,10 @@ mod tests {
         let req = GemmRequest::gemm(Matrix::zeros(2, 2), Matrix::zeros(2, 2));
         let frame = encode_request(1, &req);
         assert!(decode_request(&frame[..frame.len() - 1]).is_err());
-        assert!(decode_request(b"{\"id\":1}").is_err(), "JSON is not binary");
+        assert!(
+            decode_request(b"{\"id\":1}").is_err(),
+            "JSON is not binwire"
+        );
         let mut wrong_version = frame.clone();
         wrong_version[1] = 9;
         assert!(decode_request(&wrong_version).is_err());
@@ -454,19 +509,8 @@ mod tests {
             let resp = decode_response(&frame).unwrap();
             assert_eq!(resp.id, 9);
             let back = resp.result.unwrap_err();
-            // The message travels as Display text (same as JSON), so
-            // compare the structured parts.
-            assert_eq!(back.code(), e.code());
-            match (&back, &e) {
-                (ServeError::Busy { queued: a }, ServeError::Busy { queued: b }) => {
-                    assert_eq!(a, b)
-                }
-                (
-                    ServeError::TimedOut { after_dispatch: a },
-                    ServeError::TimedOut { after_dispatch: b },
-                ) => assert_eq!(a, b),
-                _ => {}
-            }
+            assert_eq!(back, e);
+            assert_eq!(back.to_string(), e.to_string());
         }
     }
 
@@ -476,5 +520,97 @@ mod tests {
         let (id, text) = decode_text_response(&frame).unwrap();
         assert_eq!(id, 5);
         assert!(text.ends_with('\n'));
+        assert!(matches!(
+            decode_request(&encode_stats_request(6)),
+            Ok(WireRequest::Stats { id: 6 })
+        ));
+        assert!(matches!(
+            decode_request(&encode_metrics_request(7)),
+            Ok(WireRequest::Metrics { id: 7 })
+        ));
+    }
+
+    #[test]
+    fn request_roundtrip() {
+        let a = Matrix::<f32>::random_uniform(3, 4, 1);
+        let b = Matrix::<f32>::random_uniform(4, 2, 2);
+        let req = GemmRequest::gemm(a.clone(), b.clone()).with_deadline(Duration::from_millis(250));
+        let frame = encode_request(7, &req);
+        let WireRequest::Job { id, req: back } = decode_request(&frame).unwrap() else {
+            panic!("expected a job");
+        };
+        assert_eq!(id, 7);
+        assert_eq!(back.a.as_slice(), a.as_slice());
+        assert_eq!(back.b.as_slice(), b.as_slice());
+        assert!(back.c.is_none());
+        assert_eq!(back.deadline, Some(Duration::from_millis(250)));
+        assert_eq!(back.kind, JobKind::Gemm);
+        assert_eq!(back.scheme, req.scheme);
+
+        // With an accumulator C the job travels as kind 1.
+        let c = Matrix::<f32>::random_uniform(3, 2, 3);
+        let with_c = GemmRequest {
+            c: Some(c.clone()),
+            deadline: None,
+            ..req
+        };
+        let WireRequest::Job { req: back, .. } =
+            decode_request(&encode_request(8, &with_c)).unwrap()
+        else {
+            panic!("expected a job");
+        };
+        assert_eq!(back.c.unwrap().as_slice(), c.as_slice());
+        assert_eq!(back.kind, JobKind::Gemm);
+        assert_eq!(back.deadline, None);
+    }
+
+    #[test]
+    fn metrics_request_and_response_roundtrip() {
+        let WireRequest::Metrics { id } = decode_request(&encode_metrics_request(11)).unwrap()
+        else {
+            panic!("expected a metrics request");
+        };
+        assert_eq!(id, 11);
+
+        let text = "# TYPE egemm_gemm_calls_total counter\negemm_gemm_calls_total 3\n";
+        let (id, back) = decode_text_response(&encode_text_response(11, text)).unwrap();
+        assert_eq!(id, 11);
+        assert_eq!(back, text);
+    }
+
+    #[test]
+    fn error_response_roundtrip() {
+        let resp = decode_response(&encode_error(3, &ServeError::Busy { queued: 16 })).unwrap();
+        assert_eq!(resp.id, 3);
+        assert_eq!(resp.result.unwrap_err(), ServeError::Busy { queued: 16 });
+
+        let timed_out = ServeError::TimedOut {
+            after_dispatch: true,
+        };
+        let resp = decode_response(&encode_error(4, &timed_out)).unwrap();
+        assert_eq!(resp.id, 4);
+        assert_eq!(resp.result.unwrap_err(), timed_out);
+
+        // An undecodable frame is answered with id 0 and the decoder's
+        // message, which the client reads back verbatim.
+        let msg = decode_request(b"{\"id\":1}").err().unwrap();
+        let resp = decode_response(&encode_error(0, &ServeError::Invalid(msg.clone()))).unwrap();
+        assert_eq!(resp.id, 0);
+        assert_eq!(resp.result.unwrap_err(), ServeError::Invalid(msg));
+    }
+
+    #[test]
+    fn frame_roundtrip_and_limits() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, b"").unwrap();
+        let mut r = std::io::Cursor::new(buf);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut r).unwrap().is_none());
+
+        // Oversized announced length is rejected without allocating.
+        let mut huge = std::io::Cursor::new(((MAX_FRAME + 1) as u32).to_be_bytes().to_vec());
+        assert!(read_frame(&mut huge).is_err());
     }
 }

@@ -28,8 +28,8 @@
 //!    Engine panics are caught at the dispatch boundary and answered
 //!    per-request; the scheduler and the shared pool stay healthy.
 //! 4. **Response** — every admitted request is answered exactly once,
-//!    through the in-process [`Ticket`] or back over the TCP connection
-//!    it arrived on. Graceful [`Server::shutdown`] drains everything
+//!    through the in-process [`Ticket`] or back over the connection it
+//!    arrived on. Graceful [`Server::shutdown`] drains everything
 //!    already admitted before the scheduler exits.
 //!
 //! Serving can never change a bit: bucketing only decides *which public
@@ -44,19 +44,18 @@
 //! cache answering repeats without any engine time — both keyed by the
 //! full operand content, so neither can change a bit.
 //!
-//! Two network frontends share one dispatch path and two codecs (the
-//! hand-rolled JSON in [`wire`] and the length-prefixed binary frames in
-//! [`binwire`], negotiated per frame by leading byte):
-//!
-//! - [`TcpServer`] — blocking, thread-per-connection over `std::net`.
-//!   Simple enough to audit in one sitting; kept as the conformance
-//!   oracle the event frontend is tested against.
-//! - [`EventServer`] ([`reactor`]) — a single-threaded epoll event loop
-//!   (raw syscalls, no dependencies) driving nonblocking sockets with
-//!   pipelined requests per connection and backpressure wired to the
-//!   admission queue: when the queue is full the reactor *stops
-//!   reading* instead of rejecting, so overload surfaces to clients as
-//!   TCP flow control.
+//! The network frontend is [`EventServer`] ([`reactor`]): a
+//! single-threaded epoll event loop (raw syscalls, no dependencies)
+//! driving nonblocking sockets with pipelined requests per connection
+//! and backpressure wired to the admission queue — when the queue is
+//! full the reactor *stops reading* instead of rejecting, so overload
+//! surfaces to clients as TCP flow control. It speaks one codec,
+//! [`binwire`]: length-prefixed binary frames that carry f32 payloads
+//! bit-exactly. Every request it decodes goes through the same
+//! in-process [`Client`], so the frontend cannot change a result bit.
+//! The frontend needs x86-64 Linux; elsewhere [`EventServer::bind`]
+//! reports `Unsupported` and the in-process [`Client`] is the serving
+//! interface.
 
 pub mod binwire;
 pub(crate) mod dedupe;
@@ -65,12 +64,9 @@ pub mod reactor;
 pub mod request;
 pub mod server;
 pub mod stats;
-pub mod tcp;
-pub mod wire;
 
 pub use queue::Ticket;
 pub use reactor::EventServer;
 pub use request::{GemmRequest, JobKind, ServeError, ServeOutput};
 pub use server::{Client, Server, ServerConfig};
 pub use stats::ServeStats;
-pub use tcp::TcpServer;

@@ -21,8 +21,8 @@
 //! pending pipelined reply before the write side is half-closed, so a
 //! graceful shutdown never drops an answered request on the floor.
 
+use crate::binwire::MAX_FRAME;
 use crate::queue::Ticket;
-use crate::wire::MAX_FRAME;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -40,16 +40,16 @@ const READ_CHUNK: usize = 64 * 1024;
 /// be written out of order.
 pub(crate) struct PendingReply {
     pub wire_id: u64,
-    /// Answer in the codec the request arrived in.
-    pub binary: bool,
     pub ticket: Ticket,
 }
 
-/// A request frame the admission queue refused with `Busy`; kept as the
+/// A job frame the admission queue refused with `Busy`; kept as the
 /// raw payload (decode is cheap next to the engine call) and re-offered
 /// when completions free queue space. While one of these exists the
 /// connection's read side is paused (backpressure).
 pub(crate) struct Stalled {
+    /// The job's frame id, for the `shutdown` reply a drain sends.
+    pub wire_id: u64,
     pub payload: Vec<u8>,
 }
 

@@ -1,25 +1,22 @@
-//! Event-loop serving frontend: one thread, one `epoll` instance, many
+//! The network frontend: one thread, one `epoll` instance, many
 //! nonblocking connections with pipelined requests.
 //!
-//! Where the blocking frontend ([`crate::TcpServer`]) spends a thread
-//! (and its stack, and its context switches) per connection, the
-//! reactor multiplexes every connection over a single thread driven by
-//! `epoll` ([`sys`] — raw syscalls, keeping the zero-dependency
+//! The reactor multiplexes every connection over a single thread driven
+//! by `epoll` ([`sys`] — raw syscalls, keeping the zero-dependency
 //! policy). Clients may pipeline: many requests can be in flight per
 //! connection, replies carry the client's frame id, and responses are
-//! written in *completion* order, not arrival order.
+//! written in *completion* order, not arrival order. Every frame is a
+//! [`crate::binwire`] payload; one that does not decode is answered
+//! in-band with `invalid` and the connection keeps serving.
 //!
 //! Responses arrive from the scheduler thread via the ticket waker hook
 //! ([`crate::queue::Ticket::on_ready`]): the waker pushes a completion
 //! token onto a shared list and pokes an `eventfd`, which wakes
 //! `epoll_wait`; the reactor then collects the result with `try_wait`,
-//! encodes it in the codec the request arrived in (JSON or
-//! [`crate::binwire`], negotiated per frame by leading byte), and
-//! queues it on the connection's write buffer.
+//! encodes it, and queues it on the connection's write buffer.
 //!
-//! **Backpressure** is the load-shedding inversion of the blocking
-//! frontend: when the admission queue answers `Busy`, the reactor does
-//! *not* bounce the error back. It parks the decoded request
+//! **Backpressure**: when the admission queue answers `Busy`, the
+//! reactor does *not* bounce the error back. It parks the job frame
 //! ([`conn::Stalled`]), stops polling that socket for readability, and
 //! retries as completions free queue space — so overload propagates to
 //! clients as TCP flow control (their sends eventually block), while
@@ -34,6 +31,10 @@
 //! No admitted request loses its ticket and no flushed reply is cut off
 //! by an RST. The frontend must be shut down *before* its `Server`,
 //! which then answers anything still queued.
+//!
+//! Off x86-64 Linux there is no network frontend: [`EventServer::bind`]
+//! reports `Unsupported`, and callers serve in process through
+//! [`crate::Client`].
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub(crate) mod conn;
@@ -47,12 +48,11 @@ pub use imp::EventServer;
 mod imp {
     use super::conn::{Conn, PendingReply, Stalled};
     use super::sys;
-    use crate::binwire;
+    use crate::binwire::{self, WireRequest};
     use crate::queue::lock_unpoisoned;
     use crate::request::ServeError;
     use crate::server::Client;
     use crate::stats::reg;
-    use crate::wire;
     use std::collections::HashMap;
     use std::io::Write;
     use std::net::{Shutdown, SocketAddr, TcpListener, ToSocketAddrs};
@@ -257,17 +257,7 @@ mod imp {
                 // A stalled frame was never admitted; it gets the same
                 // answer a post-shutdown submit would.
                 if let Some(st) = conn.stalled.take() {
-                    let binary = binwire::is_binary(&st.payload);
-                    let decoded = if binary {
-                        binwire::decode_request(&st.payload)
-                    } else {
-                        wire::decode_request(&st.payload)
-                    };
-                    let wire_id = match decoded {
-                        Ok(wire::WireRequest::Job { id, .. }) => id,
-                        _ => 0,
-                    };
-                    conn.queue_reply(&encode_err(binary, wire_id, &ServeError::Shutdown));
+                    conn.queue_reply(&binwire::encode_error(st.wire_id, &ServeError::Shutdown));
                 }
             }
         }
@@ -363,31 +353,15 @@ mod imp {
         }
 
         fn handle_frame(&mut self, conn_id: u64, payload: &[u8], retrying: bool) {
-            let binary = binwire::is_binary(payload);
-            let decoded = if binary {
-                binwire::decode_request(payload)
-            } else {
-                wire::decode_request(payload)
-            };
-            let reply: Vec<u8> = match decoded {
-                Err(msg) => encode_err(binary, 0, &ServeError::Invalid(msg)),
-                Ok(wire::WireRequest::Stats { id }) => {
-                    let stats = self.client.stats();
-                    if binary {
-                        binwire::encode_text_response(id, &stats.to_json())
-                    } else {
-                        wire::encode_stats_response(id, &stats).into_bytes()
-                    }
+            let reply: Vec<u8> = match binwire::decode_request(payload) {
+                Err(msg) => binwire::encode_error(0, &ServeError::Invalid(msg)),
+                Ok(WireRequest::Stats { id }) => {
+                    binwire::encode_text_response(id, &self.client.stats().to_json())
                 }
-                Ok(wire::WireRequest::Metrics { id }) => {
-                    let text = self.client.metrics_text();
-                    if binary {
-                        binwire::encode_text_response(id, &text)
-                    } else {
-                        wire::encode_metrics_response(id, &text).into_bytes()
-                    }
+                Ok(WireRequest::Metrics { id }) => {
+                    binwire::encode_text_response(id, &self.client.metrics_text())
                 }
-                Ok(wire::WireRequest::Job { id, req }) => {
+                Ok(WireRequest::Job { id, req }) => {
                     match self.client.submit(req) {
                         Ok(ticket) => {
                             let conn = self.conns.get_mut(&conn_id).expect("conn exists");
@@ -403,7 +377,6 @@ mod imp {
                                 seq,
                                 PendingReply {
                                     wire_id: id,
-                                    binary,
                                     ticket,
                                 },
                             );
@@ -416,6 +389,7 @@ mod imp {
                             let conn = self.conns.get_mut(&conn_id).expect("conn exists");
                             debug_assert!(conn.stalled.is_none());
                             conn.stalled = Some(Stalled {
+                                wire_id: id,
                                 payload: payload.to_vec(),
                             });
                             if !retrying {
@@ -423,7 +397,7 @@ mod imp {
                             }
                             return;
                         }
-                        Err(e) => encode_err(binary, id, &e),
+                        Err(e) => binwire::encode_error(id, &e),
                     }
                 }
             };
@@ -449,12 +423,7 @@ mod imp {
                     conn.inflight.insert(seq, pr);
                     continue;
                 };
-                let reply = if pr.binary {
-                    binwire::encode_response(pr.wire_id, &result)
-                } else {
-                    wire::encode_response(pr.wire_id, &result).into_bytes()
-                };
-                conn.queue_reply(&reply);
+                conn.queue_reply(&binwire::encode_response(pr.wire_id, &result));
                 if conn.flush().is_err() {
                     dead.push(conn_id);
                 }
@@ -536,15 +505,6 @@ mod imp {
             }
         }
     }
-
-    /// Encode an error reply in the request's codec.
-    fn encode_err(binary: bool, id: u64, e: &ServeError) -> Vec<u8> {
-        if binary {
-            binwire::encode_error(id, e)
-        } else {
-            wire::encode_error(id, e).into_bytes()
-        }
-    }
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
@@ -552,8 +512,9 @@ mod imp_stub {
     use crate::server::Client;
     use std::net::{SocketAddr, ToSocketAddrs};
 
-    /// Stub on platforms without the raw-syscall epoll backend; `bind`
-    /// reports `Unsupported` (use [`crate::TcpServer`] instead).
+    /// Stub on platforms without the raw-syscall epoll backend: `bind`
+    /// reports `Unsupported`, so there is no network frontend there and
+    /// requests are served in process through [`crate::Client`].
     pub struct EventServer {
         never: std::convert::Infallible,
     }

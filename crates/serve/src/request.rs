@@ -104,19 +104,6 @@ pub enum ServeError {
     Shutdown,
 }
 
-impl ServeError {
-    /// Stable lowercase code used on the wire.
-    pub fn code(&self) -> &'static str {
-        match self {
-            ServeError::Busy { .. } => "busy",
-            ServeError::TimedOut { .. } => "timeout",
-            ServeError::Invalid(_) => "invalid",
-            ServeError::Engine(_) => "engine",
-            ServeError::Shutdown => "shutdown",
-        }
-    }
-}
-
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Serving policy knobs. Defaults suit an interactive mixed-shape load;
-/// the loadgen smoke profile shrinks the queue and stretches the window
-/// to force the backpressure paths deterministically.
+/// the serving tests shrink the queue and stretch the window to force
+/// the backpressure paths deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Admission queue bound; a full queue answers [`ServeError::Busy`].
@@ -264,7 +264,8 @@ impl Client {
         }
         let admitted = Instant::now();
         let request_id = inner.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let deadline = req.deadline.map(|d| admitted + d);
+        // A deadline past what `Instant` can represent never expires.
+        let deadline = req.deadline.and_then(|d| admitted.checked_add(d));
         let ticket = TicketInner::new();
 
         // Content-address the request once; the bucket key reuses the B
@@ -371,7 +372,7 @@ impl Client {
     /// engine and serve series in the registry, plus scrape-time gauges
     /// read off this server's engine runtime (cache and scheduler
     /// lifetime counters, which live on the runtime rather than in the
-    /// registry). This is what the TCP frontend's `METRICS` verb
+    /// registry). This is what the network frontend's `METRICS` verb
     /// returns.
     pub fn metrics_text(&self) -> String {
         use egemm::telemetry::metrics;

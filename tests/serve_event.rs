@@ -1,9 +1,8 @@
 //! Integration tests of the event-loop frontend and the
 //! content-addressed serving layer:
 //!
-//! - **Wire bit-exactness**: JSON and binary frames roundtrip f32
-//!   payloads bit-exactly (binary even preserves NaN payload bits;
-//!   JSON canonicalizes NaN but keeps infinities and subnormals exact).
+//! - **Wire bit-exactness**: binwire frames roundtrip every f32 bit
+//!   pattern, NaN payloads included.
 //! - **Dedupe**: identical concurrent requests produce exactly one
 //!   engine dispatch, fanned out to every ticket, bit-identical to a
 //!   cold direct call.
@@ -11,7 +10,11 @@
 //!   cache bit-identically at pool sizes 1 and 4; mutating an operand
 //!   buffer changes its fingerprint, so a stale hit is impossible.
 //! - **Pipelining**: one connection with many in-flight requests gets
-//!   every reply, matched by frame id, in either codec.
+//!   every reply, matched by frame id.
+//! - **Hostile and control frames**: a frame that is not binwire is
+//!   answered in-band with `invalid`, and the connection and the
+//!   reactor keep serving; STATS and METRICS are answered on the same
+//!   connection as jobs.
 //! - **Backpressure**: a full admission queue pauses the socket instead
 //!   of answering `Busy`; every pipelined request is eventually served.
 //! - **Graceful drain**: shutdown under load flushes every pending
@@ -20,7 +23,8 @@
 
 use egemm::{Egemm, EngineRuntime, RuntimeConfig, TilingConfig};
 use egemm_matrix::Matrix;
-use egemm_serve::{binwire, wire, EventServer, GemmRequest, Server, ServerConfig};
+use egemm_serve::binwire::{self, read_frame, write_frame, WireRequest, WireResponse};
+use egemm_serve::{EventServer, GemmRequest, ServeError, Server, ServerConfig};
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
 use std::net::TcpStream;
@@ -90,7 +94,7 @@ proptest! {
             req.c = Some(special_matrix(m, n, seed + 2));
         }
         let frame = binwire::encode_request(seed, &req);
-        let wire::WireRequest::Job { id, req: back } =
+        let WireRequest::Job { id, req: back } =
             binwire::decode_request(&frame).map_err(|e| e.to_string())?
         else {
             return Err("expected a job frame".into());
@@ -122,36 +126,6 @@ proptest! {
         prop_assert_eq!(bits(&got.d), bits(&d));
         prop_assert!(got.cached);
         prop_assert_eq!(got.request_id, seed + 9);
-    }
-
-    /// JSON frames roundtrip f32 payloads bit-exactly too (shortest-
-    /// roundtrip decimal keeps subnormals and -0.0; NaN travels as a
-    /// string and canonicalizes, so NaN positions are compared by kind).
-    #[test]
-    fn json_wire_roundtrips_every_value(
-        m in 1usize..10,
-        k in 1usize..10,
-        n in 1usize..10,
-        seed in 0u64..10_000,
-    ) {
-        let a = special_matrix(m, k, seed);
-        let b = special_matrix(k, n, seed + 1);
-        let req = GemmRequest::gemm(a.clone(), b.clone());
-        let frame = wire::encode_request(seed, &req);
-        let wire::WireRequest::Job { req: back, .. } =
-            wire::decode_request(frame.as_bytes()).map_err(|e| e.to_string())?
-        else {
-            return Err("expected a job frame".into());
-        };
-        for (orig, got) in [(&a, &back.a), (&b, &back.b)] {
-            for (x, y) in orig.as_slice().iter().zip(got.as_slice()) {
-                if x.is_nan() {
-                    prop_assert!(y.is_nan());
-                } else {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
-                }
-            }
-        }
     }
 }
 
@@ -252,14 +226,18 @@ fn memo_serves_bit_identical_results_and_never_stale() {
     }
 }
 
-/// Read one framed reply and decode it in whichever codec it arrived.
-fn read_reply(conn: &mut TcpStream) -> wire::WireResponse {
-    let frame = wire::read_frame(conn).unwrap().expect("reply frame");
-    if binwire::is_binary(&frame) {
-        binwire::decode_response(&frame).expect("binary decode")
-    } else {
-        wire::decode_response(&frame).expect("json decode")
-    }
+/// Read one framed job reply.
+fn read_reply(conn: &mut TcpStream) -> WireResponse {
+    let frame = read_frame(conn).unwrap().expect("reply frame");
+    binwire::decode_response(&frame).expect("reply decodes")
+}
+
+/// Read one framed text reply (STATS or METRICS) for frame `id`.
+fn read_text(conn: &mut TcpStream, id: u64) -> String {
+    let frame = read_frame(conn).unwrap().expect("text frame");
+    let (got, text) = binwire::decode_text_response(&frame).expect("text reply decodes");
+    assert_eq!(got, id);
+    text
 }
 
 #[test]
@@ -274,12 +252,7 @@ fn event_frontend_pipelines_mixed_codecs_on_one_connection() {
         let a = Matrix::<f32>::random_uniform(12, 12, 500 + i);
         let b = Matrix::<f32>::random_uniform(12, 12, 600 + i);
         let req = GemmRequest::gemm(a.clone(), b.clone());
-        // Alternate codecs frame by frame: negotiation is per frame.
-        if i % 2 == 0 {
-            wire::write_frame(&mut conn, wire::encode_request(i, &req).as_bytes()).unwrap();
-        } else {
-            wire::write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
-        }
+        write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
         expected.insert(i, cold().gemm(&a, &b).d);
     }
     for _ in 0..depth {
@@ -294,6 +267,70 @@ fn event_frontend_pipelines_mixed_codecs_on_one_connection() {
     }
     assert!(expected.is_empty(), "every pipelined request answered");
 
+    evt.shutdown();
+    server.shutdown();
+}
+
+/// Hostile and control frames share one connection and are answered
+/// in-band, in order: a JSON job whose `deadline_ms` no `Duration` can
+/// hold (not binwire, so `invalid`), a binwire job with the largest
+/// encodable deadline (served), a METRICS scrape and a STATS query. The
+/// reactor thread survives all of them, so a second connection is
+/// served too.
+#[test]
+fn hostile_frames_are_answered_in_band_and_the_reactor_survives() {
+    let server = Server::start(engine(1), ServerConfig::default());
+    let evt = EventServer::bind("127.0.0.1:0", server.client()).expect("bind");
+    let connect = || {
+        let conn = TcpStream::connect(evt.local_addr()).expect("connect");
+        // A dead reactor closes the socket; never hang on it.
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        conn
+    };
+
+    let mut conn = connect();
+    let json = br#"{"id":1,"kind":"gemm","m":1,"k":1,"n":1,"a":[1],"b":[1],"deadline_ms":1e300}"#;
+    write_frame(&mut conn, json).unwrap();
+    let resp = read_reply(&mut conn);
+    assert!(
+        matches!(resp.result, Err(ServeError::Invalid(_))),
+        "non-binwire payload must be answered invalid: {:?}",
+        resp.result.err()
+    );
+
+    let a = Matrix::<f32>::random_uniform(8, 8, 11);
+    let b = Matrix::<f32>::random_uniform(8, 8, 12);
+    let req = GemmRequest::gemm(a.clone(), b.clone()).with_deadline(Duration::from_nanos(u64::MAX));
+    write_frame(&mut conn, &binwire::encode_request(2, &req)).unwrap();
+    let resp = read_reply(&mut conn);
+    assert_eq!(resp.id, 2);
+    let out = resp.result.expect("a far deadline is served");
+    assert_eq!(bits(&out.d), bits(&cold().gemm(&a, &b).d), "bit identity");
+
+    write_frame(&mut conn, &binwire::encode_metrics_request(3)).unwrap();
+    let text = read_text(&mut conn, 3);
+    assert!(
+        text.contains("egemm_serve_requests_total"),
+        "exposition should list serve counters:\n{text}"
+    );
+    assert!(text.contains("egemm_serve_completed_total"));
+
+    write_frame(&mut conn, &binwire::encode_stats_request(4)).unwrap();
+    let stats = read_text(&mut conn, 4);
+    assert!(stats.contains("\"completed\":1,"), "{stats}");
+
+    let mut second = connect();
+    write_frame(
+        &mut second,
+        &binwire::encode_request(5, &GemmRequest::gemm(b, a)),
+    )
+    .unwrap();
+    let resp = read_reply(&mut second);
+    assert_eq!(resp.id, 5);
+    resp.result.expect("a second connection is still served");
+
+    drop((conn, second));
     evt.shutdown();
     server.shutdown();
 }
@@ -319,7 +356,7 @@ fn backpressure_pauses_the_socket_instead_of_rejecting() {
         let a = Matrix::<f32>::random_uniform(16, 16, 700 + i);
         let b = Matrix::<f32>::random_uniform(16, 16, 800 + i);
         let req = GemmRequest::gemm(a, b);
-        wire::write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
+        write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
     }
     let mut seen = std::collections::HashSet::new();
     for _ in 0..depth {
@@ -359,13 +396,13 @@ fn shutdown_under_load_flushes_every_pipelined_reply() {
                     let a = Matrix::<f32>::random_uniform(20, 20, 1000 + c * 100 + i);
                     let b = Matrix::<f32>::random_uniform(20, 20, 2000 + c * 100 + i);
                     let req = GemmRequest::gemm(a, b);
-                    wire::write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
+                    write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
                 }
                 // Read replies until EOF: the drain must deliver every
                 // one of them, then half-close (FIN, not RST).
                 let mut got = Vec::new();
                 loop {
-                    match wire::read_frame(&mut conn) {
+                    match read_frame(&mut conn) {
                         Ok(Some(frame)) => {
                             let resp = binwire::decode_response(&frame).expect("decode");
                             resp.result.expect("pipelined reply served, not dropped");
@@ -416,10 +453,10 @@ fn event_frontend_sustains_many_concurrent_connections() {
                     let a = Matrix::<f32>::random_uniform(8, 8, 3000 + c * 10 + i);
                     let b = Matrix::<f32>::random_uniform(8, 8, 4000 + c * 10 + i);
                     let req = GemmRequest::gemm(a, b);
-                    wire::write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
+                    write_frame(&mut conn, &binwire::encode_request(i, &req)).unwrap();
                 }
                 for _ in 0..2 {
-                    let frame = wire::read_frame(&mut conn).unwrap().expect("reply");
+                    let frame = read_frame(&mut conn).unwrap().expect("reply");
                     binwire::decode_response(&frame)
                         .expect("decode")
                         .result
