@@ -42,6 +42,7 @@ use super::cache::lock_unpoisoned;
 use super::micro::{load_acc, microkernel, store_acc, PlanePair};
 use super::pack::{MR, NR};
 use crate::envcfg::{self, EnvNum};
+use crate::telemetry::hist::LogHistogram;
 use crate::telemetry::{self, metrics};
 use exec::ExecBuf;
 use std::collections::HashMap;
@@ -202,18 +203,17 @@ pub(crate) struct KernelCache {
     hits: AtomicU64,
     compile_ns: AtomicU64,
     code_bytes: AtomicU64,
+    /// The process-wide `egemm_jit_compile_ns` histogram: the one JIT
+    /// series no runtime owns, since the counters above hold totals,
+    /// not the distribution.
+    compile_hist: &'static LogHistogram,
 }
 
 impl KernelCache {
-    /// A cache for this process's capabilities. Registers the JIT
-    /// metrics families eagerly so the exposition carries them (at
-    /// zero) even on hosts where no kernel ever compiles.
+    /// A cache for this process's capabilities. Registers the compile
+    /// time histogram eagerly so the exposition carries it (at zero)
+    /// even on hosts where no kernel ever compiles.
     pub(crate) fn new() -> KernelCache {
-        if metrics::enabled() {
-            metrics::counter("egemm_jit_compiles_total");
-            metrics::counter("egemm_jit_cache_hits_total");
-            metrics::histogram("egemm_jit_compile_ns");
-        }
         KernelCache {
             isa: if env_enabled() { supported_isa() } else { None },
             kernels: Mutex::new(HashMap::new()),
@@ -221,6 +221,7 @@ impl KernelCache {
             hits: AtomicU64::new(0),
             compile_ns: AtomicU64::new(0),
             code_bytes: AtomicU64::new(0),
+            compile_hist: metrics::histogram("egemm_jit_compile_ns"),
         }
     }
 
@@ -239,9 +240,6 @@ impl KernelCache {
         let mut map = lock_unpoisoned(&self.kernels);
         if let Some(slot) = map.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if metrics::enabled() {
-                metrics::counter("egemm_jit_cache_hits_total").inc();
-            }
             return slot.as_ref().map(|k| k.entry);
         }
         let span = telemetry::span_start();
@@ -253,10 +251,7 @@ impl KernelCache {
         let bytes = compiled.as_ref().map_or(0, |k| k._buf.len() as u64);
         self.code_bytes.fetch_add(bytes, Ordering::Relaxed);
         telemetry::span_end(telemetry::Phase::JitCompile, span, bytes);
-        if metrics::enabled() {
-            metrics::counter("egemm_jit_compiles_total").inc();
-            metrics::histogram("egemm_jit_compile_ns").observe(ns);
-        }
+        self.compile_hist.observe(ns);
         let entry = compiled.as_ref().map(|k| k.entry);
         map.insert(key, compiled);
         entry

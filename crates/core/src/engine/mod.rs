@@ -8,14 +8,14 @@
 //! into contiguous, cache-resident slivers, and an `MR x NR`
 //! register-tiled microkernel keeps 32 accumulators in registers for a
 //! whole panel. Workers claim macro-tiles from the 2D grid through a
-//! locality-aware work-stealing scheduler ([`sched`]): each worker owns
+//! locality-aware work-stealing scheduler (`sched`): each worker owns
 //! a contiguous column-major run (all row tiles of a jc column block
 //! before the next block, so the B panel it just touched stays hot) and
 //! idle workers steal half-ranges from the most-loaded victim, so
 //! skewed shapes (m = 64, n = k = 4096) parallelize across column tiles
 //! where whole-row partitioning would idle every core but four. Cold B
 //! panels are packed cooperatively through a per-call
-//! [`pack::PanelStore`]: the first worker to reach a (jc, pc) panel
+//! `pack::PanelStore`: the first worker to reach a (jc, pc) panel
 //! packs and publishes it, every other worker reuses it — once per
 //! panel per call instead of once per tile per worker.
 //!

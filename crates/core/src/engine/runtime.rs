@@ -14,7 +14,7 @@
 //! * **Environment** — `EGEMM_THREADS` / `RAYON_NUM_THREADS` and
 //!   `EGEMM_CACHE_BYTES` are read once at runtime construction
 //!   ([`RuntimeConfig::from_env`]), never per call.
-//! * **Prepared-operand cache** — see [`super::cache`]: packed B panels
+//! * **Prepared-operand cache** — see the `cache` module: packed B panels
 //!   keyed by content fingerprint, plus the explicit [`PreparedOperand`]
 //!   handle for zero-lookup reuse.
 //!
@@ -227,10 +227,8 @@ impl EngineRuntime {
     /// lazily on first multi-threaded dispatch and parked between calls.
     pub fn new(cfg: RuntimeConfig) -> Arc<EngineRuntime> {
         // First runtime construction is the natural "before any engine
-        // work" point to honour EGEMM_TRACE, EGEMM_METRICS, and
-        // EGEMM_PROBE_RATE.
+        // work" point to honour EGEMM_TRACE and EGEMM_PROBE_RATE.
         telemetry::init_from_env();
-        telemetry::metrics::init_from_env();
         telemetry::probe::init_from_env();
         Arc::new(EngineRuntime {
             default_threads: cfg.threads.max(1),

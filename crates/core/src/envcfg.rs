@@ -2,8 +2,8 @@
 //! discipline.
 //!
 //! Every numeric knob in this workspace (`EGEMM_THREADS`,
-//! `EGEMM_CACHE_BYTES`, `EGEMM_METRICS`, `EGEMM_PROBE_RATE`, the serve
-//! layer's `EGEMM_SERVE_RESULT_CACHE_BYTES`) follows the same contract:
+//! `EGEMM_CACHE_BYTES`, `EGEMM_PROBE_RATE`, the serve layer's
+//! `EGEMM_SERVE_RESULT_CACHE_BYTES`) follows the same contract:
 //! the variable is read once, a value that does not parse is *ignored*
 //! (never a panic, never silent), and exactly one warning naming the
 //! variable, the rejected value, and the fallback is printed to stderr

@@ -115,19 +115,17 @@ impl Egemm {
         })
     }
 
-    /// Open the aggregate-metrics window for one call: a wall-clock
-    /// start when recording is on, `None` (one relaxed load) when off.
-    pub(crate) fn metrics_begin() -> Option<std::time::Instant> {
-        metrics::enabled().then(std::time::Instant::now)
+    /// Open the aggregate-metrics window for one call: its wall-clock
+    /// start.
+    pub(crate) fn metrics_begin() -> std::time::Instant {
+        std::time::Instant::now()
     }
 
     /// Close a metrics window: record the call (and its `batch`
     /// problems) into the registry.
-    pub(crate) fn metrics_end(window: Option<std::time::Instant>, shape: GemmShape, batch: u64) {
-        if let Some(t0) = window {
-            let flops = 2 * (shape.m as u64) * (shape.n as u64) * (shape.k as u64) * batch.max(1);
-            metrics::record_gemm_call(flops, batch.max(1), t0.elapsed().as_nanos() as u64);
-        }
+    pub(crate) fn metrics_end(t0: std::time::Instant, shape: GemmShape, batch: u64) {
+        let flops = 2 * (shape.m as u64) * (shape.n as u64) * (shape.k as u64) * batch.max(1);
+        metrics::record_gemm_call(flops, batch.max(1), t0.elapsed().as_nanos() as u64);
     }
 
     /// Close a trace window opened by [`Egemm::trace_begin`].

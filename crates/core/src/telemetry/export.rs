@@ -309,13 +309,17 @@ fn render_hist(out: &mut String, family: &str, labels: &str, h: &HistSnapshot) {
     ));
 }
 
-/// Render every registered metric as Prometheus text exposition
-/// (version 0.0.4): `# TYPE` headers per family, counter/gauge sample
-/// lines, and `_bucket`/`_sum`/`_count` expansions for histograms
-/// (cumulative `le` edges at the log-bucket upper bounds). This is what
-/// the serve frontend's `METRICS` verb returns and `egemm-top` renders.
-pub fn render_prometheus() -> String {
-    let snap = metrics::snapshot();
+/// Render every registered metric, plus the `owned` series an instance
+/// read off its own counters, as Prometheus text exposition (version
+/// 0.0.4): `# TYPE` headers per family, counter/gauge sample lines, and
+/// `_bucket`/`_sum`/`_count` expansions for histograms (cumulative `le`
+/// edges at the log-bucket upper bounds). `owned` names must not
+/// collide with registry names. This is what the serve frontend's
+/// `METRICS` verb returns and `egemm-top` renders.
+pub fn render_prometheus(owned: Vec<(String, SeriesValue)>) -> String {
+    let mut snap = metrics::snapshot();
+    snap.extend(owned);
+    snap.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out = String::with_capacity(4096);
     let mut last_family = String::new();
     for (name, value) in &snap {
@@ -344,7 +348,7 @@ pub fn render_prometheus() -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::super::metrics;
+    use super::super::metrics::{self, SeriesValue};
     use super::super::report::{GemmReport, WorkerLane};
     use super::super::ring::{Lane, TraceEvent};
     use super::super::Phase;
@@ -477,9 +481,10 @@ mod tests {
     #[test]
     fn prometheus_exposition_renders_all_kinds() {
         metrics::counter("test_export_calls_total").add(3);
-        metrics::gauge("test_export_depth").set(7);
         metrics::histogram("test_export_lat_ns{shape=\"tiny\"}").observe(100);
-        let text = super::render_prometheus();
+        // An owner-read gauge merges into the sorted registry series.
+        let owned = vec![("test_export_depth".to_string(), SeriesValue::Gauge(7))];
+        let text = super::render_prometheus(owned);
         assert!(
             text.contains("# TYPE test_export_calls_total counter"),
             "{text}"
@@ -490,6 +495,12 @@ mod tests {
         assert!(
             text.contains("# TYPE test_export_lat_ns histogram"),
             "{text}"
+        );
+        let at = |family: &str| text.find(&format!("# TYPE {family} ")).unwrap();
+        assert!(
+            at("test_export_calls_total") < at("test_export_depth")
+                && at("test_export_depth") < at("test_export_lat_ns"),
+            "the owned series sorts between the registry series:\n{text}"
         );
         // 100 lands in bucket [64, 127]: cumulative 1 at le=127, and the
         // +Inf terminator plus sum/count lines carry the labels.

@@ -6,23 +6,24 @@
 //! leaks the instrument so it lives for the process), and call sites
 //! cache the returned `&'static` handle in a `OnceLock`, so the steady
 //! state hot path is exactly one relaxed atomic add per event — no
-//! locks, no allocation, no branches beyond the [`enabled`] gate.
+//! locks, no allocation, no branches.
+//!
+//! The registry holds only the process-wide engine series that no
+//! instance owns: GEMM call counts and timings, per-phase engine time,
+//! the numerical-health probe, JIT compile times. Counters that an
+//! instance already keeps (a server's serve counters, a runtime's
+//! cache, JIT and scheduler counters) are not mirrored here; a scrape
+//! reads them from their owner and merges them in
+//! (`telemetry::render_prometheus`), so each counter has one store.
 //!
 //! Series names follow Prometheus conventions and may embed a fixed
 //! label set directly: `egemm_engine_phase_ns_total{phase="tile"}`.
 //! The part before `{` is the family name; [`snapshot`] returns series
 //! sorted so one family's children render contiguously in the
-//! exposition (`telemetry::render_prometheus`).
-//!
-//! Recording is on by default; `EGEMM_METRICS=0` is the kill switch
-//! (parsed once via `envcfg`, same one-time-warning contract as
-//! `EGEMM_THREADS`). The gate only suppresses *recording* — reading a
-//! snapshot is always allowed.
+//! exposition.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
-
-use crate::envcfg::{self, EnvNum};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use super::hist::{HistSnapshot, LogHistogram};
 
@@ -47,26 +48,8 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can go up and down (queue depth, resident
-/// bytes).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Overwrite the value (one relaxed store).
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 enum Slot {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Hist(&'static LogHistogram),
 }
 
@@ -74,7 +57,6 @@ impl Slot {
     fn kind(&self) -> &'static str {
         match self {
             Slot::Counter(_) => "counter",
-            Slot::Gauge(_) => "gauge",
             Slot::Hist(_) => "histogram",
         }
     }
@@ -124,22 +106,6 @@ pub fn counter(name: &str) -> &'static Counter {
     )
 }
 
-/// Find or create the gauge named `name`. Same contract as [`counter`].
-pub fn gauge(name: &str) -> &'static Gauge {
-    lookup(
-        name,
-        "gauge",
-        |s| match s {
-            Slot::Gauge(g) => Some(*g),
-            _ => None,
-        },
-        || {
-            let g: &'static Gauge = Box::leak(Box::new(Gauge::default()));
-            (Slot::Gauge(g), g)
-        },
-    )
-}
-
 /// Find or create the histogram named `name`. Same contract as
 /// [`counter`].
 pub fn histogram(name: &str) -> &'static LogHistogram {
@@ -157,7 +123,9 @@ pub fn histogram(name: &str) -> &'static LogHistogram {
     )
 }
 
-/// One series value in a [`snapshot`].
+/// One series value: a registry [`snapshot`] entry, or a series an
+/// instance reads off its own counters at scrape time (only those are
+/// ever gauges).
 #[derive(Debug, Clone)]
 pub enum SeriesValue {
     Counter(u64),
@@ -176,7 +144,6 @@ pub fn snapshot() -> Vec<(String, SeriesValue)> {
         .map(|(name, slot)| {
             let value = match slot {
                 Slot::Counter(c) => SeriesValue::Counter(c.get()),
-                Slot::Gauge(g) => SeriesValue::Gauge(g.get()),
                 Slot::Hist(h) => SeriesValue::Hist(Box::new(h.snapshot())),
             };
             (name.clone(), value)
@@ -184,41 +151,6 @@ pub fn snapshot() -> Vec<(String, SeriesValue)> {
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-// ---------------------------------------------------------------------------
-// Recording gate (mirrors the tracing gate in telemetry/mod.rs, but
-// defaults ON — metrics are the always-on plane, tracing is opt-in).
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_ONCE: Once = Once::new();
-
-/// Whether metric recording is on (one relaxed load).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Programmatically enable/disable recording. Wins over the
-/// environment: consumes the env gate so a later [`init_from_env`] is a
-/// no-op.
-pub fn set_enabled(on: bool) {
-    ENV_ONCE.call_once(|| {});
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Apply `EGEMM_METRICS` once per process (`0` disables; anything else
-/// that parses enables; garbage warns once and keeps the default ON).
-pub fn init_from_env() {
-    ENV_ONCE.call_once(|| match envcfg::read_usize("EGEMM_METRICS") {
-        EnvNum::Unset => {}
-        EnvNum::Parsed(v, _) => ENABLED.store(v != 0, Ordering::Relaxed),
-        EnvNum::Garbage(raw) => {
-            static WARN: Once = Once::new();
-            envcfg::warn_once(&WARN, || {
-                format!("egemm: ignoring EGEMM_METRICS={raw:?} (not an integer); metrics stay on")
-            });
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -242,9 +174,6 @@ pub fn shape_bucket(flops: u64) -> &'static str {
 /// Record one engine-level GEMM call (`batch` problems solved in one
 /// dispatch, `flops` total across the batch) taking `wall_ns`.
 pub fn record_gemm_call(flops: u64, batch: u64, wall_ns: u64) {
-    if !enabled() {
-        return;
-    }
     static CALLS: OnceLock<&'static Counter> = OnceLock::new();
     static WALL: OnceLock<&'static LogHistogram> = OnceLock::new();
     CALLS
@@ -276,9 +205,6 @@ pub fn record_gemm_call(flops: u64, batch: u64, wall_ns: u64) {
 /// accounting only accrues while tracing is on — untraced calls still
 /// count through [`record_gemm_call`]).
 pub fn record_report(phase_ns: &[u64], spans_dropped: u64) {
-    if !enabled() {
-        return;
-    }
     static PHASES: OnceLock<Vec<&'static Counter>> = OnceLock::new();
     let phases = PHASES.get_or_init(|| {
         super::Phase::ALL
@@ -321,7 +247,7 @@ mod tests {
     #[test]
     fn snapshot_contains_registered_series_sorted() {
         counter("test_metrics_zzz_total").inc();
-        gauge("test_metrics_aaa_depth").set(-4);
+        counter("test_metrics_aaa_total").add(4);
         histogram("test_metrics_mmm_ns").observe(9);
         let snap = snapshot();
         let names: Vec<&str> = snap
@@ -332,13 +258,13 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
-        assert!(names.contains(&"test_metrics_aaa_depth"));
-        let gauge_val = snap
+        assert!(names.contains(&"test_metrics_aaa_total"));
+        let counter_val = snap
             .iter()
-            .find(|(n, _)| n == "test_metrics_aaa_depth")
+            .find(|(n, _)| n == "test_metrics_aaa_total")
             .unwrap();
-        match gauge_val.1 {
-            SeriesValue::Gauge(v) => assert_eq!(v, -4),
+        match counter_val.1 {
+            SeriesValue::Counter(v) => assert_eq!(v, 4),
             _ => panic!("wrong kind"),
         }
     }

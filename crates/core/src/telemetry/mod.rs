@@ -27,11 +27,14 @@
 //!   renderings (loadable in `chrome://tracing` / Perfetto).
 //!
 //! Alongside the per-call tracing above sits the *aggregate* plane:
-//! [`metrics`] (process-wide lock-free registry of counters, gauges,
-//! and [`hist`] log-scale histograms, scrapeable as Prometheus text via
-//! [`render_prometheus`]) and [`probe`]-backed numerical-health
-//! sampling ([`set_probe_rate`]) that validates extended precision
-//! against the `errbound` model in production.
+//! [`metrics`] (process-wide lock-free registry of the engine's
+//! counters and [`hist`] log-scale histograms) and the sampled
+//! numerical-health probe (`probe`, rate set by [`set_probe_rate`])
+//! that validates extended precision against the `errbound` model in
+//! production. [`render_prometheus`] renders the registry as Prometheus
+//! text, merged with the series an instance reads off the counters it
+//! owns (a server's serve counters, a runtime's cache, JIT and
+//! scheduler counters), so no counter is stored twice.
 //!
 //! Instrumentation can never change a result bit: spans only read
 //! clocks and counters around the bit-identical hot loops, and the

@@ -65,8 +65,8 @@ pub enum WireRequest {
     /// A counters-snapshot query, answered inline with
     /// [`crate::ServeStats::to_json`].
     Stats { id: u64 },
-    /// A metrics scrape, answered inline with the registry's
-    /// Prometheus-style text exposition.
+    /// A metrics scrape, answered inline with the answering server's
+    /// Prometheus-style text exposition (`Client::metrics_text`).
     Metrics { id: u64 },
 }
 

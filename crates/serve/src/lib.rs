@@ -38,7 +38,7 @@
 //! engine-level guarantee this repo enforces with property tests; the
 //! serving-level restatement lives in `tests/serve.rs`).
 //!
-//! Above admission sits a content-addressed layer ([`dedupe`]): an
+//! Above admission sits a content-addressed layer (`dedupe`): an
 //! in-flight table coalescing identical concurrent requests into one
 //! dispatch fanned out to every waiter, and a byte-budgeted LRU result
 //! cache answering repeats without any engine time — both keyed by the

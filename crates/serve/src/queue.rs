@@ -202,7 +202,6 @@ impl AdmissionQueue {
             });
         }
         st.queue.push_back(pending);
-        crate::stats::reg::set_queue_depth(st.queue.len());
         self.work.notify_one();
         Ok(())
     }

@@ -2,7 +2,7 @@
 //! nonblocking connections with pipelined requests.
 //!
 //! The reactor multiplexes every connection over a single thread driven
-//! by `epoll` ([`sys`] — raw syscalls, keeping the zero-dependency
+//! by `epoll` (`sys` — raw syscalls, keeping the zero-dependency
 //! policy). Clients may pipeline: many requests can be in flight per
 //! connection, replies carry the client's frame id, and responses are
 //! written in *completion* order, not arrival order. Every frame is a
@@ -17,7 +17,7 @@
 //!
 //! **Backpressure**: when the admission queue answers `Busy`, the
 //! reactor does *not* bounce the error back. It parks the job frame
-//! ([`conn::Stalled`]), stops polling that socket for readability, and
+//! (`conn::Stalled`), stops polling that socket for readability, and
 //! retries as completions free queue space — so overload propagates to
 //! clients as TCP flow control (their sends eventually block), while
 //! every other connection keeps being served. A write buffer past its
@@ -52,7 +52,7 @@ mod imp {
     use crate::queue::lock_unpoisoned;
     use crate::request::ServeError;
     use crate::server::Client;
-    use crate::stats::reg;
+    use crate::stats::StatsInner;
     use std::collections::HashMap;
     use std::io::Write;
     use std::net::{Shutdown, SocketAddr, TcpListener, ToSocketAddrs};
@@ -235,7 +235,10 @@ mod imp {
             // the deadline passed) — half-close, then drop.
             for (_, conn) in self.conns.drain() {
                 let _ = conn.stream.shutdown(Shutdown::Write);
-                reg::connections_delta(-1);
+                self.client
+                    .counters()
+                    .open_connections
+                    .fetch_sub(1, Ordering::Relaxed);
             }
         }
 
@@ -298,7 +301,10 @@ mod imp {
                             continue;
                         }
                         self.conns.insert(id, conn);
-                        reg::connections_delta(1);
+                        self.client
+                            .counters()
+                            .open_connections
+                            .fetch_add(1, Ordering::Relaxed);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -393,7 +399,7 @@ mod imp {
                                 payload: payload.to_vec(),
                             });
                             if !retrying {
-                                reg::bump(reg::backpressure_pauses);
+                                StatsInner::bump(&self.client.counters().backpressure_pauses);
                             }
                             return;
                         }
@@ -500,7 +506,10 @@ mod imp {
                         0,
                         0,
                     );
-                    reg::connections_delta(-1);
+                    self.client
+                        .counters()
+                        .open_connections
+                        .fetch_sub(1, Ordering::Relaxed);
                 }
             }
         }

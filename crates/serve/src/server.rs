@@ -3,7 +3,7 @@
 use crate::dedupe::{Attach, Follower, InFlightTable, ResultCache, ResultKey};
 use crate::queue::{lock_unpoisoned, AdmissionQueue, BucketKey, Pending, Ticket, TicketInner};
 use crate::request::{GemmRequest, JobKind, ServeError, ServeOutput};
-use crate::stats::{reg, ServeStats, StatsInner};
+use crate::stats::{ServeStats, StatsInner};
 use egemm::telemetry::{self, GemmReport, RequestTrace};
 use egemm::Egemm;
 use egemm_matrix::Matrix;
@@ -105,13 +105,14 @@ pub(crate) struct ServerInner {
 type PrimaryOk<'a> = (&'a Matrix<f32>, usize, Option<&'a Arc<GemmReport>>);
 
 impl ServerInner {
-    /// Serve counters plus the engine-side counters that live on the
-    /// shared runtime: the work-stealing scheduler's steal /
-    /// panel-reuse totals. Folding
-    /// them in at snapshot time covers every dispatch through this
-    /// server's engine without double-counting per request.
+    /// Serve counters plus the counters other owners keep: the result
+    /// cache's, the queue's length, and the work-stealing scheduler's
+    /// steal / panel-reuse totals on the shared runtime. Reading them
+    /// at snapshot time covers every dispatch through this server's
+    /// engine without counting any event twice.
     fn stats_snapshot(&self) -> ServeStats {
         let mut s = self.stats.snapshot();
+        s.queue_depth = lock_unpoisoned(&self.queue.state).queue.len() as u64;
         let sched = self.engine.runtime().sched_stats();
         s.tiles_stolen = sched.tiles_stolen;
         s.panel_reuse_hits = sched.panel_reuse_hits;
@@ -141,7 +142,6 @@ impl ServerInner {
                 Err(e) => {
                     if matches!(e, ServeError::Engine(_)) {
                         StatsInner::bump(&self.stats.engine_failures);
-                        reg::bump(reg::engine_failures);
                     }
                     f.ticket.fulfill(Err(e.clone()));
                 }
@@ -150,7 +150,6 @@ impl ServerInner {
                     // the primary did not; honour it at delivery.
                     if f.deadline.is_some_and(|dl| dl <= finished) {
                         StatsInner::bump(&self.stats.timed_out_after);
-                        reg::bump(reg::deadline_misses);
                         f.ticket.fulfill(Err(ServeError::TimedOut {
                             after_dispatch: true,
                         }));
@@ -159,7 +158,6 @@ impl ServerInner {
                     let total_ns = finished.duration_since(f.admitted).as_nanos() as u64;
                     self.stats.record_latency(total_ns);
                     StatsInner::bump(&self.stats.completed);
-                    reg::bump(reg::completed);
                     f.ticket.fulfill(Ok(ServeOutput {
                         d: d.clone(),
                         request_id: f.request_id,
@@ -190,7 +188,6 @@ impl Server {
     /// by every dispatch, so bucket after bucket hits the same packed
     /// operand cache and parked worker pool.
     pub fn start(engine: Egemm, cfg: ServerConfig) -> Server {
-        reg::touch_all();
         let inner = Arc::new(ServerInner {
             engine,
             queue: AdmissionQueue::new(cfg.queue_cap),
@@ -256,10 +253,8 @@ impl Client {
     pub fn submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
         let inner = &*self.inner;
         StatsInner::bump(&inner.stats.submitted);
-        reg::bump(reg::requests);
         if let Err(msg) = validate(&req, inner.cfg.allow_nonfinite) {
             StatsInner::bump(&inner.stats.rejected_invalid);
-            reg::bump(reg::invalid);
             return Err(ServeError::Invalid(msg));
         }
         let admitted = Instant::now();
@@ -275,11 +270,9 @@ impl Client {
         // Layer 1: memoized result cache. A hit answers without touching
         // the queue at all (and therefore works even under Busy).
         if let Some(d) = inner.results.get(&content) {
-            reg::bump(reg::result_cache_hits);
             let total_ns = admitted.elapsed().as_nanos() as u64;
             inner.stats.record_latency(total_ns);
             StatsInner::bump(&inner.stats.completed);
-            reg::bump(reg::completed);
             ticket.fulfill(Ok(ServeOutput {
                 d: (*d).clone(),
                 request_id,
@@ -291,9 +284,6 @@ impl Client {
                 report: None,
             }));
             return Ok(Ticket { inner: ticket });
-        }
-        if inner.results.enabled() {
-            reg::bump(reg::result_cache_misses);
         }
 
         // Layer 2: in-flight dedupe. Attach to an identical primary (one
@@ -309,7 +299,6 @@ impl Client {
                 }) {
                 Attach::Followed => {
                     StatsInner::bump(&inner.stats.dedup_hits);
-                    reg::bump(reg::dedup_hits);
                     StatsInner::bump(&inner.stats.admitted);
                     return Ok(Ticket { inner: ticket });
                 }
@@ -343,7 +332,6 @@ impl Client {
             Err(e) => {
                 if matches!(e, ServeError::Busy { .. }) {
                     StatsInner::bump(&inner.stats.rejected_busy);
-                    reg::bump(reg::busy_rejects);
                 }
                 // The primary never enqueued: clear its registration and
                 // answer any follower that raced in with the same
@@ -368,28 +356,38 @@ impl Client {
         self.inner.stats_snapshot()
     }
 
-    /// The full Prometheus text exposition for this process: every
-    /// engine and serve series in the registry, plus scrape-time gauges
-    /// read off this server's engine runtime (cache and scheduler
-    /// lifetime counters, which live on the runtime rather than in the
-    /// registry). This is what the network frontend's `METRICS` verb
-    /// returns.
+    /// The Prometheus text exposition this server answers `METRICS`
+    /// with: the process-wide engine series in the registry, this
+    /// server's serve counters ([`ServeStats::series`], the snapshot
+    /// `STATS` renders), and its engine runtime's cache, JIT and
+    /// scheduler counters, each read from the one place it is kept.
     pub fn metrics_text(&self) -> String {
-        use egemm::telemetry::metrics;
-        if metrics::enabled() {
-            let rt = self.inner.engine.runtime();
-            let cache = rt.cache_stats();
-            metrics::gauge("egemm_cache_hits").set(cache.hits as i64);
-            metrics::gauge("egemm_cache_misses").set(cache.misses as i64);
-            metrics::gauge("egemm_cache_resident_bytes").set(cache.bytes as i64);
-            metrics::gauge("egemm_jit_code_bytes").set(cache.jit_code_bytes as i64);
-            let sched = rt.sched_stats();
-            metrics::gauge("egemm_sched_steals").set(sched.steals as i64);
-            metrics::gauge("egemm_sched_tiles_stolen").set(sched.tiles_stolen as i64);
-            metrics::gauge("egemm_panel_reuse_hits").set(sched.panel_reuse_hits as i64);
-            reg::result_cache_bytes().set(self.inner.results.resident_bytes() as i64);
-        }
-        telemetry::render_prometheus()
+        use egemm::telemetry::metrics::SeriesValue::{Counter, Gauge};
+        let rt = self.inner.engine.runtime();
+        let (cache, sched) = (rt.cache_stats(), rt.sched_stats());
+        let runtime = [
+            ("egemm_cache_hits", Gauge(cache.hits as i64)),
+            ("egemm_cache_misses", Gauge(cache.misses as i64)),
+            ("egemm_cache_resident_bytes", Gauge(cache.bytes as i64)),
+            ("egemm_jit_code_bytes", Gauge(cache.jit_code_bytes as i64)),
+            ("egemm_jit_compiles_total", Counter(cache.jit_compiles)),
+            ("egemm_jit_cache_hits_total", Counter(cache.jit_hits)),
+            ("egemm_sched_steals", Gauge(sched.steals as i64)),
+            ("egemm_sched_tiles_stolen", Gauge(sched.tiles_stolen as i64)),
+            (
+                "egemm_panel_reuse_hits",
+                Gauge(sched.panel_reuse_hits as i64),
+            ),
+        ];
+        let mut series = self.stats().series();
+        series.extend(runtime.map(|(name, v)| (name.to_string(), v)));
+        telemetry::render_prometheus(series)
+    }
+
+    /// The server's counters, for the network frontend's connection
+    /// and backpressure counts.
+    pub(crate) fn counters(&self) -> &StatsInner {
+        &self.inner.stats
     }
 }
 
@@ -506,9 +504,7 @@ fn scheduler_loop(inner: &ServerInner) {
                 std::thread::sleep(inner.cfg.batch_window);
                 st = lock_unpoisoned(&inner.queue.state);
             }
-            let drained: Vec<Pending> = st.queue.drain(..).collect();
-            reg::set_queue_depth(st.queue.len());
-            drained
+            st.queue.drain(..).collect()
         };
         dispatch_cycle(inner, snapshot);
     }
@@ -562,7 +558,6 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
     for p in chunk {
         if p.deadline.is_some_and(|d| d <= now) {
             StatsInner::bump(&inner.stats.timed_out_before);
-            reg::bump(reg::deadline_misses);
             let err = ServeError::TimedOut {
                 after_dispatch: false,
             };
@@ -600,7 +595,6 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
     let reqs: Vec<GemmRequest> = live.into_iter().map(|p| p.req).collect();
 
     StatsInner::bump(&inner.stats.engine_calls);
-    reg::bump(reg::engine_calls);
     let engine = inner.engine.clone().with_scheme(key.scheme);
     let result = catch_unwind(AssertUnwindSafe(|| run_engine(&engine, key, reqs)));
 
@@ -624,12 +618,9 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
             });
             for (d, meta) in ds.into_iter().zip(metas) {
                 let total_ns = finished.duration_since(meta.admitted).as_nanos() as u64;
-                inner.stats.record_latency(total_ns);
                 StatsInner::bump(&inner.stats.dispatched);
-                reg::bump(reg::dispatched);
                 if batched_with >= 2 {
                     StatsInner::bump(&inner.stats.coalesced);
-                    reg::bump(reg::batched_requests);
                 }
                 // Memoize and fan out to followers before `d` moves into
                 // the primary's own response.
@@ -638,13 +629,12 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
                 }
                 if meta.deadline.is_some_and(|dl| dl <= finished) {
                     StatsInner::bump(&inner.stats.timed_out_after);
-                    reg::bump(reg::deadline_misses);
                     meta.ticket.fulfill(Err(ServeError::TimedOut {
                         after_dispatch: true,
                     }));
                 } else {
+                    inner.stats.record_latency(total_ns);
                     StatsInner::bump(&inner.stats.completed);
-                    reg::bump(reg::completed);
                     meta.ticket.fulfill(Ok(ServeOutput {
                         shape: key.shape,
                         d,
@@ -663,7 +653,6 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
             let err = ServeError::Engine(msg);
             for meta in metas {
                 StatsInner::bump(&inner.stats.engine_failures);
-                reg::bump(reg::engine_failures);
                 if let Some(k) = &meta.result_key {
                     inner.resolve(k, Err(&err));
                 }

@@ -7,116 +7,20 @@
 //! like. Counter updates are single relaxed atomics on the serving hot
 //! path; latency samples go into a fixed-size overwrite-oldest ring
 //! (the same discipline as the telemetry trace rings — recording never
-//! allocates after construction). Exporters mirror the `GemmReport`
-//! conventions: `Display` for humans, [`ServeStats::to_json`] for
-//! machines.
+//! allocates after construction).
+//!
+//! Each serve counter has one store: these atomics, the server's result
+//! cache and admission queue, or the engine runtime. A [`ServeStats`]
+//! snapshot reads them, and both planes render that one snapshot:
+//! [`ServeStats::to_json`] answers the `STATS` verb, and
+//! [`ServeStats::series`] is what `METRICS` merges into the Prometheus
+//! exposition, so the two cannot disagree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::queue::lock_unpoisoned;
-
-/// Cached handles into the engine's process-wide metrics registry for
-/// the serve-layer series. Each accessor pays the registry lookup once
-/// (a `OnceLock`), so bumping a counter on the serving hot path is one
-/// relaxed atomic add — the same discipline as [`StatsInner`], which
-/// remains the in-band `STATS`-verb source; the registry is the
-/// out-of-band scrape plane.
-pub(crate) mod reg {
-    use egemm::telemetry::metrics::{self, Counter, Gauge};
-    use std::sync::OnceLock;
-
-    macro_rules! serve_counter {
-        ($name:ident, $series:literal) => {
-            pub(crate) fn $name() -> &'static Counter {
-                static H: OnceLock<&'static Counter> = OnceLock::new();
-                H.get_or_init(|| metrics::counter($series))
-            }
-        };
-    }
-
-    serve_counter!(requests, "egemm_serve_requests_total");
-    serve_counter!(busy_rejects, "egemm_serve_busy_rejects_total");
-    serve_counter!(invalid, "egemm_serve_invalid_total");
-    serve_counter!(deadline_misses, "egemm_serve_deadline_misses_total");
-    serve_counter!(completed, "egemm_serve_completed_total");
-    serve_counter!(engine_failures, "egemm_serve_engine_failures_total");
-    serve_counter!(engine_calls, "egemm_serve_engine_calls_total");
-    serve_counter!(dispatched, "egemm_serve_dispatched_total");
-    serve_counter!(batched_requests, "egemm_serve_batched_requests_total");
-    serve_counter!(dedup_hits, "egemm_serve_dedup_hits_total");
-    serve_counter!(result_cache_hits, "egemm_serve_result_cache_hits_total");
-    serve_counter!(result_cache_misses, "egemm_serve_result_cache_misses_total");
-    serve_counter!(
-        result_cache_evictions,
-        "egemm_serve_result_cache_evictions_total"
-    );
-    serve_counter!(backpressure_pauses, "egemm_serve_backpressure_pauses_total");
-
-    pub(crate) fn queue_depth() -> &'static Gauge {
-        static H: OnceLock<&'static Gauge> = OnceLock::new();
-        H.get_or_init(|| metrics::gauge("egemm_serve_queue_depth"))
-    }
-
-    pub(crate) fn open_connections() -> &'static Gauge {
-        static H: OnceLock<&'static Gauge> = OnceLock::new();
-        H.get_or_init(|| metrics::gauge("egemm_serve_open_connections"))
-    }
-
-    pub(crate) fn result_cache_bytes() -> &'static Gauge {
-        static H: OnceLock<&'static Gauge> = OnceLock::new();
-        H.get_or_init(|| metrics::gauge("egemm_serve_result_cache_bytes"))
-    }
-
-    /// Bump a serve counter, honouring the global metrics gate.
-    pub(crate) fn bump(c: fn() -> &'static Counter) {
-        if metrics::enabled() {
-            c().inc();
-        }
-    }
-
-    /// Set the queue-depth gauge, honouring the global metrics gate.
-    pub(crate) fn set_queue_depth(depth: usize) {
-        if metrics::enabled() {
-            queue_depth().set(depth as i64);
-        }
-    }
-
-    /// Adjust the open-connections gauge by `delta` (accept / close on
-    /// either frontend).
-    pub(crate) fn connections_delta(delta: i64) {
-        if metrics::enabled() {
-            let g = open_connections();
-            g.set(g.get() + delta);
-        }
-    }
-
-    /// Touch every serve series once so a scrape taken before the first
-    /// event still lists the full family set (a zero counter is
-    /// informative; an absent one looks like a wiring bug). Called from
-    /// `Server::start`.
-    pub(crate) fn touch_all() {
-        let _ = (
-            requests(),
-            busy_rejects(),
-            invalid(),
-            deadline_misses(),
-            completed(),
-            engine_failures(),
-            engine_calls(),
-            dispatched(),
-            batched_requests(),
-            dedup_hits(),
-            result_cache_hits(),
-            result_cache_misses(),
-            result_cache_evictions(),
-            backpressure_pauses(),
-            queue_depth(),
-            open_connections(),
-            result_cache_bytes(),
-        );
-    }
-}
+use egemm::telemetry::metrics::SeriesValue;
 
 /// Latency samples retained for quantile estimation.
 const LATENCY_RING: usize = 4096;
@@ -141,6 +45,11 @@ pub(crate) struct StatsInner {
     /// Requests that attached to an identical in-flight request instead
     /// of dispatching (one engine call fanned out to N tickets).
     pub dedup_hits: AtomicU64,
+    /// Times the network frontend paused a socket on a full queue.
+    pub backpressure_pauses: AtomicU64,
+    /// Network connections currently open (the frontend adds on accept
+    /// and subtracts on close).
+    pub open_connections: AtomicU64,
     latencies: Mutex<LatencyRing>,
 }
 
@@ -165,6 +74,8 @@ impl StatsInner {
             dispatched: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
+            backpressure_pauses: AtomicU64::new(0),
+            open_connections: AtomicU64::new(0),
             latencies: Mutex::new(LatencyRing {
                 samples: Vec::with_capacity(LATENCY_RING),
                 next: 0,
@@ -208,6 +119,9 @@ impl StatsInner {
             dispatched: self.dispatched.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
+            backpressure_pauses: self.backpressure_pauses.load(Ordering::Relaxed),
+            open_connections: self.open_connections.load(Ordering::Relaxed),
+            queue_depth: 0,
             result_cache_hits: 0,
             result_cache_misses: 0,
             result_cache_evictions: 0,
@@ -263,8 +177,15 @@ pub struct ServeStats {
     /// (the dedupe table): no queue slot, no engine dispatch of their
     /// own.
     pub dedup_hits: u64,
+    /// Times the network frontend paused reading a socket because the
+    /// admission queue was full.
+    pub backpressure_pauses: u64,
+    /// Network connections open at snapshot time.
+    pub open_connections: u64,
+    /// Requests in the admission queue at snapshot time.
+    pub queue_depth: u64,
     /// Content-addressed result cache hits (served without any
-    /// dispatch). Snapshot-sourced from the server's [`ResultCache`],
+    /// dispatch). Read from the server's result cache at snapshot time,
     /// like the engine-runtime counters below.
     pub result_cache_hits: u64,
     /// Result-cache lookups that missed (0 while the cache is disabled).
@@ -309,13 +230,50 @@ impl ServeStats {
         }
     }
 
+    /// The snapshot as the `egemm_serve_*` Prometheus series that
+    /// `METRICS` merges into the exposition: 14 counters and 3 gauges.
+    pub fn series(&self) -> Vec<(String, SeriesValue)> {
+        let counters = [
+            ("requests_total", self.submitted),
+            ("busy_rejects_total", self.rejected_busy),
+            ("invalid_total", self.rejected_invalid),
+            (
+                "deadline_misses_total",
+                self.timed_out_before + self.timed_out_after,
+            ),
+            ("completed_total", self.completed),
+            ("engine_failures_total", self.engine_failures),
+            ("engine_calls_total", self.engine_calls),
+            ("dispatched_total", self.dispatched),
+            ("batched_requests_total", self.coalesced),
+            ("dedup_hits_total", self.dedup_hits),
+            ("result_cache_hits_total", self.result_cache_hits),
+            ("result_cache_misses_total", self.result_cache_misses),
+            ("result_cache_evictions_total", self.result_cache_evictions),
+            ("backpressure_pauses_total", self.backpressure_pauses),
+        ]
+        .map(|(name, v)| (name, SeriesValue::Counter(v)));
+        let gauges = [
+            ("queue_depth", self.queue_depth),
+            ("open_connections", self.open_connections),
+            ("result_cache_bytes", self.result_cache_bytes),
+        ]
+        .map(|(name, v)| (name, SeriesValue::Gauge(v as i64)));
+        counters
+            .into_iter()
+            .chain(gauges)
+            .map(|(name, v)| (format!("egemm_serve_{name}"), v))
+            .collect()
+    }
+
     /// JSON rendering (hand-rolled like every exporter in this repo).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"submitted\":{},\"admitted\":{},\"rejected_busy\":{},\"rejected_invalid\":{},\
              \"timed_out_before\":{},\"timed_out_after\":{},\"completed\":{},\
              \"engine_failures\":{},\"engine_calls\":{},\"dispatched\":{},\"coalesced\":{},\
-             \"batched_ratio\":{:.4},\"dedup_hits\":{},\"result_cache_hits\":{},\
+             \"batched_ratio\":{:.4},\"dedup_hits\":{},\"backpressure_pauses\":{},\
+             \"open_connections\":{},\"queue_depth\":{},\"result_cache_hits\":{},\
              \"result_cache_misses\":{},\"result_cache_evictions\":{},\"result_cache_bytes\":{},\
              \"tiles_stolen\":{},\
              \"panel_reuse_hits\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
@@ -332,6 +290,9 @@ impl ServeStats {
             self.coalesced,
             self.batched_ratio(),
             self.dedup_hits,
+            self.backpressure_pauses,
+            self.open_connections,
+            self.queue_depth,
             self.result_cache_hits,
             self.result_cache_misses,
             self.result_cache_evictions,

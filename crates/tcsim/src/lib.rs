@@ -8,7 +8,7 @@
 //! Two orthogonal layers:
 //!
 //! * **Functional layer** — bit-exact numerics.
-//!   [`mma`] implements the Tensor Core compute primitive `D = A×B + C`
+//!   [`mma()`] implements the Tensor Core compute primitive `D = A×B + C`
 //!   with half-precision A/B and the internal operation precision the
 //!   paper's profiling establishes (§3.2: products and accumulation behave
 //!   like single-precision CUDA-core arithmetic, bitwise, up to 21 mantissa

@@ -2,7 +2,7 @@
 //!
 //! Provides the `proptest!` test macro (with the optional inner
 //! `#![proptest_config(...)]` attribute), the [`Strategy`] trait with
-//! `prop_map`, range / [`Just`] / tuple / `prop_oneof!` / [`any`]
+//! `prop_map`, range / [`Just`](strategy::Just) / tuple / `prop_oneof!` / [`any`]
 //! strategies, and the `prop_assert!` / `prop_assert_eq!` macros.
 //!
 //! Differences from the real crate, deliberate for an offline build:

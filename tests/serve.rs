@@ -258,6 +258,7 @@ fn deadline_expires_after_dispatch() {
     let stats = server.stats();
     assert_eq!(stats.timed_out_after, 1);
     assert_eq!(stats.engine_calls, 1, "the engine time was spent");
+    assert_eq!(stats.p50_ns, 0, "a late reply is not a latency sample");
     server.shutdown();
 }
 

@@ -15,6 +15,8 @@
 //!   answered in-band with `invalid`, and the connection and the
 //!   reactor keep serving; STATS and METRICS are answered on the same
 //!   connection as jobs.
+//! - **One store**: every serve series METRICS reports equals the
+//!   STATS field it is read from.
 //! - **Backpressure**: a full admission queue pauses the socket instead
 //!   of answering `Busy`; every pipelined request is eventually served.
 //! - **Graceful drain**: shutdown under load flushes every pending
@@ -333,6 +335,99 @@ fn hostile_frames_are_answered_in_band_and_the_reactor_survives() {
     drop((conn, second));
     evt.shutdown();
     server.shutdown();
+}
+
+/// METRICS and STATS render one store: on a server that has evicted
+/// from its result cache and holds three connections open, every
+/// `egemm_serve_*` series in the exposition equals the STATS field it
+/// is read from. Other tests in this binary serve concurrently in the
+/// same process, so a series shared process-wide would disagree too.
+#[test]
+fn metrics_exposition_agrees_with_stats() {
+    let server = Server::start(
+        engine(1),
+        ServerConfig {
+            // Room for two 16x16 f32 results, so a third evicts one.
+            result_cache_bytes: 2 * 16 * 16 * 4,
+            ..ServerConfig::default()
+        },
+    );
+    let evt = EventServer::bind("127.0.0.1:0", server.client()).expect("bind");
+    let mut conns: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(evt.local_addr()).expect("connect"))
+        .collect();
+    let reqs: Vec<GemmRequest> = (0..3)
+        .map(|i| {
+            GemmRequest::gemm(
+                Matrix::random_uniform(16, 16, 900 + i),
+                Matrix::random_uniform(16, 16, 950 + i),
+            )
+        })
+        .collect();
+    for (i, (conn, req)) in conns.iter_mut().zip(&reqs).enumerate() {
+        write_frame(conn, &binwire::encode_request(i as u64, req)).unwrap();
+        assert!(!read_reply(conn).result.expect("served").cached);
+    }
+    write_frame(&mut conns[0], &binwire::encode_request(3, &reqs[2])).unwrap();
+    let repeat = read_reply(&mut conns[0]).result.expect("served");
+    assert!(repeat.cached, "the newest result is still memoized");
+
+    write_frame(&mut conns[0], &binwire::encode_metrics_request(4)).unwrap();
+    let exposition = read_text(&mut conns[0], 4);
+    write_frame(&mut conns[0], &binwire::encode_stats_request(5)).unwrap();
+    let stats = read_text(&mut conns[0], 5);
+    drop(conns);
+    evt.shutdown();
+    server.shutdown();
+
+    let metric = |name: &str| -> f64 {
+        let line = exposition
+            .lines()
+            .find(|l| l.split_once(' ').is_some_and(|(n, _)| n == name))
+            .unwrap_or_else(|| panic!("exposition is missing {name}:\n{exposition}"));
+        line.rsplit_once(' ').unwrap().1.parse().unwrap()
+    };
+    let field = |key: &str| -> f64 {
+        let at = stats
+            .find(&format!("\"{key}\":"))
+            .unwrap_or_else(|| panic!("STATS is missing {key}: {stats}"));
+        let rest = &stats[at + key.len() + 3..];
+        let end = rest.find([',', '}']).unwrap();
+        rest[..end].parse().unwrap()
+    };
+    assert!(field("result_cache_evictions") > 0.0, "{stats}");
+    assert_eq!(metric("egemm_serve_open_connections"), 3.0, "{exposition}");
+    for (series, fields) in [
+        ("requests_total", &["submitted"][..]),
+        ("busy_rejects_total", &["rejected_busy"]),
+        ("invalid_total", &["rejected_invalid"]),
+        (
+            "deadline_misses_total",
+            &["timed_out_before", "timed_out_after"],
+        ),
+        ("completed_total", &["completed"]),
+        ("engine_failures_total", &["engine_failures"]),
+        ("engine_calls_total", &["engine_calls"]),
+        ("dispatched_total", &["dispatched"]),
+        ("batched_requests_total", &["coalesced"]),
+        ("dedup_hits_total", &["dedup_hits"]),
+        ("result_cache_hits_total", &["result_cache_hits"]),
+        ("result_cache_misses_total", &["result_cache_misses"]),
+        ("result_cache_evictions_total", &["result_cache_evictions"]),
+        ("backpressure_pauses_total", &["backpressure_pauses"]),
+        ("result_cache_bytes", &["result_cache_bytes"]),
+        ("open_connections", &["open_connections"]),
+        ("queue_depth", &["queue_depth"]),
+    ] {
+        let name = format!("egemm_serve_{series}");
+        let want: f64 = fields.iter().map(|f| field(f)).sum();
+        assert_eq!(metric(&name), want, "{name} vs STATS {stats}");
+    }
+    let serve_series = exposition
+        .lines()
+        .filter(|l| l.starts_with("egemm_serve_"))
+        .count();
+    assert_eq!(serve_series, 17, "every serve series checked once");
 }
 
 #[test]

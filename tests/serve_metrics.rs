@@ -1,8 +1,9 @@
 //! The metrics-plane gate: a probed shared-B burst and a memo repeat
 //! over the event-loop frontend, then a METRICS scrape. The exposition
 //! must parse line by line, carry every engine, serve,
-//! numerical-health and JIT family that `egemm_top` and alerting read,
-//! and report zero bound violations.
+//! numerical-health and JIT family that `egemm_top` and alerting read
+//! with no series or `# TYPE` line twice, and report zero bound
+//! violations.
 //!
 //! This is its own test binary because `egemm::set_probe_rate` and
 //! `telemetry::set_enabled` switch process-wide state.
@@ -99,7 +100,29 @@ fn metrics_scrape_parses_and_carries_every_family() {
         let value: f64 = value
             .parse()
             .unwrap_or_else(|_| panic!("non-numeric value in {line:?}"));
-        series.insert(name, value);
+        assert!(
+            series.insert(name, value).is_none(),
+            "duplicate series {name:?}:\n{exposition}"
+        );
+    }
+    // Each family has exactly one `# TYPE` line, and every series
+    // belongs to a typed family (histograms via their suffixes).
+    let mut typed = HashSet::new();
+    for line in exposition.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let family = line.split(' ').next().unwrap_or(line);
+        assert!(
+            typed.insert(family),
+            "family {family} has more than one # TYPE line:\n{exposition}"
+        );
+    }
+    for name in series.keys() {
+        let base = name.split('{').next().unwrap_or(name);
+        assert!(
+            ["", "_bucket", "_sum", "_count"]
+                .iter()
+                .any(|suffix| base.strip_suffix(suffix).is_some_and(|f| typed.contains(f))),
+            "series {name} has no # TYPE line:\n{exposition}"
+        );
     }
     for name in [
         "egemm_gemm_calls_total",
