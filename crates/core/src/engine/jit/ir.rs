@@ -9,7 +9,10 @@
 //! unrolled trailing `kcb % tk` chunk, and a store epilogue. The value
 //! stream per output element is, by construction, exactly the
 //! interpreted microkernel's: ascending k within a chunk, terms in
-//! order per chunk, one separate binary32 multiply and add per product.
+//! order per chunk, one [`Op::Fma`] per product. Fusing rounds exactly
+//! like the interpreter's multiply and add because every multiplicand
+//! is a widened binary16, whose products are exact in binary32 (see
+//! [`super`] for the argument and the NaN clause).
 //!
 //! Virtual registers are plain indices; [`super::regalloc`] maps them
 //! onto physical ymm/zmm registers and [`super::x86`] encodes the
@@ -114,10 +117,8 @@ pub(crate) enum Op {
     LoadB { dst: VReg, plane: Plane, off: i32 },
     /// Broadcast one A scalar to all lanes.
     BroadcastA { dst: VReg, plane: Plane, off: i32 },
-    /// `dst = a * b` (separate multiply — never contracted into FMA).
-    Mul { dst: VReg, a: VReg, b: VReg },
-    /// `dst = a + b`.
-    Add { dst: VReg, a: VReg, b: VReg },
+    /// `acc = acc + a * b`, one fused multiply-add.
+    Fma { acc: VReg, a: VReg, b: VReg },
     /// Store accumulator `src` to C `row`, vector position `vec`.
     StoreAcc {
         src: VReg,
@@ -205,7 +206,7 @@ fn mode_of(spec: &KernelSpec, row: usize, vec: usize) -> MaskMode {
 /// step, rows ascending with vector position 0 before 1 — matching
 /// `microkernel_avx` exactly (lane streams are independent, so only
 /// the per-element order matters, and that is per (term, kk) one
-/// multiply and one add).
+/// fused multiply-add).
 pub(crate) fn lower(spec: &KernelSpec) -> Program {
     let mut next: VReg = 0;
     let mut fresh = || {
@@ -268,16 +269,10 @@ pub(crate) fn lower(spec: &KernelSpec) -> Program {
                         off: (kk * MR * 4 + r * 4) as i32,
                     });
                     for (v, &av) in a.iter().enumerate() {
-                        let t = fresh();
-                        ops.push(Op::Mul {
-                            dst: t,
+                        ops.push(Op::Fma {
+                            acc: av,
                             a: ar,
                             b: if v == 0 { b0 } else { b1 },
-                        });
-                        ops.push(Op::Add {
-                            dst: av,
-                            a: av,
-                            b: t,
                         });
                     }
                 }
@@ -348,9 +343,9 @@ mod tests {
         assert_eq!(p.advance_a, 8 * MR as i32 * 4);
         assert_eq!(p.advance_b, 8 * NR as i32 * 4);
         // Body: per term (2) per step (8): 2 B loads + 4 broadcasts +
-        // 8 muls + 8 adds = 22 ops.
-        assert_eq!(p.body.len(), 2 * 8 * 22);
-        assert_eq!(p.ragged.len(), 2 * 4 * 22);
+        // 8 FMAs = 14 ops.
+        assert_eq!(p.body.len(), 2 * 8 * 14);
+        assert_eq!(p.ragged.len(), 2 * 4 * 14);
         assert!(p.mask_lanes.is_none());
         // 3 valid rows x 2 full vectors stored; row 3 skipped.
         assert_eq!(p.epilogue.len(), 6);
@@ -401,6 +396,6 @@ mod tests {
         });
         assert_eq!(p.full_chunks, 0);
         assert!(p.body.is_empty(), "no full chunk: no loop body");
-        assert_eq!(p.ragged.len(), 2 * 5 * 22);
+        assert_eq!(p.ragged.len(), 2 * 5 * 14);
     }
 }

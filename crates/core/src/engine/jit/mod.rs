@@ -21,11 +21,31 @@
 //! [`KernelCache`] next to the packed-operand cache, compiled exactly
 //! once per key.
 //!
-//! **The interpreted kernel stays the bit-identity oracle.** Every
-//! freshly compiled kernel is replayed against it on a synthetic tile
-//! before publication; a mismatch (an encoder bug, a CPU we
-//! mis-detected) poisons that key and the engine silently keeps using
-//! the interpreted path — degraded throughput, never corrupted bits.
+//! **Each product is one fused multiply-add, and fusing is exact.** The
+//! interpreted kernel updates an accumulator with a separate binary32
+//! multiply and add; a compiled kernel issues one `vfmadd231ps`, which
+//! rounds `acc + a * b` once. The two agree because every value a
+//! kernel multiplies is a widened binary16: the scalar split, the SIMD
+//! split (`vcvtps2ph` then `vcvtph2ps`) and the packs' zero padding
+//! produce nothing else, and [`crate::SplitMatrix`] keeps its planes
+//! private. A product of two binary16 values has at most 22
+//! significant bits and, unless it is zero, infinite or NaN, a
+//! magnitude in [2^-48, 2^32], so the multiply never rounds and the
+//! fused and separate forms return the same bits. The output contract:
+//! - every non-NaN output is bit-identical to the interpreted kernel
+//!   and to [`crate::emulated_gemm_entrywise`];
+//! - NaN appears at exactly the oracle's positions;
+//! - a NaN's sign and payload are unspecified. FMA returns a
+//!   multiplicand's NaN before the accumulator's, and the interpreted
+//!   kernel's choice already differs from the scalar oracle's.
+//!
+//! **The interpreted kernel stays the oracle.** Every freshly compiled
+//! kernel is replayed against it before publication on a tile of
+//! finite binary16 planes (`to_bits` equality) and on a tile of NaN,
+//! Inf, ±65504, ±2^-24 and -0 (same bits, or NaN on both sides); a
+//! mismatch (an encoder bug, a CPU we mis-detected) poisons that key
+//! and the engine silently keeps using the interpreted path — degraded
+//! throughput, never corrupted bits.
 //! `EGEMM_JIT=0` (or `EngineConfig::jit = false`) disables the whole
 //! layer, in which case no executable page is ever mapped
 //! ([`exec_mappings`] stays zero — enforced by `tests/jit_gate.rs`).
@@ -44,6 +64,7 @@ use super::pack::{MR, NR};
 use crate::envcfg::{self, EnvNum};
 use crate::telemetry::hist::LogHistogram;
 use crate::telemetry::{self, metrics};
+use egemm_fp::{split_planes_f32, Half, SplitKernel, SplitScheme};
 use exec::ExecBuf;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,11 +160,17 @@ impl KernelKey {
 }
 
 /// Best kernel ISA this machine supports, `None` where the emitter has
-/// no backend. AVX-512F implies the AVX forms single-strip kernels
-/// use, so `Avx512` means *both* shapes are available.
+/// no backend. Both backends emit `vfmadd231ps`, so both need FMA: an
+/// AVX host without it (pre-2013 parts) runs the interpreter, and
+/// every AVX-512F part has it. AVX-512F implies the AVX forms
+/// single-strip kernels use, so `Avx512` means *both* shapes are
+/// available.
 pub(crate) fn supported_isa() -> Option<Isa> {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
+        if !std::arch::is_x86_feature_detected!("fma") {
+            return None;
+        }
         if std::arch::is_x86_feature_detected!("avx512f") {
             return Some(Isa::Avx512);
         }
@@ -334,85 +361,179 @@ fn compile(key: &KernelKey) -> Option<CompiledKernel> {
     Some(CompiledKernel { _buf: buf, entry })
 }
 
-/// Deterministic value stream for verification tiles.
+/// One step of the deterministic LCG behind verification tiles: 24
+/// fresh bits.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 40
+}
+
+/// Deterministic value stream for verification tiles, in [-0.5, 0.5).
 fn fill(state: &mut u64, len: usize) -> Vec<f32> {
     (0..len)
-        .map(|_| {
-            *state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((*state >> 40) as f32) / (1u64 << 24) as f32 - 0.5
-        })
+        .map(|_| lcg(state) as f32 / (1u64 << 24) as f32 - 0.5)
         .collect()
 }
 
+/// [`fill`] rounded to binary16 and widened back, the only plane data
+/// the engine feeds a kernel. The hi plane of a round split is
+/// `Half::from_f32(x).to_f32()` bit for bit, and its SIMD path keeps
+/// the rounding from dominating the compile of a deep kernel, as the
+/// scalar conversion would.
+fn fill_half(state: &mut u64, len: usize) -> Vec<f32> {
+    let xs = fill(state, len);
+    let (mut hi, mut lo) = (vec![0f32; len], vec![0f32; len]);
+    split_planes_f32(SplitKernel::Auto, SplitScheme::Round, &xs, &mut hi, &mut lo);
+    hi
+}
+
+/// Plane values at the edges of the exactness argument, as binary16
+/// bits: a NaN with a payload, +Inf, -Inf, ±65504 (products near
+/// 2^32), ±2^-24 (products down to 2^-48) and -0. The non-finite ones
+/// come first: [`Tile::with_specials`] plants entry `j < 3` in A row
+/// `j` and B column `j`.
+const PLANE_SPECIALS: [u16; 8] = [
+    0x7e55, 0x7c00, 0xfc00, 0x7bff, 0xfbff, 0x0001, 0x8001, 0x8000,
+];
+
+/// C values outside the plane domain: a NaN with a payload, ±Inf and
+/// the smallest binary32 subnormal.
+const C_SPECIALS: [u32; 4] = [0xffc0_4567, 0x7f80_0000, 0xff80_0000, 0x0000_0001];
+
+/// The operand planes and the `MR x n` output buffer of one
+/// verification replay.
+#[derive(Clone)]
+struct Tile {
+    a_hi: Vec<f32>,
+    a_lo: Vec<f32>,
+    b_hi: Vec<f32>,
+    b_lo: Vec<f32>,
+    out: Vec<f32>,
+}
+
+/// Mirror the worker exactly: planes a scheme never reads are empty
+/// slices (dangling pointers a correct kernel never dereferences).
+/// `side` picks a term's A (`0`) or B (`1`) flag.
+fn pair<'a>(terms: &[(bool, bool)], side: usize, hi: &'a [f32], lo: &'a [f32]) -> PlanePair<'a> {
+    let used = |lo_part: bool| terms.iter().any(|t| [t.0, t.1][side] == lo_part);
+    PlanePair {
+        hi: if used(false) { hi } else { &[] },
+        lo: if used(true) { lo } else { &[] },
+    }
+}
+
+impl Tile {
+    /// Finite binary16 planes and arbitrary binary32 C.
+    fn finite(spec: &ir::KernelSpec, n: usize, seed: &mut u64) -> Tile {
+        let b_len = spec.isa.strips() * spec.kcb * NR;
+        Tile {
+            a_hi: fill_half(seed, spec.kcb * MR),
+            a_lo: fill_half(seed, spec.kcb * MR),
+            b_hi: fill_half(seed, b_len),
+            b_lo: fill_half(seed, b_len),
+            out: fill(seed, MR * n),
+        }
+    }
+
+    /// This tile with every [`PLANE_SPECIALS`] entry planted at one k
+    /// step in all four planes, so the A and B copies meet in one
+    /// product (65504^2, 2^-48, Inf * x). NaN and Inf poison a whole
+    /// output row and column, so they take fixed rows and columns
+    /// `0..3`, which leaves the rest of a full tile finite. Each
+    /// [`C_SPECIALS`] entry lands on a valid output.
+    fn with_specials(&self, spec: &ir::KernelSpec, n: usize, seed: &mut u64) -> Tile {
+        let mut t = self.clone();
+        let mut draw = |bound: usize| lcg(seed) as usize % bound;
+        for (j, &h) in PLANE_SPECIALS.iter().enumerate() {
+            let v = Half::from_bits(h).to_f32();
+            let k = draw(spec.kcb);
+            let (r, c) = if v.is_finite() {
+                (draw(MR), draw(spec.isa.strips() * NR))
+            } else {
+                (j, j)
+            };
+            t.a_hi[k * MR + r] = v;
+            t.a_lo[k * MR + r] = v;
+            let b = (c / NR * spec.kcb + k) * NR + c % NR;
+            t.b_hi[b] = v;
+            t.b_lo[b] = v;
+        }
+        for &bits in &C_SPECIALS {
+            let i = draw(spec.rows) * n + draw(spec.cols);
+            t.out[i] = f32::from_bits(bits);
+        }
+        t
+    }
+
+    /// The interpreted kernel's output, one strip at a time (exactly
+    /// the fallback path the worker would run for this tile).
+    fn interpreted(&self, spec: &ir::KernelSpec, n: usize) -> Vec<f32> {
+        let kcb = spec.kcb;
+        let a = pair(&spec.terms, 0, &self.a_hi, &self.a_lo);
+        let mut out = self.out.clone();
+        for s in 0..spec.isa.strips() {
+            let cols_s = NR.min(spec.cols.saturating_sub(s * NR));
+            if cols_s == 0 {
+                continue;
+            }
+            let sliver = s * kcb * NR..(s + 1) * kcb * NR;
+            let b = pair(
+                &spec.terms,
+                1,
+                &self.b_hi[sliver.clone()],
+                &self.b_lo[sliver],
+            );
+            // SAFETY: out is MR x n with rows <= MR, s*NR + cols_s <= n.
+            unsafe {
+                let mut acc = load_acc(out.as_ptr(), n, 0, s * NR, spec.rows, cols_s);
+                microkernel(&mut acc, a, b, kcb, spec.tk, &spec.terms);
+                store_acc(&acc, out.as_mut_ptr(), n, 0, s * NR, spec.rows, cols_s);
+            }
+        }
+        out
+    }
+
+    /// Whether `entry` reproduces [`Tile::interpreted`] over the whole
+    /// output buffer under `eq`.
+    fn agrees(
+        &self,
+        spec: &ir::KernelSpec,
+        entry: KernelFn,
+        n: usize,
+        eq: fn(f32, f32) -> bool,
+    ) -> bool {
+        let mut out = self.out.clone();
+        let a = pair(&spec.terms, 0, &self.a_hi, &self.a_lo);
+        let b = pair(&spec.terms, 1, &self.b_hi, &self.b_lo);
+        // SAFETY: the kernel was emitted for exactly this spec; the
+        // planes hold `strips` packed slivers and `out` an MR x n
+        // output region.
+        unsafe { call(entry, a, b, out.as_mut_ptr(), n) };
+        out.iter()
+            .zip(&self.interpreted(spec, n))
+            .all(|(&x, &y)| eq(x, y))
+    }
+}
+
 /// Replay a freshly compiled kernel against the interpreted microkernel
-/// on a synthetic tile (non-trivial row stride, every term plane
-/// populated, padded lanes seeded with sentinels) and demand `to_bits`
-/// equality over the whole output buffer — including the lanes the
-/// kernel must *not* touch.
+/// on two synthetic tiles with a non-trivial row stride, every term
+/// plane populated and padded lanes seeded with sentinels, comparing
+/// the whole output buffer, including the lanes the kernel must *not*
+/// touch:
+/// - [`Tile::finite`], with `to_bits` equality;
+/// - the same tile [`Tile::with_specials`], with the same bits or NaN
+///   on both sides (the output contract's NaN clause).
 fn verify(spec: &ir::KernelSpec, entry: KernelFn) -> bool {
-    let (kcb, tk) = (spec.kcb, spec.tk);
-    let strips = spec.isa.strips();
-    let a_hi_used = spec.terms.iter().any(|t| !t.0);
-    let a_lo_used = spec.terms.iter().any(|t| t.0);
-    let b_hi_used = spec.terms.iter().any(|t| !t.1);
-    let b_lo_used = spec.terms.iter().any(|t| t.1);
-
-    let mut seed = 0x9E3779B97F4A7C15u64 ^ ((kcb as u64) << 32 | spec.cols as u64);
-    let a_hi = fill(&mut seed, kcb * MR);
-    let a_lo = fill(&mut seed, kcb * MR);
-    let b_hi = fill(&mut seed, strips * kcb * NR);
-    let b_lo = fill(&mut seed, strips * kcb * NR);
     let n = spec.cols + 3; // stride != cols exercises the row addressing
-    let mut out_jit = fill(&mut seed, MR * n);
-    let mut out_ref = out_jit.clone();
-
-    // Mirror the worker exactly: planes a scheme never reads are empty
-    // slices (dangling pointers a correct kernel never dereferences).
-    fn plane(used: bool, v: &[f32]) -> &[f32] {
-        if used {
-            v
-        } else {
-            &[]
-        }
-    }
-    let a_pair = PlanePair {
-        hi: plane(a_hi_used, &a_hi),
-        lo: plane(a_lo_used, &a_lo),
-    };
-
-    // Interpreted reference, one strip at a time (exactly the fallback
-    // path the worker would run for this tile).
-    for s in 0..strips {
-        let cols_s = NR.min(spec.cols.saturating_sub(s * NR));
-        if cols_s == 0 {
-            continue;
-        }
-        let b_pair = PlanePair {
-            hi: plane(b_hi_used, &b_hi[s * kcb * NR..(s + 1) * kcb * NR]),
-            lo: plane(b_lo_used, &b_lo[s * kcb * NR..(s + 1) * kcb * NR]),
-        };
-        // SAFETY: out_ref is MR x n with rows <= MR, s*NR + cols_s <= n.
-        unsafe {
-            let mut acc = load_acc(out_ref.as_ptr(), n, 0, s * NR, spec.rows, cols_s);
-            microkernel(&mut acc, a_pair, b_pair, kcb, tk, &spec.terms);
-            store_acc(&acc, out_ref.as_mut_ptr(), n, 0, s * NR, spec.rows, cols_s);
-        }
-    }
-
-    let b_pair = PlanePair {
-        hi: plane(b_hi_used, &b_hi),
-        lo: plane(b_lo_used, &b_lo),
-    };
-    // SAFETY: the kernel was emitted for exactly this spec; buffers
-    // hold `strips` packed slivers and an MR x n output region.
-    unsafe { call(entry, a_pair, b_pair, out_jit.as_mut_ptr(), n) };
-
-    out_jit
-        .iter()
-        .zip(&out_ref)
-        .all(|(x, y)| x.to_bits() == y.to_bits())
+    let mut seed = 0x9E3779B97F4A7C15u64 ^ ((spec.kcb as u64) << 32 | spec.cols as u64);
+    let finite = Tile::finite(spec, n, &mut seed);
+    let specials = finite.with_specials(spec, n, &mut seed);
+    finite.agrees(spec, entry, n, |x, y| x.to_bits() == y.to_bits())
+        && specials.agrees(spec, entry, n, |x, y| {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        })
 }
 
 #[cfg(test)]

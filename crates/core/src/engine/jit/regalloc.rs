@@ -10,8 +10,8 @@
 //! overlapping ranges sharing a register is a valid allocation.
 //!
 //! Sixteen physical registers cover the worst case with room to spare:
-//! 8 accumulators + 1 lane mask + 2 B vectors + 1 broadcast + 1
-//! product temporary = 13 simultaneously live.
+//! 8 accumulators + 1 lane mask + 2 B vectors + 1 broadcast = 12
+//! simultaneously live (an FMA accumulates in place: no temporary).
 
 use super::ir::{Op, Program, VReg};
 
@@ -32,15 +32,14 @@ impl Allocation {
     }
 }
 
-/// Registers an op writes / reads. An `Add { dst, a, .. }` with
-/// `dst == a` (the accumulator update) both reads and writes it, which
-/// the range arithmetic below handles naturally.
+/// Registers an op writes / reads. An `Fma` both reads and writes its
+/// accumulator, which the range arithmetic below handles naturally.
 fn defs_uses(op: &Op) -> (Option<VReg>, [Option<VReg>; 3]) {
     match *op {
         Op::LoadAcc { dst, mask, .. } => (Some(dst), [mask, None, None]),
         Op::LoadMask { dst } => (Some(dst), [None; 3]),
         Op::LoadB { dst, .. } | Op::BroadcastA { dst, .. } => (Some(dst), [None; 3]),
-        Op::Mul { dst, a, b } | Op::Add { dst, a, b } => (Some(dst), [Some(a), Some(b), None]),
+        Op::Fma { acc, a, b } => (Some(acc), [Some(acc), Some(a), Some(b)]),
         Op::StoreAcc { src, mask, .. } => (None, [Some(src), mask, None]),
     }
 }
@@ -78,7 +77,7 @@ pub(crate) fn allocate(prog: &Program) -> Option<Allocation> {
     let mut map = vec![u8::MAX; n];
     let mut free: Vec<u8> = (0..PHYS_REGS as u8).rev().collect();
     // Active ranges ordered by endpoint would be asymptotically nicer;
-    // with <= 14 live values a scan per op is already negligible next
+    // with <= 12 live values a scan per op is already negligible next
     // to encoding.
     let mut active: Vec<(u32, VReg)> = Vec::new(); // (last use, vreg)
     for (pos, op) in stream.iter().enumerate() {
@@ -107,6 +106,15 @@ pub(crate) fn allocate(prog: &Program) -> Option<Allocation> {
 mod tests {
     use super::super::ir::{lower, Isa, KernelSpec};
     use super::*;
+
+    impl Allocation {
+        /// `vreg v` in physical register `v`, for encoder golden tests.
+        pub(crate) fn identity() -> Allocation {
+            Allocation {
+                map: (0..PHYS_REGS as u8).collect(),
+            }
+        }
+    }
 
     fn alloc_for(isa: Isa, nterms: usize, cols: usize) -> (Program, Allocation) {
         let spec = KernelSpec {

@@ -15,9 +15,9 @@
 //! C rows address as `[rax]`, `[rax+rcx]`, `[rax+rcx*2]`, `[rax+rsi]`.
 //! AVX kernels fetch their single lane mask from a RIP-relative
 //! literal pool appended after the code; AVX-512 kernels build theirs
-//! in `k1` with `kmovw`. Multiplies and adds are emitted as separate
-//! `vmulps`/`vaddps` (`vpxord`/EVEX forms under AVX-512) — never FMA —
-//! so every lane replays the interpreted kernel's rounding sequence.
+//! in `k1` with `kmovw`. Each product is one `vfmadd231ps`, which
+//! rounds like the interpreter's multiply and add because every
+//! multiplicand is a widened binary16 (the argument is in [`super`]).
 
 use super::ir::{Isa, MaskMode, Op, Plane, Program};
 use super::regalloc::Allocation;
@@ -309,17 +309,13 @@ fn emit_op(a: &mut Asm, isa: Isa, alloc: &Allocation, op: &Op) {
                 a.vex(2, 1, 0, 1, 0x18, d, NO_VVVV, mem);
             }
         }
-        Op::Mul { dst, a: x, b } | Op::Add { dst, a: x, b } => {
-            let opc = if matches!(op, Op::Mul { .. }) {
-                0x59
-            } else {
-                0x58
-            };
-            let (d, x, b) = (alloc.phys(dst), alloc.phys(x), alloc.phys(b));
+        // vfmadd231ps acc, a, b: acc = a * b + acc, one rounding.
+        Op::Fma { acc, a: x, b } => {
+            let (d, x, b) = (alloc.phys(acc), alloc.phys(x), alloc.phys(b));
             if avx512 {
-                a.evex(1, 0, 0, opc, d, x, Rm::Reg(b), 0, 0);
+                a.evex(2, 1, 0, 0xB8, d, x, Rm::Reg(b), 0, 0);
             } else {
-                a.vex(1, 0, 0, 1, opc, d, x, Rm::Reg(b));
+                a.vex(2, 1, 0, 1, 0xB8, d, x, Rm::Reg(b));
             }
         }
         Op::StoreAcc {
@@ -442,6 +438,180 @@ mod tests {
         let prog = lower(&spec);
         let alloc = allocate(&prog).unwrap();
         emit(&prog, &alloc)
+    }
+
+    /// Encode one op on a fresh assembler, `vreg v` in register `v`.
+    fn encode(isa: Isa, op: Op) -> Vec<u8> {
+        let mut a = Asm::new();
+        emit_op(&mut a, isa, &Allocation::identity(), &op);
+        a.code
+    }
+
+    /// Every vector instruction form the emitter produces, against
+    /// encodings derived by hand from the VEX and EVEX prefix layouts
+    /// in chapter 2 of the Intel SDM, Vol. 2. The encoder always uses
+    /// the three-byte VEX prefix and, under EVEX, disp32 memory
+    /// operands; `finish` patches the RIP-relative displacement later.
+    #[test]
+    fn golden_encodings() {
+        use Isa::{Avx, Avx512};
+        use MaskMode::{Full, Masked, Skip};
+        let acc = |dst, row, vec, mode, mask| Op::LoadAcc {
+            dst,
+            row,
+            vec,
+            mode,
+            mask,
+        };
+        let st = |src, row, vec, mode, mask| Op::StoreAcc {
+            src,
+            row,
+            vec,
+            mode,
+            mask,
+        };
+        let rows: Vec<(Isa, Op, &[u8], &str)> = vec![
+            (
+                Avx,
+                acc(1, 0, 1, Full, None),
+                &[0xC4, 0xE1, 0x7C, 0x10, 0x48, 0x20],
+                "vmovups ymm1, [rax+0x20]",
+            ),
+            (
+                Avx,
+                st(13, 3, 0, Full, None),
+                &[0xC4, 0x61, 0x7C, 0x11, 0x2C, 0x30],
+                "vmovups [rax+rsi], ymm13",
+            ),
+            (
+                Avx,
+                Op::LoadB {
+                    dst: 6,
+                    plane: Plane::BLo,
+                    off: 0x500,
+                },
+                &[0xC4, 0xC1, 0x7C, 0x10, 0xB3, 0x00, 0x05, 0x00, 0x00],
+                "vmovups ymm6, [r11+0x500]",
+            ),
+            (
+                Avx,
+                Op::LoadMask { dst: 7 },
+                &[0xC4, 0xE1, 0x7C, 0x10, 0x3D, 0, 0, 0, 0],
+                "vmovups ymm7, [rip+disp32]",
+            ),
+            (
+                Avx,
+                acc(2, 1, 1, Masked, Some(3)),
+                &[0xC4, 0xE2, 0x65, 0x2C, 0x54, 0x08, 0x20],
+                "vmaskmovps ymm2, ymm3, [rax+rcx+0x20]",
+            ),
+            (
+                Avx,
+                st(4, 2, 1, Masked, Some(3)),
+                &[0xC4, 0xE2, 0x65, 0x2E, 0x64, 0x48, 0x20],
+                "vmaskmovps [rax+rcx*2+0x20], ymm3, ymm4",
+            ),
+            (
+                Avx,
+                acc(5, 3, 0, Skip, None),
+                &[0xC4, 0xE1, 0x54, 0x57, 0xED],
+                "vxorps ymm5, ymm5, ymm5",
+            ),
+            (
+                Avx,
+                Op::BroadcastA {
+                    dst: 9,
+                    plane: Plane::ALo,
+                    off: 0x1C,
+                },
+                &[0xC4, 0x42, 0x7D, 0x18, 0x49, 0x1C],
+                "vbroadcastss ymm9, [r9+0x1c]",
+            ),
+            (
+                Avx,
+                Op::Fma { acc: 0, a: 1, b: 2 },
+                &[0xC4, 0xE2, 0x75, 0xB8, 0xC2],
+                "vfmadd231ps ymm0, ymm1, ymm2",
+            ),
+            (
+                Avx,
+                Op::Fma {
+                    acc: 12,
+                    a: 8,
+                    b: 15,
+                },
+                &[0xC4, 0x42, 0x3D, 0xB8, 0xE7],
+                "vfmadd231ps ymm12, ymm8, ymm15",
+            ),
+            (
+                Avx512,
+                Op::LoadB {
+                    dst: 1,
+                    plane: Plane::BHi,
+                    off: 0x40,
+                },
+                &[0x62, 0xD1, 0x7C, 0x48, 0x10, 0x8A, 0x40, 0, 0, 0],
+                "vmovups zmm1, [r10+0x40]",
+            ),
+            (
+                Avx512,
+                st(4, 0, 0, Full, None),
+                &[0x62, 0xF1, 0x7C, 0x48, 0x11, 0xA0, 0, 0, 0, 0],
+                "vmovups [rax+0x0], zmm4",
+            ),
+            (
+                Avx512,
+                acc(2, 1, 1, Masked, None),
+                &[0x62, 0xF1, 0x7C, 0xC9, 0x10, 0x94, 0x08, 0x40, 0, 0, 0],
+                "vmovups zmm2{k1}{z}, [rax+rcx+0x40]",
+            ),
+            (
+                Avx512,
+                st(3, 3, 1, Masked, None),
+                &[0x62, 0xF1, 0x7C, 0x49, 0x11, 0x9C, 0x30, 0x40, 0, 0, 0],
+                "vmovups [rax+rsi+0x40]{k1}, zmm3",
+            ),
+            (
+                Avx512,
+                acc(5, 2, 0, Skip, None),
+                &[0x62, 0xF1, 0x55, 0x48, 0xEF, 0xED],
+                "vpxord zmm5, zmm5, zmm5",
+            ),
+            (
+                Avx512,
+                Op::BroadcastA {
+                    dst: 6,
+                    plane: Plane::AHi,
+                    off: 0x0C,
+                },
+                &[0x62, 0xD2, 0x7D, 0x48, 0x18, 0xB0, 0x0C, 0, 0, 0],
+                "vbroadcastss zmm6, [r8+0xc]",
+            ),
+            (
+                Avx512,
+                Op::Fma { acc: 0, a: 1, b: 2 },
+                &[0x62, 0xF2, 0x75, 0x48, 0xB8, 0xC2],
+                "vfmadd231ps zmm0, zmm1, zmm2",
+            ),
+            (
+                Avx512,
+                Op::Fma {
+                    acc: 14,
+                    a: 8,
+                    b: 10,
+                },
+                &[0x62, 0x52, 0x3D, 0x48, 0xB8, 0xF2],
+                "vfmadd231ps zmm14, zmm8, zmm10",
+            ),
+        ];
+        for (isa, op, want, asm) in rows {
+            assert_eq!(encode(isa, op), want, "{asm}");
+        }
+        // The AVX-512 edge mask: `mov eax, 0x7f; kmovw k1, eax` for a
+        // 23-column kernel (7 valid lanes in strip 1), first in the code.
+        let code = emit_for(Isa::Avx512, 23, 24);
+        let kmovw = [0xB8, 0x7F, 0, 0, 0, 0xC4, 0xE1, 0x78, 0x92, 0xC8];
+        assert_eq!(code[..10], kmovw, "mov eax, 0x7f; kmovw k1, eax");
     }
 
     #[test]

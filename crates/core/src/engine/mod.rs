@@ -22,15 +22,21 @@
 //! The engine is numerically *invisible*: per output element it replays
 //! exactly the profiled Tensor-Core accumulation order — ascending k in
 //! `tk`-sized chunks, the scheme's terms in issue order within a chunk,
-//! one separate binary32 multiply and add per product. Blocking over i/j
+//! one binary32 multiply and add per product. The JIT's kernels fuse
+//! that pair into one FMA, which rounds the same way because every
+//! multiplicand is a widened binary16 and every such product is exact
+//! in binary32. Blocking over i/j
 //! only reorders *which elements* are computed when, never the value
 //! stream within one element. Blocking over k is only legal because `kc`
 //! is forced to a multiple of `tk` (panel seams land on chunk
 //! boundaries) and the partial accumulator is carried through the output
-//! buffer in binary32 — a lossless round-trip. Every output is
-//! therefore bit-identical to [`crate::emulated_gemm_entrywise`]; the
-//! proptest suite in `tests/prop_engine.rs` enforces that with
-//! `to_bits` equality.
+//! buffer in binary32 — a lossless round-trip. Every non-NaN output is
+//! therefore bit-identical to [`crate::emulated_gemm_entrywise`], and
+//! NaN appears at exactly the oracle's positions; a NaN's sign and
+//! payload are unspecified (the `jit` module doc gives the argument).
+//! The proptest suite in `tests/prop_engine.rs` enforces that with
+//! `to_bits` equality, and its special-values test checks the NaN
+//! clause.
 //!
 //! The public surface is one plan and one executor: a [`GemmPlan`]
 //! names the operands (A as split planes or raw f32; B as split planes,
@@ -84,10 +90,13 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Dispatch tiles through JIT-compiled shape-specialized
     /// microkernels when the process supports them (x86-64 Linux with
-    /// AVX, `EGEMM_JIT` not set to `0`). The interpreted microkernel
-    /// remains the bit-identity oracle: every compiled kernel is
+    /// AVX and FMA, `EGEMM_JIT` not set to `0`). The interpreted
+    /// microkernel remains the oracle: every compiled kernel is
     /// verified against it before first use, and any tile the JIT does
-    /// not cover falls back transparently. Default on.
+    /// not cover falls back transparently. Either way the output keeps
+    /// the engine's contract: non-NaN outputs bit-identical to
+    /// [`crate::emulated_gemm_entrywise`], NaN at its positions.
+    /// Default on.
     pub jit: bool,
 }
 

@@ -20,10 +20,13 @@ pub struct SplitMatrix {
     pub hi: Matrix<Half>,
     /// Low plane.
     pub lo: Matrix<Half>,
-    /// Exact binary32 widening of `hi` (row-major).
-    pub hi_f32: Vec<f32>,
+    /// Exact binary32 widening of `hi` (row-major). Private, like
+    /// `lo_f32`: the JIT's fused multiply-add is exact only while every
+    /// plane value is a widened binary16, so only the split writes
+    /// them; read through [`SplitMatrix::plane`].
+    hi_f32: Vec<f32>,
     /// Exact binary32 widening of `lo`.
-    pub lo_f32: Vec<f32>,
+    lo_f32: Vec<f32>,
     /// The scheme used.
     pub scheme: SplitScheme,
 }
@@ -83,8 +86,8 @@ impl SplitMatrix {
         self.cols
     }
 
-    /// The binary32 plane selected by `lo_part`: `lo_f32` if true else
-    /// `hi_f32`.
+    /// The exact binary32 widening of the plane selected by `lo_part`:
+    /// `lo` if true, else `hi` (row-major).
     #[inline]
     pub fn plane(&self, lo_part: bool) -> &[f32] {
         if lo_part {
@@ -122,7 +125,7 @@ mod tests {
                 let s = egemm_fp::round_split(src.get(r, c));
                 assert_eq!(sm.hi.get(r, c).to_bits(), s.hi.to_bits());
                 assert_eq!(sm.lo.get(r, c).to_bits(), s.lo.to_bits());
-                assert_eq!(sm.hi_f32[r * 23 + c], s.hi.to_f32());
+                assert_eq!(sm.plane(false)[r * 23 + c], s.hi.to_f32());
             }
         }
     }
@@ -149,11 +152,11 @@ mod tests {
             let scalar = SplitMatrix::split_with(&src, scheme, SplitKernel::Scalar);
             assert_eq!(auto.hi.as_slice(), scalar.hi.as_slice());
             assert_eq!(auto.lo.as_slice(), scalar.lo.as_slice());
-            for (x, y) in auto.hi_f32.iter().zip(&scalar.hi_f32) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for (x, y) in auto.lo_f32.iter().zip(&scalar.lo_f32) {
-                assert_eq!(x.to_bits(), y.to_bits());
+            for lo_part in [false, true] {
+                let scalar_plane = scalar.plane(lo_part);
+                for (x, y) in auto.plane(lo_part).iter().zip(scalar_plane) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
     }

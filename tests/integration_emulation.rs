@@ -49,8 +49,8 @@ fn algorithm1_via_wmma_fragments_matches_executor() {
         for j in 0..n {
             let mut acc = 0f32;
             for (al, bl) in [(true, true), (true, false), (false, true), (false, false)] {
-                let ap = if al { &sa.lo_f32 } else { &sa.hi_f32 };
-                let bp = if bl { &sb.lo_f32 } else { &sb.hi_f32 };
+                let ap = sa.plane(al);
+                let bp = sb.plane(bl);
                 for kk in 0..n {
                     acc += ap[i * n + kk] * bp[kk * n + j];
                 }
@@ -178,7 +178,7 @@ fn exact_inputs_exact_outputs() {
         assert!(((*x as f64) - y).abs() < 1e-4);
     }
     // lo planes must be all zero for 10-bit inputs.
-    assert!(sa.lo_f32.iter().all(|&x| x == 0.0));
+    assert!(sa.plane(true).iter().all(|&x| x == 0.0));
 }
 
 /// Splitting commutes with the matrix layout: a transposed input's split

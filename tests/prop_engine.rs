@@ -631,3 +631,110 @@ fn jit_cache_compiles_each_key_exactly_once() {
         assert_eq!(x.to_bits(), y.to_bits(), "cached kernels changed the bits");
     }
 }
+
+/// The values `special_values_keep_the_output_contract` plants: NaNs
+/// with payloads (the last one signalling), ±Inf, ±65504, 65520
+/// (overflows the round split's hi), 1e6, -3e38, the binary32
+/// subnormals 0x1 and 0x807f_ffff, 2^-24 (the smallest binary16
+/// subnormal) and ±0.
+fn specials() -> [f32; 15] {
+    [
+        f32::from_bits(0x7fc0_0123),
+        f32::from_bits(0xffc0_4567),
+        f32::from_bits(0x7f80_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        65504.0,
+        -65504.0,
+        65520.0,
+        1e6,
+        -3e38,
+        f32::from_bits(0x0000_0001),
+        f32::from_bits(0x807f_ffff),
+        2f32.powi(-24),
+        0.0,
+        -0.0,
+    ]
+}
+
+/// A uniform `rows x cols` matrix with every [`specials`] value
+/// planted once, at positions drawn from `seed`.
+fn with_specials(rows: usize, cols: usize, seed: u64) -> Matrix<f32> {
+    let mut m = Matrix::<f32>::random_uniform(rows, cols, seed);
+    let s = m.as_mut_slice();
+    let mut state = seed;
+    for x in specials() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let at = (state >> 33) as usize % s.len();
+        s[at] = x;
+    }
+    m
+}
+
+#[test]
+fn special_values_keep_the_output_contract() {
+    // The output contract on non-finite, overflowing, subnormal and
+    // signed-zero operands: every output where the entrywise oracle is
+    // not NaN has the oracle's bits, and the output is NaN exactly
+    // where the oracle is NaN (a NaN's sign and payload are
+    // unspecified). All four schemes, ragged shapes over several k
+    // panels, C absent and present, split/split and raw/prepared
+    // operands; about 11k outputs in all.
+    let tk = 8usize; // the oracle's fixed chunk depth
+    let cfg = EngineConfig {
+        mc: 8,
+        nc: 32,
+        kc: 16,
+        threads: 2,
+        ..Default::default()
+    };
+    let rt = EngineRuntime::new(RuntimeConfig {
+        threads: 2,
+        cache_bytes: 0,
+    });
+    let (mut nan, mut inf, mut compared) = (0usize, 0usize, 0usize);
+    for scheme in SCHEMES {
+        for (m, k, n) in [(13usize, 29usize, 17usize), (5, 40, 37), (30, 7, 9)] {
+            let seed = (m * 1000 + n) as u64;
+            let a = with_specials(m, k, seed);
+            let b = with_specials(k, n, seed + 1);
+            let c = with_specials(m, n, seed + 2);
+            let sa = SplitMatrix::split(&a, scheme.split_scheme());
+            let sb = SplitMatrix::split(&b, scheme.split_scheme());
+            let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
+            for c_opt in [None, Some(&c)] {
+                let split = split_plan(&sa, &sb, scheme, tk, cfg);
+                let raw = GemmPlan::new(Operand::Raw(&a), BOperand::Prepared(&pb), scheme, tk, cfg);
+                for (form, plan) in [("split/split", split), ("raw/prepared", raw)] {
+                    let d = execute(&rt, &GemmPlan { c: c_opt, ..plan });
+                    for i in 0..m {
+                        for j in 0..n {
+                            let want = emulated_gemm_entrywise(&sa, &sb, c_opt, scheme, i, j);
+                            let got = d.get(i, j);
+                            let ctx = || {
+                                format!(
+                                    "{scheme:?} {m}x{k}x{n} {form} c={} ({i},{j}): \
+                                     got {:#010x}, oracle {:#010x}",
+                                    c_opt.is_some(),
+                                    got.to_bits(),
+                                    want.to_bits()
+                                )
+                            };
+                            if want.is_nan() {
+                                assert!(got.is_nan(), "NaN lost: {}", ctx());
+                                nan += 1;
+                            } else {
+                                assert_eq!(got.to_bits(), want.to_bits(), "{}", ctx());
+                                inf += want.is_infinite() as usize;
+                            }
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(nan > 0 && inf > 0, "nan={nan} inf={inf} of {compared}");
+}
