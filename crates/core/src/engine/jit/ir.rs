@@ -19,7 +19,7 @@
 //! result. Arithmetic always covers all `MR` rows and the full vector
 //! width — packed operands are zero-padded, so padded lanes compute
 //! zeros that the masked epilogue never stores, bit-identically to the
-//! interpreted kernel's `load_acc`/`store_acc` edge handling.
+//! edge handling of `micro::interpret`.
 
 use super::super::pack::{MR, NR};
 
@@ -203,8 +203,8 @@ fn mode_of(spec: &KernelSpec, row: usize, vec: usize) -> MaskMode {
 
 /// Lower a spec to IR. The accumulation order is the contract here:
 /// per chunk, terms in issue order; per term, ascending `kk`; per
-/// step, rows ascending with vector position 0 before 1 — matching
-/// `microkernel_avx` exactly (lane streams are independent, so only
+/// step, rows ascending with vector position 0 before 1 — the
+/// portable microkernel's order (lane streams are independent, so only
 /// the per-element order matters, and that is per (term, kk) one
 /// fused multiply-add).
 pub(crate) fn lower(spec: &KernelSpec) -> Program {

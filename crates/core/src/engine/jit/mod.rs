@@ -36,19 +36,20 @@
 //!   and to [`crate::emulated_gemm_entrywise`];
 //! - NaN appears at exactly the oracle's positions;
 //! - a NaN's sign and payload are unspecified. FMA returns a
-//!   multiplicand's NaN before the accumulator's, and the interpreted
-//!   kernel's choice already differs from the scalar oracle's.
+//!   multiplicand's NaN before the accumulator's, and no path promises
+//!   the scalar oracle's choice.
 //!
-//! **The interpreted kernel stays the oracle.** Every freshly compiled
-//! kernel is replayed against it before publication on a tile of
-//! finite binary16 planes (`to_bits` equality) and on a tile of NaN,
-//! Inf, ±65504, ±2^-24 and -0 (same bits, or NaN on both sides); a
-//! mismatch (an encoder bug, a CPU we mis-detected) poisons that key
-//! and the engine silently keeps using the interpreted path — degraded
-//! throughput, never corrupted bits.
-//! `EGEMM_JIT=0` (or `EngineConfig::jit = false`) disables the whole
-//! layer, in which case no executable page is ever mapped
-//! ([`exec_mappings`] stays zero — enforced by `tests/jit_gate.rs`).
+//! **The worker's own fallback is the oracle.** Every freshly compiled
+//! kernel is replayed against [`super::micro::interpret`], the routine
+//! the worker runs for any tile without a kernel, before publication:
+//! on a tile of finite binary16 planes (`to_bits` equality) and on a
+//! tile of NaN, Inf, ±65504, ±2^-24 and -0 (same bits, or NaN on both
+//! sides). A mismatch (an encoder bug, a CPU we mis-detected) poisons
+//! that key, and the worker runs that same interpreter for it instead —
+//! degraded throughput, never corrupted bits.
+//! `EGEMM_JIT=0` disables the whole layer, in which case no executable
+//! page is ever mapped ([`exec_mappings`] stays zero — enforced by
+//! `tests/jit_gate.rs`).
 
 mod exec;
 mod ir;
@@ -59,7 +60,7 @@ pub use exec::exec_mappings;
 pub(crate) use ir::Isa;
 
 use super::cache::lock_unpoisoned;
-use super::micro::{load_acc, microkernel, store_acc, PlanePair};
+use super::micro::{self, PlanePair};
 use super::pack::{MR, NR};
 use crate::envcfg::{self, EnvNum};
 use crate::telemetry::hist::LogHistogram;
@@ -202,9 +203,8 @@ pub(crate) fn env_enabled() -> bool {
     })
 }
 
-/// Whether engine calls on this process may run JIT-compiled kernels:
-/// the `EGEMM_JIT` knob is on and the machine has a supported backend.
-/// (`EngineConfig::jit` can still opt individual calls out.)
+/// Whether engine calls on this process run JIT-compiled kernels: the
+/// `EGEMM_JIT` knob is on and the machine has a supported backend.
 pub fn available() -> bool {
     env_enabled() && supported_isa().is_some()
 }
@@ -467,36 +467,8 @@ impl Tile {
         t
     }
 
-    /// The interpreted kernel's output, one strip at a time (exactly
-    /// the fallback path the worker would run for this tile).
-    fn interpreted(&self, spec: &ir::KernelSpec, n: usize) -> Vec<f32> {
-        let kcb = spec.kcb;
-        let a = pair(&spec.terms, 0, &self.a_hi, &self.a_lo);
-        let mut out = self.out.clone();
-        for s in 0..spec.isa.strips() {
-            let cols_s = NR.min(spec.cols.saturating_sub(s * NR));
-            if cols_s == 0 {
-                continue;
-            }
-            let sliver = s * kcb * NR..(s + 1) * kcb * NR;
-            let b = pair(
-                &spec.terms,
-                1,
-                &self.b_hi[sliver.clone()],
-                &self.b_lo[sliver],
-            );
-            // SAFETY: out is MR x n with rows <= MR, s*NR + cols_s <= n.
-            unsafe {
-                let mut acc = load_acc(out.as_ptr(), n, 0, s * NR, spec.rows, cols_s);
-                microkernel(&mut acc, a, b, kcb, spec.tk, &spec.terms);
-                store_acc(&acc, out.as_mut_ptr(), n, 0, s * NR, spec.rows, cols_s);
-            }
-        }
-        out
-    }
-
-    /// Whether `entry` reproduces [`Tile::interpreted`] over the whole
-    /// output buffer under `eq`.
+    /// Whether `entry` reproduces [`micro::interpret`], the worker's
+    /// fallback for this tile, over the whole output buffer under `eq`.
     fn agrees(
         &self,
         spec: &ir::KernelSpec,
@@ -504,20 +476,22 @@ impl Tile {
         n: usize,
         eq: fn(f32, f32) -> bool,
     ) -> bool {
-        let mut out = self.out.clone();
+        let (mut got, mut want) = (self.out.clone(), self.out.clone());
         let a = pair(&spec.terms, 0, &self.a_hi, &self.a_lo);
         let b = pair(&spec.terms, 1, &self.b_hi, &self.b_lo);
+        let (rows, cols, kcb, tk) = (spec.rows, spec.cols, spec.kcb, spec.tk);
         // SAFETY: the kernel was emitted for exactly this spec; the
-        // planes hold `strips` packed slivers and `out` an MR x n
-        // output region.
-        unsafe { call(entry, a, b, out.as_mut_ptr(), n) };
-        out.iter()
-            .zip(&self.interpreted(spec, n))
-            .all(|(&x, &y)| eq(x, y))
+        // planes hold `strips` packed slivers; `got` and `want` are
+        // MR x n buffers with rows <= MR and cols < n.
+        unsafe {
+            call(entry, a, b, got.as_mut_ptr(), n);
+            micro::interpret(want.as_mut_ptr(), n, rows, cols, a, b, kcb, tk, &spec.terms);
+        }
+        got.iter().zip(&want).all(|(&x, &y)| eq(x, y))
     }
 }
 
-/// Replay a freshly compiled kernel against the interpreted microkernel
+/// Replay a freshly compiled kernel against [`micro::interpret`]
 /// on two synthetic tiles with a non-trivial row stride, every term
 /// plane populated and padded lanes seeded with sentinels, comparing
 /// the whole output buffer, including the lanes the kernel must *not*

@@ -274,7 +274,7 @@ fn emit_op(a: &mut Asm, isa: Isa, alloc: &Allocation, op: &Op) {
                     a.vex(2, 1, 0, 1, 0x2C, d, m, mem);
                 }
                 // vmovups zmm{k1}{z}, m512: masked-off lanes read as
-                // zero, exactly load_acc's zero fill.
+                // zero, exactly the interpreter's zero fill.
                 (MaskMode::Masked, true) => a.evex(1, 0, 0, 0x10, d, NO_VVVV, mem, 1, 1),
                 (MaskMode::Skip, false) => a.vex(1, 0, 0, 1, 0x57, d, d, Rm::Reg(d)),
                 (MaskMode::Skip, true) => a.evex(1, 1, 0, 0xEF, d, d, Rm::Reg(d), 0, 0),

@@ -11,6 +11,7 @@
 //! stream per output element is bit-identical to the scalar oracle.
 
 use super::pack::{MR, NR};
+use super::sliver;
 
 /// Per-plane packed operand views for one row block / column strip.
 /// Planes a scheme never touches are empty slices and never indexed.
@@ -31,53 +32,52 @@ impl<'a> PlanePair<'a> {
     }
 }
 
-/// Load the accumulator tile from the output matrix. `rows` / `cols` are
-/// the valid extents (edge tiles load zeros into padded lanes, which are
-/// never stored back). Raw-pointer access lets concurrent workers read
-/// and write disjoint tiles of one output buffer without manufacturing
-/// aliasing `&mut` slices.
+/// Advance one output tile through one k panel with the portable
+/// kernel: each of the `cols.div_ceil(NR)` strips of `b` in turn is
+/// loaded from `out`, run through [`microkernel`] and stored back. Only
+/// the `rows x cols` valid lanes are read and written; padded lanes
+/// load zeros and are never stored. Access goes through the raw
+/// pointer, so concurrent workers read and write disjoint tiles of one
+/// output buffer without manufacturing aliasing `&mut` slices. The
+/// worker runs this for every tile no compiled kernel covers, and
+/// verify-on-compile replays it as the oracle, so each compiled kernel
+/// is checked against exactly the code that replaces it.
 ///
 /// # Safety
-/// `out` must be valid for reads of `rows x cols` elements at the given
-/// offsets of an `_ x n` row-major buffer.
-#[inline]
-pub(crate) unsafe fn load_acc(
-    out: *const f32,
-    n: usize,
-    i0: usize,
-    j0: usize,
-    rows: usize,
-    cols: usize,
-) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, arow) in acc.iter_mut().enumerate().take(rows) {
-        let src = out.add((i0 + r) * n + j0);
-        for (c, lane) in arow.iter_mut().enumerate().take(cols) {
-            *lane = *src.add(c);
-        }
-    }
-    acc
-}
-
-/// Store the valid lanes of the accumulator tile back to the output.
-///
-/// # Safety
-/// `out` must be valid for writes of `rows x cols` elements at the given
-/// offsets, and no other thread may touch that region concurrently.
-#[inline]
-pub(crate) unsafe fn store_acc(
-    acc: &[[f32; NR]; MR],
+/// `out` must be valid for reads and writes of `rows x cols` elements
+/// at row stride `n`, with no other thread accessing them during the
+/// call. `rows <= MR`, and each used plane of `b` must hold
+/// `cols.div_ceil(NR)` packed slivers of `kcb x NR`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn interpret(
     out: *mut f32,
     n: usize,
-    i0: usize,
-    j0: usize,
     rows: usize,
     cols: usize,
+    a: PlanePair<'_>,
+    b: PlanePair<'_>,
+    kcb: usize,
+    tk: usize,
+    terms: &[(bool, bool)],
 ) {
-    for (r, arow) in acc.iter().enumerate().take(rows) {
-        let dst = out.add((i0 + r) * n + j0);
-        for (c, &lane) in arow.iter().enumerate().take(cols) {
-            *dst.add(c) = lane;
+    for s in 0..cols.div_ceil(NR) {
+        let cols_s = NR.min(cols - s * NR);
+        let b_s = PlanePair {
+            hi: sliver(b.hi, s, kcb * NR),
+            lo: sliver(b.lo, s, kcb * NR),
+        };
+        let strip = out.add(s * NR);
+        let mut acc = [[0.0f32; NR]; MR];
+        for (r, lanes) in acc.iter_mut().enumerate().take(rows) {
+            for (c, lane) in lanes.iter_mut().enumerate().take(cols_s) {
+                *lane = *strip.add(r * n + c);
+            }
+        }
+        microkernel(&mut acc, a, b_s, kcb, tk, terms);
+        for (r, lanes) in acc.iter().enumerate().take(rows) {
+            for (c, &lane) in lanes.iter().enumerate().take(cols_s) {
+                *strip.add(r * n + c) = lane;
+            }
         }
     }
 }
@@ -90,12 +90,11 @@ pub(crate) unsafe fn store_acc(
 /// grid, so chunking relative to the panel reproduces the global
 /// sequence.
 ///
-/// On x86-64 with AVX the hand-vectorized variant runs; it performs the
-/// same IEEE binary32 multiply and add per lane in the same order, so
-/// the two paths are bit-identical (the proptest suite and the engine
-/// unit tests hold on either).
+/// Where the CPU has AVX, the AVX-compiled instance of the same source
+/// runs; both perform the same binary32 multiply and add per lane in
+/// the same order, so they are bit-identical.
 #[inline]
-pub(crate) fn microkernel(
+fn microkernel(
     acc: &mut [[f32; NR]; MR],
     a: PlanePair<'_>,
     b: PlanePair<'_>,
@@ -112,15 +111,13 @@ pub(crate) fn microkernel(
     microkernel_portable(acc, a, b, kcb, tk, terms)
 }
 
-/// Explicit AVX register allocation: eight 8-lane accumulator vectors
-/// (4 rows x 2), enough independent dependency chains to cover the FP
-/// add latency, plus two B vectors and one broadcast — comfortably
-/// inside the 16 ymm registers. `vmulps`/`vaddps` stay separate
-/// instructions (rustc never contracts to FMA), so every lane computes
-/// exactly the portable path's `acc + a*b` rounding sequence.
+/// [`microkernel_portable`] compiled with AVX enabled, so the compiler
+/// vectorizes its 16-lane rows into 256-bit operations. The `avx`
+/// feature has no FMA instruction, and rustc never contracts `acc + a *
+/// b` into one, so every lane keeps the portable rounding sequence.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn microkernel_avx(
+fn microkernel_avx(
     acc: &mut [[f32; NR]; MR],
     a: PlanePair<'_>,
     b: PlanePair<'_>,
@@ -128,44 +125,13 @@ unsafe fn microkernel_avx(
     tk: usize,
     terms: &[(bool, bool)],
 ) {
-    use core::arch::x86_64::*;
-    const _: () = assert!(
-        NR == 16,
-        "AVX microkernel assumes two 8-lane column vectors"
-    );
-    let mut c: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-    for (cr, ar) in c.iter_mut().zip(acc.iter()) {
-        cr[0] = _mm256_loadu_ps(ar.as_ptr());
-        cr[1] = _mm256_loadu_ps(ar.as_ptr().add(8));
-    }
-    let mut kt = 0;
-    while kt < kcb {
-        let chunk = tk.min(kcb - kt);
-        for &(a_lo, b_lo) in terms {
-            let ap = a.plane(a_lo).as_ptr();
-            let bp = b.plane(b_lo).as_ptr();
-            for kk in kt..kt + chunk {
-                let av = ap.add(kk * MR);
-                let bv = bp.add(kk * NR);
-                let b0 = _mm256_loadu_ps(bv);
-                let b1 = _mm256_loadu_ps(bv.add(8));
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let ar = _mm256_set1_ps(*av.add(r));
-                    cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(ar, b0));
-                    cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(ar, b1));
-                }
-            }
-        }
-        kt += chunk;
-    }
-    for (cr, ar) in c.iter().zip(acc.iter_mut()) {
-        _mm256_storeu_ps(ar.as_mut_ptr(), cr[0]);
-        _mm256_storeu_ps(ar.as_mut_ptr().add(8), cr[1]);
-    }
+    microkernel_portable(acc, a, b, kcb, tk, terms)
 }
 
-/// Portable scalar microkernel — the reference the AVX path must match.
-#[inline]
+/// The interpreter's arithmetic, stated once: per `tk` chunk, the
+/// scheme's terms in order, each accumulating its products with a
+/// separate binary32 multiply and add.
+#[inline(always)]
 fn microkernel_portable(
     acc: &mut [[f32; NR]; MR],
     a: PlanePair<'_>,
@@ -174,6 +140,10 @@ fn microkernel_portable(
     tk: usize,
     terms: &[(bool, bool)],
 ) {
+    // A local copy keeps the accumulators in registers for the whole
+    // panel: a bounds-check panic could observe `*acc`, so updates to
+    // it would be stored back after every term.
+    let mut c = *acc;
     let mut kt = 0;
     while kt < kcb {
         let chunk = tk.min(kcb - kt);
@@ -188,17 +158,18 @@ fn microkernel_portable(
                 let bv: &[f32; NR] = bv.try_into().unwrap();
                 for r in 0..MR {
                     let ar = av[r];
-                    for c in 0..NR {
+                    for j in 0..NR {
                         // One simulated HMMA lane-step: a separate
                         // binary32 multiply and add (rustc never
                         // contracts these into an FMA).
-                        acc[r][c] += ar * bv[c];
+                        c[r][j] += ar * bv[j];
                     }
                 }
             }
         }
         kt += chunk;
     }
+    *acc = c;
 }
 
 #[cfg(test)]
@@ -207,58 +178,84 @@ mod tests {
 
     #[test]
     fn acc_roundtrip_edges() {
-        let n = 5;
-        let out: Vec<f32> = (0..3 * n).map(|x| x as f32).collect();
-        // 2 valid rows, 3 valid cols at (1, 2).
-        let acc = unsafe { load_acc(out.as_ptr(), n, 1, 2, 2, 3) };
-        assert_eq!(acc[0][..3], [7.0, 8.0, 9.0]);
-        assert_eq!(acc[1][..3], [12.0, 13.0, 14.0]);
-        assert_eq!(acc[0][3], 0.0);
-        assert_eq!(acc[2], [0.0; NR]);
-        let mut back = out.clone();
-        unsafe { store_acc(&acc, back.as_mut_ptr(), n, 1, 2, 2, 3) };
-        assert_eq!(back, out);
+        // A 2 x 19 tile at (1, 2) of a 4 x 24 buffer: one full strip and
+        // a 3-lane ragged one. A zero-depth panel stores back exactly
+        // what it loaded; a one-step panel of ones adds 1 to the valid
+        // lanes. Every element outside the tile stays untouched.
+        let (n, rows, cols) = (24, 2, 19);
+        let out: Vec<f32> = (0..4 * n).map(|x| x as f32).collect();
+        let ones = [1.0f32; 2 * NR];
+        let a = PlanePair {
+            hi: &ones[..MR],
+            lo: &[],
+        };
+        let b = PlanePair { hi: &ones, lo: &[] };
+        for kcb in [0, 1] {
+            let mut got = out.clone();
+            let tile = got[n + 2..].as_mut_ptr();
+            // SAFETY: rows 1..3 and columns 2..21 lie inside the buffer.
+            unsafe { interpret(tile, n, rows, cols, a, b, kcb, 1, &[(false, false)]) };
+            for (i, (&g, &o)) in got.iter().zip(&out).enumerate() {
+                let inside = (1..1 + rows).contains(&(i / n)) && (2..2 + cols).contains(&(i % n));
+                let want = if inside { o + kcb as f32 } else { o };
+                assert_eq!(g, want, "element {i}, kcb {kcb}");
+            }
+        }
     }
 
     #[test]
     fn microkernel_matches_scalar_order() {
-        // kcb = 5 with tk = 2 exercises a ragged trailing chunk.
+        // kcb = 5 with tk = 2 exercises a ragged trailing chunk, and the
+        // terms read all four plane pairs.
         let (kcb, tk) = (5usize, 2usize);
-        let terms: &[(bool, bool)] = &[(true, true), (false, false)];
+        let terms: &[(bool, bool)] = &[(true, true), (false, false), (true, false), (false, true)];
         let a_hi: Vec<f32> = (0..kcb * MR).map(|x| 0.25 + x as f32).collect();
         let a_lo: Vec<f32> = a_hi.iter().map(|x| x * 0.001).collect();
         let b_hi: Vec<f32> = (0..kcb * NR).map(|x| 0.5 - x as f32 * 0.1).collect();
         let b_lo: Vec<f32> = b_hi.iter().map(|x| x * 0.003).collect();
-        let mut acc = [[1.0f32; NR]; MR];
-        microkernel(
-            &mut acc,
-            PlanePair {
-                hi: &a_hi,
-                lo: &a_lo,
-            },
-            PlanePair {
-                hi: &b_hi,
-                lo: &b_lo,
-            },
-            kcb,
-            tk,
-            terms,
-        );
-        // Scalar replay for one lane.
-        let (r, c) = (2usize, 6usize);
-        let mut want = 1.0f32;
-        let mut kt = 0;
-        while kt < kcb {
-            let chunk = tk.min(kcb - kt);
-            for &(al, bl) in terms {
-                let ap = if al { &a_lo } else { &a_hi };
-                let bp = if bl { &b_lo } else { &b_hi };
-                for kk in kt..kt + chunk {
-                    want += ap[kk * MR + r] * bp[kk * NR + c];
+        let a = PlanePair {
+            hi: &a_hi,
+            lo: &a_lo,
+        };
+        let b = PlanePair {
+            hi: &b_hi,
+            lo: &b_lo,
+        };
+        let init: [[f32; NR]; MR] =
+            std::array::from_fn(|r| std::array::from_fn(|c| 1.0 + (r * NR + c) as f32 * 0.37));
+        // Scalar replay of every lane.
+        let mut want = init;
+        for (r, row) in want.iter_mut().enumerate() {
+            for (c, lane) in row.iter_mut().enumerate() {
+                let mut kt = 0;
+                while kt < kcb {
+                    let chunk = tk.min(kcb - kt);
+                    for &(al, bl) in terms {
+                        let ap = if al { &a_lo } else { &a_hi };
+                        let bp = if bl { &b_lo } else { &b_hi };
+                        for kk in kt..kt + chunk {
+                            *lane += ap[kk * MR + r] * bp[kk * NR + c];
+                        }
+                    }
+                    kt += chunk;
                 }
             }
-            kt += chunk;
         }
-        assert_eq!(acc[r][c].to_bits(), want.to_bits());
+        // The baseline instance, and the dispatched one: the AVX
+        // instance wherever the CPU has AVX.
+        let (mut base, mut dispatched) = (init, init);
+        microkernel_portable(&mut base, a, b, kcb, tk, terms);
+        microkernel(&mut dispatched, a, b, kcb, tk, terms);
+        for (name, got) in [("baseline", base), ("dispatched", dispatched)] {
+            for r in 0..MR {
+                for c in 0..NR {
+                    assert_eq!(
+                        got[r][c].to_bits(),
+                        want[r][c].to_bits(),
+                        "{name} instance, lane ({r}, {c})"
+                    );
+                }
+            }
+        }
     }
 }

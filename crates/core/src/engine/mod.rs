@@ -60,7 +60,7 @@ pub use cache::fingerprint as content_fingerprint;
 use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 pub use jit::{available as jit_available, exec_mappings as jit_exec_mappings};
-use micro::{load_acc, microkernel, store_acc, PlanePair};
+use micro::PlanePair;
 use pack::{pack_a, pack_a_fused, pack_b, pack_b_fused, PanelStore, MR, NR};
 pub use runtime::{CacheStats, EngineRuntime, PreparedOperand, RuntimeConfig};
 pub use sched::SchedStats;
@@ -88,16 +88,6 @@ pub struct EngineConfig {
     /// Worker threads; `0` resolves `EGEMM_THREADS`, then
     /// `RAYON_NUM_THREADS`, then the machine's available parallelism.
     pub threads: usize,
-    /// Dispatch tiles through JIT-compiled shape-specialized
-    /// microkernels when the process supports them (x86-64 Linux with
-    /// AVX and FMA, `EGEMM_JIT` not set to `0`). The interpreted
-    /// microkernel remains the oracle: every compiled kernel is
-    /// verified against it before first use, and any tile the JIT does
-    /// not cover falls back transparently. Either way the output keeps
-    /// the engine's contract: non-NaN outputs bit-identical to
-    /// [`crate::emulated_gemm_entrywise`], NaN at its positions.
-    /// Default on.
-    pub jit: bool,
 }
 
 impl Default for EngineConfig {
@@ -107,22 +97,7 @@ impl Default for EngineConfig {
             nc: 256,
             kc: 256,
             threads: 0,
-            jit: true,
         }
-    }
-}
-
-impl EngineConfig {
-    /// The worker count this configuration resolves to *when queried
-    /// directly*. The execution path no longer calls this per GEMM: a
-    /// zero `threads` now defers to [`EngineRuntime::default_threads`],
-    /// which resolved the same environment variables exactly once at
-    /// runtime construction ([`RuntimeConfig::from_env`]).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        EngineRuntime::global().default_threads()
     }
 }
 
@@ -390,9 +365,9 @@ fn worker(
     let mut rowbuf: Vec<usize> = Vec::with_capacity(ctx.mc);
     let counters = rt.sched_counters();
     // JIT dispatch state: the runtime's compiled-kernel cache (absent
-    // when the call or the process opted out) plus a per-worker memo
-    // that keeps the tile loop off the cache mutex.
-    let jit_active = if plan.cfg.jit { rt.jit_cache() } else { None };
+    // when `EGEMM_JIT=0` or the machine has no backend) plus a
+    // per-worker memo that keeps the tile loop off the cache mutex.
+    let jit_active = rt.jit_cache();
     let b_pack = match plan.b {
         BOperand::Prepared(p) => Some(&*p.packed),
         _ => None,
@@ -546,7 +521,7 @@ fn worker(
                 // packed strips are contiguous in memory, so the fused
                 // sliver is just twice as long. `take` only widens the
                 // view; if the kernel ends up interpreted after all,
-                // the fallback below walks the strips one by one.
+                // `micro::interpret` walks the strips one by one.
                 let take = match jit_active.map(jit::KernelCache::isa) {
                     Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => 2,
                     _ => 1,
@@ -588,36 +563,19 @@ fn worker(
                         let key = jit::KernelKey::new(isa, terms, plan.tk, kcb, rows, cols)?;
                         jit_memo.get(cache, key)
                     });
-                    match kernel {
-                        // SAFETY: the kernel was compiled (and verified
-                        // against the interpreted path) for exactly
-                        // this (terms, tk, kcb, rows, cols); the pairs
-                        // hold `take` packed slivers; tile regions
-                        // (i0, j0, rows, cols) are disjoint across
-                        // workers and in-bounds of the m_out x n
-                        // output.
-                        Some(f) => unsafe {
-                            jit::call(f, a_pair, b_pair, shared.0.add(i0 * ctx.n + j0), ctx.n);
-                        },
-                        None => {
-                            for s in 0..take {
-                                if s * NR >= cols {
-                                    break; // ragged pair: lone last strip
-                                }
-                                let cols_s = NR.min(cols - s * NR);
-                                let b_s = PlanePair {
-                                    hi: sliver(b_pair.hi, s, kcb * NR),
-                                    lo: sliver(b_pair.lo, s, kcb * NR),
-                                };
-                                // SAFETY: as above — disjoint, in-bounds
-                                // strip regions of the shared output.
-                                unsafe {
-                                    let (n, j) = (ctx.n, j0 + s * NR);
-                                    let mut acc = load_acc(shared.0, n, i0, j, rows, cols_s);
-                                    microkernel(&mut acc, a_pair, b_s, kcb, plan.tk, terms);
-                                    store_acc(&acc, shared.0, n, i0, j, rows, cols_s);
-                                }
-                            }
+                    // SAFETY: a compiled kernel was verified for exactly
+                    // this (terms, tk, kcb, rows, cols), and the
+                    // interpreter walks the same `cols.div_ceil(NR)`
+                    // strips; the pairs hold `take` packed slivers; tile
+                    // regions (i0, j0, rows, cols) are disjoint across
+                    // workers and in-bounds of the m_out x n output.
+                    unsafe {
+                        let out = shared.0.add(i0 * ctx.n + j0);
+                        match kernel {
+                            Some(f) => jit::call(f, a_pair, b_pair, out, ctx.n),
+                            None => micro::interpret(
+                                out, ctx.n, rows, cols, a_pair, b_pair, kcb, plan.tk, terms,
+                            ),
                         }
                     }
                 }
@@ -684,7 +642,6 @@ mod tests {
             nc: 9,
             kc: 7,
             threads: 2,
-            ..Default::default()
         }
     }
 
@@ -1202,18 +1159,5 @@ mod tests {
             ..prepared(BOperand::Prepared(&pb))
         };
         assert_eq!(execute(&rt, &empty).rows(), 0);
-    }
-
-    #[test]
-    fn explicit_threads_override_env() {
-        assert_eq!(
-            EngineConfig {
-                threads: 3,
-                ..Default::default()
-            }
-            .resolved_threads(),
-            3
-        );
-        assert!(EngineConfig::default().resolved_threads() >= 1);
     }
 }

@@ -13,9 +13,9 @@
 //!
 //! Zero padding is numerically inert: each output element's accumulator
 //! only ever combines its own row/column lane, and padded lanes are never
-//! stored back (see `store_acc`). The `row` indirection supports the
-//! row-sampled entry point (`emulated_gemm_rows`) without a gather copy
-//! of A.
+//! stored back (see `micro::interpret`). The `row` indirection supports
+//! the row-sampled entry point (`emulated_gemm_rows`) without a gather
+//! copy of A.
 
 use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
 use std::cell::UnsafeCell;
@@ -23,10 +23,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Microkernel output rows (register tile height).
 pub(crate) const MR: usize = 4;
-/// Microkernel output columns (register tile width). 4 x 16 keeps eight
-/// independent 8-lane accumulator vectors live — enough parallel chains
-/// to cover FP add latency on two issue ports — while leaving headroom
-/// for the operand loads and broadcasts.
+/// Microkernel output columns (register tile width). A 16-lane row is
+/// two ymm vectors or one zmm vector, so 4 x 16 keeps eight independent
+/// 8-lane accumulators live in the AVX kernels (the JIT's, and the
+/// compiler's AVX instance of the portable kernel) — enough parallel
+/// chains to cover FP latency on two issue ports — while leaving
+/// headroom for the operand loads and broadcasts. AVX-512 kernels fuse
+/// two strips into a 4 x 32 tile of eight zmm accumulators.
 pub(crate) const NR: usize = 16;
 
 /// Pack one plane of A for the row range `rows_idx` (global A row indices

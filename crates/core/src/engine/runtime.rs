@@ -262,8 +262,8 @@ impl EngineRuntime {
     }
 
     /// The compiled-kernel cache, `Some` only when this process can run
-    /// JIT kernels at all (x86-64 Linux with AVX and `EGEMM_JIT` on);
-    /// callers holding `None` use the interpreted microkernel.
+    /// JIT kernels at all (x86-64 Linux with AVX and FMA, and `EGEMM_JIT`
+    /// on); callers holding `None` run `micro::interpret` on every tile.
     pub(crate) fn jit_cache(&self) -> Option<&jit::KernelCache> {
         if self.jit.isa().is_some() {
             Some(&self.jit)

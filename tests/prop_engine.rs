@@ -116,7 +116,7 @@ proptest! {
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
-        let cfg = EngineConfig { mc, nc, kc, threads, ..Default::default() };
+        let cfg = EngineConfig { mc, nc, kc, threads };
         let d = run(GemmPlan { c: c_opt, ..split_plan(&sa, &sb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
         prop_assert_eq!(bits(&d), bits(&want), "{:?} tk={}", scheme, tk);
@@ -136,7 +136,7 @@ proptest! {
         let (m, n) = (5usize, 7usize);
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let cfg = EngineConfig { mc: 3, nc: 5, kc: 9, threads: 2, ..Default::default() };
+        let cfg = EngineConfig { mc: 3, nc: 5, kc: 9, threads: 2 };
         let d = run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k);
         prop_assert_eq!(bits(&d), bits(&want));
@@ -172,7 +172,7 @@ proptest! {
         let c_opt = if with_c { Some(&c) } else { None };
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let cfg = EngineConfig { mc: 5, nc: 9, kc: 12, threads, ..Default::default() };
+        let cfg = EngineConfig { mc: 5, nc: 9, kc: 12, threads };
         let raw = GemmPlan {
             c: c_opt,
             ..GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg)
@@ -339,7 +339,7 @@ proptest! {
         let want_range = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k));
 
         for threads in [2usize, 4, 8] {
-            let cfg = EngineConfig { mc: 5, nc: 9, kc: 7, threads, ..Default::default() };
+            let cfg = EngineConfig { mc: 5, nc: 9, kc: 7, threads };
             let split = bits(&run(split_plan(&sa, &sb, scheme, tk, cfg)));
             prop_assert_eq!(&split, &want, "split operands diverged (threads={})", threads);
 
@@ -380,7 +380,6 @@ fn panel_store_packs_each_panel_exactly_once_per_call() {
             nc: 16,
             kc: 8,
             threads,
-            ..Default::default()
         };
         for call in 0..2 {
             let before = rt.sched_stats();
@@ -450,7 +449,6 @@ fn adversarial_shapes_bit_identical() {
                     nc: 9,
                     kc: 12,
                     threads: 2,
-                    ..Default::default()
                 };
                 let d = run(split_plan(&sa, &sb, scheme, tk, cfg));
                 let replay = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
@@ -516,11 +514,11 @@ fn row_sampling_validates_upfront() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// JIT-dispatched execution bit-equals the interpreted microkernel
-    /// across schemes, pool sizes, split-K offsets, and ragged shapes.
-    /// On hosts without a JIT backend both configs run interpreted and
-    /// the property holds trivially; everywhere else this is the
+    /// JIT-dispatched execution bit-equals the scalar replay across
+    /// schemes, pool sizes, split-K offsets, and ragged shapes: the
     /// end-to-end check that compiled kernels are drop-in replacements.
+    /// Under `EGEMM_JIT=0`, or on hosts without a JIT backend, the same
+    /// property checks the interpreter.
     #[test]
     fn jit_bit_identical_to_interpreted(
         m in 1usize..24,
@@ -536,55 +534,72 @@ proptest! {
         let tk = [4usize, 8, 16][tk_idx];
         let threads = [1usize, 4][pool_idx];
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
-        let base = EngineConfig { mc: 8, nc: 32, kc: 16, threads, ..Default::default() };
-        let jit_cfg = EngineConfig { jit: true, ..base };
-        let int_cfg = EngineConfig { jit: false, ..base };
+        let cfg = EngineConfig { mc: 8, nc: 32, kc: 16, threads };
 
-        let dj = run(split_plan(&sa, &sb, scheme, tk, jit_cfg));
-        let di = run(split_plan(&sa, &sb, scheme, tk, int_cfg));
+        let d = run(split_plan(&sa, &sb, scheme, tk, cfg));
         prop_assert_eq!(
-            bits(&dj), bits(&di),
+            bits(&d), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k)),
             "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
         );
 
         // Split-K slice: kernels bake the panel depth, so an offset
         // range exercises short first/last panels under the JIT too.
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let ranged = |cfg| {
-            run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) })
-        };
+        let ranged = run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
         prop_assert_eq!(
-            bits(&ranged(jit_cfg)), bits(&ranged(int_cfg)),
+            bits(&ranged), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k)),
             "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
         );
     }
 }
 
-#[test]
-fn jit_edge_masks_bit_identical() {
-    // Deterministic sweep over every column residue a tile can end
-    // with: 1..=16 covers all single-strip (AVX) edge masks, 17..=32
-    // all dual-strip (AVX-512) masks, 33 a dual-strip pair plus a lone
-    // ragged strip. Row residues cycle 1..=4 alongside; k = 20 with
-    // kc = 16 gives one looped panel (two tk=8 chunks) and one
-    // ragged-only panel (4 deep).
-    let scheme = EmulationScheme::MarkidisFourTerm; // most term planes
-    let tk = 8usize;
+/// Run `MarkidisFourTerm` (the most term planes) with chunk depth `tk`
+/// over every column residue a tile can end with, on `rt`, and check
+/// each output against the scalar replay: widths 1..=16 cover all
+/// single-strip (AVX) edge masks, 17..=32 all dual-strip (AVX-512)
+/// masks, 33 a dual-strip pair plus a lone ragged strip. Row residues
+/// cycle 1..=4 alongside.
+fn edge_sweep(rt: &EngineRuntime, tk: usize, k: usize, kc: usize) {
+    let scheme = EmulationScheme::MarkidisFourTerm;
     for n in 1usize..=33 {
-        let m = 4 + (n % 4) + 1; // rows residue 1..=4 across the sweep
-        let (sa, sb) = split_pair(m, 20, n, scheme, n as u64);
-        let base = EngineConfig {
+        let m = 4 + (n % 4) + 1;
+        let (sa, sb) = split_pair(m, k, n, scheme, n as u64);
+        let cfg = EngineConfig {
             mc: 8,
             nc: 64,
-            kc: 16,
+            kc,
             threads: 1,
-            ..Default::default()
         };
-        let dj = run(split_plan(&sa, &sb, scheme, tk, base));
-        let interp = EngineConfig { jit: false, ..base };
-        let di = run(split_plan(&sa, &sb, scheme, tk, interp));
-        assert_eq!(bits(&dj), bits(&di), "edge sweep n={n} m={m}");
+        let d = execute(rt, &split_plan(&sa, &sb, scheme, tk, cfg));
+        let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
+        assert_eq!(bits(&d), bits(&want), "edge sweep n={n} m={m} tk={tk}");
     }
+}
+
+#[test]
+fn jit_edge_masks_bit_identical() {
+    // k = 20 with kc = 16 gives one looped panel (two tk=8 chunks) and
+    // one ragged-only panel (4 deep).
+    edge_sweep(EngineRuntime::global(), 8, 20, 16);
+}
+
+#[test]
+fn interpreted_fallback_under_active_jit_bit_identical() {
+    // tk = 72 is past the deepest chunk the JIT specializes (64), so
+    // every tile falls back to the interpreter even with the JIT on:
+    // on AVX-512 hosts that includes interpreted dual-strip pairs and
+    // their lone last strip. k = 150 over kc = 144 leaves a ragged
+    // last panel. A private runtime keeps the compile count its own.
+    let rt = EngineRuntime::new(RuntimeConfig {
+        threads: 1,
+        ..Default::default()
+    });
+    edge_sweep(&rt, 72, 150, 144);
+    assert_eq!(
+        rt.cache_stats().jit_compiles,
+        0,
+        "tk = 72 compiled a kernel"
+    );
 }
 
 #[test]
@@ -604,7 +619,6 @@ fn jit_cache_compiles_each_key_exactly_once() {
         nc: 32,
         kc: 16,
         threads: 2,
-        ..Default::default()
     };
     let d1 = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
     let after1 = rt.cache_stats();
@@ -688,7 +702,6 @@ fn special_values_keep_the_output_contract() {
         nc: 32,
         kc: 16,
         threads: 2,
-        ..Default::default()
     };
     let rt = EngineRuntime::new(RuntimeConfig {
         threads: 2,
