@@ -14,7 +14,6 @@ use crate::kernel::build_kernel;
 use crate::telemetry::{probe, GemmReport};
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::{kernel_time, KernelTiming};
-use rayon::prelude::*;
 
 /// Result of a batched GEMM.
 #[derive(Debug, Clone)]
@@ -54,16 +53,14 @@ impl Egemm {
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
         let prepared: Vec<_> = b.iter().map(|bi| self.prepare(bi)).collect();
-        // Compute phase: each problem runs the one blocked
-        // accumulation-order engine, honouring this Egemm's EngineConfig.
-        let d: Vec<Matrix<f32>> = a
-            .par_iter()
-            .zip(prepared.par_iter())
-            .map(|(ai, pb)| {
-                let plan = self.plan(Operand::Raw(ai), BOperand::Prepared(pb));
-                engine::execute(self.runtime(), &plan)
-            })
+        // Compute phase: one plan per problem, all run as one tile grid
+        // on the runtime's pool.
+        let plans: Vec<_> = a
+            .iter()
+            .zip(&prepared)
+            .map(|(ai, pb)| self.plan(Operand::Raw(ai), BOperand::Prepared(pb)))
             .collect();
+        let d = engine::execute_all(self.runtime(), &plans);
         let report = self.trace_end(
             window,
             format!(

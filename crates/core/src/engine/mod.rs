@@ -44,7 +44,10 @@
 //! optional row sample and k slice, and the scheme/chunk depth/blocking;
 //! [`execute`] validates the whole plan before any compute and runs it.
 //! Raw operands take the fused path — each tile's pack splits them on
-//! the fly, so no split matrix is ever materialized.
+//! the fly, so no split matrix is ever materialized. Batched and split-K
+//! calls hand `execute_all` several plans of one output shape, and their
+//! tile grids run as one grid on the runtime's pool, so every call runs
+//! at the runtime's width.
 
 mod cache;
 pub(crate) mod jit;
@@ -67,7 +70,9 @@ pub use sched::SchedStats;
 use sched::{Claim, TileScheduler};
 use std::ops::Range;
 
-/// Cache-blocking and threading parameters of the execution engine.
+/// Cache-blocking parameters of the execution engine. The worker count
+/// is the runtime's ([`RuntimeConfig::threads`]), capped by the tile
+/// count.
 ///
 /// Defaults target a generic x86 cache hierarchy: a `kc x NR` B sliver
 /// (2 planes x 8 KiB) lives in L1 across a row block, the packed A block
@@ -85,9 +90,6 @@ pub struct EngineConfig {
     /// Reduction depth per packed panel (rounded down to a `tk`
     /// multiple, up to at least one chunk).
     pub kc: usize,
-    /// Worker threads; `0` resolves `EGEMM_THREADS`, then
-    /// `RAYON_NUM_THREADS`, then the machine's available parallelism.
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -96,7 +98,6 @@ impl Default for EngineConfig {
             mc: 64,
             nc: 256,
             kc: 256,
-            threads: 0,
         }
     }
 }
@@ -253,12 +254,12 @@ pub fn prepare_b(
     rt.prepare_b(src, scheme, clamp_kc(cfg.kc, tk))
 }
 
-/// Shared output buffer handed to workers; tiles are disjoint by
-/// construction, so concurrent raw-pointer writes never overlap.
+/// One plan's output buffer, handed to workers as a raw pointer; tiles
+/// are disjoint by construction, so concurrent writes never overlap.
 struct SharedOut(*mut f32);
-// SAFETY: the pointer is only dereferenced inside `execute`'s dispatch,
-// which outlives every worker, and each worker writes only the disjoint
-// tile regions it claimed from the scheduler.
+// SAFETY: the pointer is only dereferenced inside `execute_all`'s
+// dispatch, which outlives every worker, and each worker writes only the
+// disjoint tile regions it claimed from the scheduler.
 unsafe impl Send for SharedOut {}
 // SAFETY: as above — shared access never produces overlapping writes.
 unsafe impl Sync for SharedOut {}
@@ -271,94 +272,129 @@ unsafe impl Sync for SharedOut {}
 /// sampled row is out of range or out of order, the k range is out of
 /// bounds, or a prepared B meets a partial k range or another `kc`.
 pub fn execute(rt: &EngineRuntime, plan: &GemmPlan<'_>) -> Matrix<f32> {
-    let (m_out, n, ks) = plan.validate();
-    let mut out = match plan.c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(m_out, n),
+    let mut d = execute_all(rt, std::slice::from_ref(plan));
+    d.pop().expect("one plan, one output")
+}
+
+/// Run `plans` as one tile grid on `rt`'s pool and return each plan's
+/// `D`, in order. The grid is plan-major: global tile `t` is tile
+/// `t % per_plan` of plan `t / per_plan`, each plan's tiles in
+/// column-major order. This is the one launch the timing model costs
+/// for a batch or a split-K call.
+///
+/// # Panics
+/// Before any compute, if any plan is invalid (see [`execute`]) or the
+/// plans disagree on output shape, scheme, `tk` or blocking.
+pub(crate) fn execute_all(rt: &EngineRuntime, plans: &[GemmPlan<'_>]) -> Vec<Matrix<f32>> {
+    let checked: Vec<_> = plans.iter().map(GemmPlan::validate).collect();
+    let Some(first) = plans.first() else {
+        return Vec::new();
     };
-    if m_out == 0 || n == 0 || ks.is_empty() {
-        return out; // nothing to accumulate; out already holds C (or zeros)
+    let (m_out, n, _) = checked[0];
+    assert!(
+        plans.iter().zip(&checked).all(|(p, &(pm, pn, _))| {
+            (pm, pn, p.scheme, p.tk, p.cfg) == (m_out, n, first.scheme, first.tk, first.cfg)
+        }),
+        "plans of one dispatch must share output shape, scheme, tk and blocking"
+    );
+    let mut outs: Vec<Matrix<f32>> = plans
+        .iter()
+        .map(|p| match p.c {
+            Some(c0) => c0.clone(),
+            None => Matrix::zeros(m_out, n),
+        })
+        .collect();
+    if m_out == 0 || n == 0 || checked.iter().all(|(_, _, ks)| ks.is_empty()) {
+        return outs; // nothing to accumulate; outs already hold C (or zeros)
     }
     // Clamp the blocking to legal values: kc on the chunk grid, mc to at
     // least one register tile, nc to a positive multiple of NR so every
     // macro-tile's column origin is strip-aligned (which is what lets a
     // whole-operand B pack serve any tile). Tiling bounds never affect
     // output bits — only which elements are computed when.
-    let kc = clamp_kc(plan.cfg.kc, plan.tk);
-    let mc = plan.cfg.mc.max(MR);
-    let nc = plan.cfg.nc.div_ceil(NR).max(1) * NR;
+    let kc = clamp_kc(first.cfg.kc, first.tk);
+    let mc = first.cfg.mc.max(MR);
+    let nc = first.cfg.nc.div_ceil(NR).max(1) * NR;
     let tiles_m = m_out.div_ceil(mc);
     let tiles_n = n.div_ceil(nc);
-    let n_tiles = tiles_m * tiles_n;
-    let threads = if plan.cfg.threads > 0 {
-        plan.cfg.threads
-    } else {
-        rt.default_threads()
-    }
-    .min(n_tiles)
-    .max(1);
+    let per_plan = tiles_m * tiles_n;
+    let n_tiles = per_plan * plans.len();
+    let threads = rt.default_threads().min(n_tiles).max(1);
 
-    // Tiles are linearized column-major (t = jc_idx * tiles_m + ic_idx),
-    // so each worker's contiguous initial range walks all row tiles of
-    // one jc column block before advancing — the packed B panel it
-    // shares through the store stays hot across the whole run.
+    // Within a plan, tiles are linearized column-major (t = jc_idx *
+    // tiles_m + ic_idx), so each worker's contiguous initial range walks
+    // all row tiles of one jc column block before advancing — the packed
+    // B panel it shares through the store stays hot across the whole run.
     let sched = TileScheduler::new(n_tiles, threads);
-    // Cooperative B-panel store: present whenever B must be packed this
-    // call (absent on the prepacked path, which reads slivers directly).
-    let panels = ks.len().div_ceil(kc);
-    let store = match plan.b {
-        BOperand::Prepared(_) => None,
-        _ => Some(PanelStore::new(tiles_n, panels)),
-    };
-    let shared = SharedOut(out.as_mut_slice().as_mut_ptr());
+    let jobs: Vec<PlanJob> = outs
+        .iter_mut()
+        .zip(plans.iter().zip(checked))
+        .map(|(out, (plan, (_, _, ks)))| PlanJob {
+            out: SharedOut(out.as_mut_slice().as_mut_ptr()),
+            // Cooperative B-panel store: present whenever B must be
+            // packed this call (absent on the prepacked path, which
+            // reads slivers directly).
+            store: match plan.b {
+                BOperand::Prepared(_) => None,
+                _ => Some(PanelStore::new(tiles_n, ks.len().div_ceil(kc))),
+            },
+            ks,
+        })
+        .collect();
     let ctx = WorkerCtx {
         m_out,
         n,
         mc,
         nc,
         kc,
-        k_lo: ks.start,
-        k_hi: ks.end,
         tiles_m,
+        per_plan,
     };
-    rt.run_parallel(threads, &|| {
-        worker(&ctx, plan, &sched, store.as_ref(), rt, &shared)
-    });
-    out
+    rt.run_parallel(threads, &|| worker(&ctx, plans, &jobs, &sched, rt));
+    outs
 }
 
-/// Geometry shared by all workers of one execution.
+/// Geometry shared by all workers of one dispatch.
 struct WorkerCtx {
     m_out: usize,
     n: usize,
     mc: usize,
     nc: usize,
     kc: usize,
-    k_lo: usize,
-    k_hi: usize,
     tiles_m: usize,
+    /// Tiles per plan (`tiles_m x tiles_n`).
+    per_plan: usize,
+}
+
+/// What one plan of a dispatch owns: its output buffer, its k slice and,
+/// for a B that is not prepared, its cooperative panel store.
+struct PlanJob {
+    out: SharedOut,
+    ks: Range<usize>,
+    store: Option<PanelStore>,
 }
 
 fn worker(
     ctx: &WorkerCtx,
-    plan: &GemmPlan<'_>,
+    plans: &[GemmPlan<'_>],
+    jobs: &[PlanJob],
     sched: &TileScheduler,
-    store: Option<&PanelStore>,
     rt: &EngineRuntime,
-    shared: &SharedOut,
 ) {
-    let terms = plan.scheme.terms();
-    let k = plan.a.shape().1;
-    let split_scheme = plan.scheme.split_scheme();
+    // Scheme, tk and blocking are shared by every plan of the dispatch.
+    let (scheme, tk) = (plans[0].scheme, plans[0].tk);
+    let terms = scheme.terms();
+    let split_scheme = scheme.split_scheme();
     let (a_hi_used, a_lo_used) = (terms.iter().any(|t| !t.0), terms.iter().any(|t| t.0));
     let (b_hi_used, b_lo_used) = (terms.iter().any(|t| !t.1), terms.iter().any(|t| t.1));
     // Per-worker A pack scratch, reused across tiles and panels. Planes
     // a scheme never touches stay empty and are never indexed, except
-    // that a fused pack always emits both planes (the split computes
-    // them together; the microkernel still reads only the used ones).
+    // when some plan's A is raw: a fused pack always emits both planes
+    // (the split computes them together; the microkernel still reads
+    // only the used ones).
     // B panels come from the shared cooperative store (or the prepacked
     // operand), never from per-worker scratch.
-    let fused_a = matches!(plan.a, Operand::Raw(_));
+    let fused_a = plans.iter().any(|p| matches!(p.a, Operand::Raw(_)));
     let a_cap = ctx.mc.div_ceil(MR) * MR * ctx.kc;
     let mut a_hi = vec![0f32; if a_hi_used || fused_a { a_cap } else { 0 }];
     let mut a_lo = vec![0f32; if a_lo_used || fused_a { a_cap } else { 0 }];
@@ -368,10 +404,6 @@ fn worker(
     // when `EGEMM_JIT=0` or the machine has no backend) plus a
     // per-worker memo that keeps the tile loop off the cache mutex.
     let jit_active = rt.jit_cache();
-    let b_pack = match plan.b {
-        BOperand::Prepared(p) => Some(&*p.packed),
-        _ => None,
-    };
     let mut jit_memo = jit::KernelMemo::default();
     let me = sched.join();
 
@@ -393,8 +425,15 @@ fn worker(
             }
         };
         tiles_claimed += 1;
-        let ic_idx = t % ctx.tiles_m;
-        let jc_idx = t / ctx.tiles_m;
+        let (plan, job) = (&plans[t / ctx.per_plan], &jobs[t / ctx.per_plan]);
+        let k = plan.a.shape().1;
+        let b_pack = match plan.b {
+            BOperand::Prepared(p) => Some(&*p.packed),
+            _ => None,
+        };
+        let local = t % ctx.per_plan;
+        let ic_idx = local % ctx.tiles_m;
+        let jc_idx = local / ctx.tiles_m;
         let ic = ic_idx * ctx.mc;
         let jc = jc_idx * ctx.nc;
         let mcb = ctx.mc.min(ctx.m_out - ic);
@@ -407,12 +446,14 @@ fn worker(
         let row_blocks = mcb.div_ceil(MR);
         let strips = ncb.div_ceil(NR);
 
-        // Panels start at k_lo and advance by kc (a tk multiple), so
-        // every seam lands on the per-slice chunk grid; the accumulator
-        // carries between panels through the output in exact binary32.
-        let mut pc = ctx.k_lo;
-        while pc < ctx.k_hi {
-            let kcb = ctx.kc.min(ctx.k_hi - pc);
+        // Panels start at the plan's k_lo and advance by kc (a tk
+        // multiple), so every seam lands on the per-slice chunk grid; the
+        // accumulator carries between panels through the output in exact
+        // binary32.
+        let ks = &job.ks;
+        let mut pc = ks.start;
+        while pc < ks.end {
+            let kcb = ctx.kc.min(ks.end - pc);
             let a_len = row_blocks * kcb * MR;
             let b_len = strips * kcb * NR;
             match plan.a {
@@ -455,10 +496,10 @@ fn worker(
             // else reuses the published planes — the packed bytes are a
             // pure function of (operand, jc, pc, blocking), so which
             // worker packs cannot change a bit.
-            let b_planes: Option<(&[f32], &[f32])> = match store {
+            let b_planes: Option<(&[f32], &[f32])> = match &job.store {
                 None => None, // prepacked: slivers are read directly below
                 Some(store) => {
-                    let pc_idx = (pc - ctx.k_lo) / ctx.kc;
+                    let pc_idx = (pc - ks.start) / ctx.kc;
                     let t_pack = telemetry::span_start();
                     let (bh, bl, packed_here) =
                         store.acquire(jc_idx, pc_idx, |hi, lo| match plan.b {
@@ -560,21 +601,23 @@ fn worker(
                         } else {
                             jit::Isa::Avx
                         };
-                        let key = jit::KernelKey::new(isa, terms, plan.tk, kcb, rows, cols)?;
+                        let key = jit::KernelKey::new(isa, terms, tk, kcb, rows, cols)?;
                         jit_memo.get(cache, key)
                     });
                     // SAFETY: a compiled kernel was verified for exactly
                     // this (terms, tk, kcb, rows, cols), and the
                     // interpreter walks the same `cols.div_ceil(NR)`
-                    // strips; the pairs hold `take` packed slivers; tile
-                    // regions (i0, j0, rows, cols) are disjoint across
-                    // workers and in-bounds of the m_out x n output.
+                    // strips; the pairs hold `take` packed slivers; every
+                    // plan owns its own m_out x n output buffer, the
+                    // region (i0, j0, rows, cols) is in bounds of it, and
+                    // each global tile is claimed once, so regions
+                    // written concurrently never overlap.
                     unsafe {
-                        let out = shared.0.add(i0 * ctx.n + j0);
+                        let out = job.out.0.add(i0 * ctx.n + j0);
                         match kernel {
                             Some(f) => jit::call(f, a_pair, b_pair, out, ctx.n),
                             None => micro::interpret(
-                                out, ctx.n, rows, cols, a_pair, b_pair, kcb, plan.tk, terms,
+                                out, ctx.n, rows, cols, a_pair, b_pair, kcb, tk, terms,
                             ),
                         }
                     }
@@ -612,6 +655,7 @@ mod tests {
     use super::*;
     use crate::emulation::emulated_gemm_entrywise;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, OnceLock};
 
     const SCHEMES: [EmulationScheme; 4] = [
         EmulationScheme::EgemmTc,
@@ -641,11 +685,22 @@ mod tests {
             mc: 5,
             nc: 9,
             kc: 7,
-            threads: 2,
         }
     }
 
-    /// Execute a full-product plan on the global runtime.
+    /// A private runtime of `threads` workers (at most 8), built once per
+    /// width and shared by every test here.
+    fn pool(threads: usize) -> &'static Arc<EngineRuntime> {
+        static POOLS: [OnceLock<Arc<EngineRuntime>>; 9] = [const { OnceLock::new() }; 9];
+        POOLS[threads].get_or_init(|| {
+            EngineRuntime::new(RuntimeConfig {
+                threads,
+                ..Default::default()
+            })
+        })
+    }
+
+    /// Execute a full-product plan on the shared 2-worker runtime.
     fn run(
         a: Operand<'_>,
         b: BOperand<'_>,
@@ -658,7 +713,7 @@ mod tests {
             c,
             ..GemmPlan::new(a, b, scheme, tk, cfg)
         };
-        execute(EngineRuntime::global(), &plan)
+        execute(pool(2), &plan)
     }
 
     fn assert_bits_eq(got: &Matrix<f32>, want: &Matrix<f32>, what: &str) {
@@ -759,7 +814,8 @@ mod tests {
         assert_eq!(d0.as_slice(), c.as_slice());
     }
 
-    /// A row-sampled plan over split operands on the global runtime.
+    /// A row-sampled plan over split operands on the shared 2-worker
+    /// runtime.
     fn run_rows(
         sa: &SplitMatrix,
         sb: &SplitMatrix,
@@ -770,7 +826,7 @@ mod tests {
             rows: Some(rows),
             ..GemmPlan::new(Operand::Split(sa), BOperand::Split(sb), scheme, 8, tight())
         };
-        execute(EngineRuntime::global(), &plan)
+        execute(pool(2), &plan)
     }
 
     #[test]
@@ -827,7 +883,7 @@ mod tests {
                 tight(),
             )
         };
-        let d = execute(EngineRuntime::global(), &plan);
+        let d = execute(pool(2), &plan);
         for i in 0..6 {
             for j in 0..5 {
                 let mut want = 0f32;
@@ -853,15 +909,14 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(33, 48, 21, scheme, 23);
         let with = |threads| {
-            let cfg = EngineConfig { threads, ..tight() };
-            run(
+            let plan = GemmPlan::new(
                 Operand::Split(&sa),
                 BOperand::Split(&sb),
-                None,
                 scheme,
                 8,
-                cfg,
-            )
+                tight(),
+            );
+            execute(pool(threads), &plan)
         };
         assert_bits_eq(&with(4), &with(1), "threads 4 vs 1");
     }
@@ -1152,8 +1207,23 @@ mod tests {
             });
             assert!(msg.contains(want), "{plan:?}: got {msg:?}, want {want:?}");
         }
+        // Plans of one dispatch must share their output shape and tk.
+        let sampled = GemmPlan {
+            rows: Some(&[1, 3]),
+            ..base()
+        };
+        let tk16 = GemmPlan { tk: 16, ..base() };
+        for (plans, what) in [([base(), sampled], "shape"), ([base(), tk16], "tk")] {
+            let msg = panic_message(|| {
+                execute_all(&rt, &plans);
+            });
+            let want = "plans of one dispatch must share output shape, scheme, tk and blocking";
+            assert!(msg.contains(want), "{what}: got {msg:?}");
+        }
         // The valid neighbours of those plans run.
         assert_eq!(execute(&rt, &base()).rows(), 6);
+        assert!(execute_all(&rt, &[]).is_empty());
+        assert_eq!(execute_all(&rt, &[base(), base()]).len(), 2);
         let empty = GemmPlan {
             a: Operand::Raw(&empty_a),
             ..prepared(BOperand::Prepared(&pb))

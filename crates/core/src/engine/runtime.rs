@@ -9,8 +9,10 @@
 //!   reused across calls. Dispatch hands the pool one type-erased job
 //!   pointer per call (the engine's tile-claiming worker loop); workers
 //!   claim it under a mutex, run it to completion, and park again.
-//!   Nested calls (e.g. split-K slices computed on rayon threads) fall
-//!   back to running solo instead of deadlocking on the busy pool.
+//!   Batched and split-K calls are one job each, so no engine path
+//!   dispatches from inside a job. A call that finds the pool busy
+//!   (another thread's dispatch, or a nested one) runs solo on its
+//!   caller instead of waiting or deadlocking.
 //! * **Environment** — `EGEMM_THREADS` / `RAYON_NUM_THREADS` and
 //!   `EGEMM_CACHE_BYTES` are read once at runtime construction
 //!   ([`RuntimeConfig::from_env`]), never per call.
@@ -61,9 +63,10 @@ fn wait_unpoisoned<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, 
 /// Construction-time parameters of an [`EngineRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Pool width used when an [`super::EngineConfig`] leaves `threads`
-    /// at 0. Must be >= 1 (use [`RuntimeConfig::from_env`] to resolve
-    /// from the environment).
+    /// Pool width: every call on this runtime (plain, batched or
+    /// split-K) runs on at most this many threads, the caller included.
+    /// Must be >= 1 (use [`RuntimeConfig::from_env`] to resolve from
+    /// the environment).
     pub threads: usize,
     /// Byte bound of the prepared-operand cache; 0 disables retention
     /// (every call re-prepares, the reference cold path).
@@ -95,10 +98,9 @@ impl RuntimeConfig {
     /// 3. the machine's available parallelism (at least 1).
     ///
     /// A variable that is set but does not parse as a positive integer
-    /// (garbage, negative, or `0` — zero means "unset" only for
-    /// [`super::EngineConfig::threads`], never here) is *skipped*, and a
-    /// one-time warning naming the worker count the fall-through
-    /// resolved to is printed to stderr. The same rule applies to
+    /// (garbage, negative, or `0`) is *skipped*, and a one-time warning
+    /// naming the worker count the fall-through resolved to is printed
+    /// to stderr. The same rule applies to
     /// `EGEMM_CACHE_BYTES` (cache byte bound), except there an explicit
     /// `0` is meaningful — it disables retention — so only unparsable
     /// values warn and fall back to the 256 MiB default.
@@ -247,7 +249,7 @@ impl EngineRuntime {
         GLOBAL.get_or_init(|| EngineRuntime::new(RuntimeConfig::from_env()))
     }
 
-    /// Pool width used when a call doesn't pin its own thread count.
+    /// Pool width: the most threads any call on this runtime runs on.
     pub fn default_threads(&self) -> usize {
         self.default_threads
     }
@@ -301,9 +303,10 @@ impl EngineRuntime {
 
     /// Run `f` on `workers` threads: the caller plus `workers - 1` pool
     /// workers. Returns when every participant has returned. If the pool
-    /// is already dispatching (a nested call from inside another job or
-    /// a rayon task), the caller runs `f` alone — same results, since
-    /// every engine job is a claim loop over a shared tile grid.
+    /// is already dispatching (a call from another thread, or a nested
+    /// call from inside a job), the caller runs `f` alone — same
+    /// results, since every engine job is a claim loop over a shared
+    /// tile grid.
     ///
     /// A panic inside `f` (on any participant) is re-raised here, on the
     /// submitting thread, after every other participant has drained —

@@ -4,9 +4,11 @@
 //! data split on the CUDA-core side (fused into the engine's per-tile
 //! pack), tiled emulated GEMM on the Tensor-Core side (functional
 //! executor, O(N³)), and the timing layer costing the kernel the SASS
-//! generator would emit. Every front end builds one
-//! [`engine::GemmPlan`] and runs it through [`engine::execute`]. [`Egemm::auto`] runs
-//! the §6 analytic model to pick the tiling for the device.
+//! generator would emit. Every front end builds [`engine::GemmPlan`]s
+//! and runs them as one tile grid on the runtime's pool: one plan
+//! through [`engine::execute`], or one per problem (batched) or k slice
+//! (split-K). [`Egemm::auto`] runs the §6 analytic model to pick the
+//! tiling for the device.
 
 use crate::analytic::{solve_tiling, AnalyticModel};
 use crate::config::TilingConfig;

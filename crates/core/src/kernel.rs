@@ -33,8 +33,8 @@ pub struct KernelOpts {
     pub latency_hiding: bool,
     /// Kernel launches this GEMM needs (1 for the fused EGEMM-TC kernel).
     pub launches: u32,
-    /// Blocking/threading of the host-side execution engine that computes
-    /// the functional result (no effect on the simulated timing).
+    /// Blocking of the host-side execution engine that computes the
+    /// functional result (no effect on the simulated timing).
     pub engine: crate::engine::EngineConfig,
 }
 

@@ -39,7 +39,6 @@
 
 pub mod analytic;
 pub mod batched;
-pub mod blas;
 pub mod config;
 pub mod emulation;
 pub mod engine;
@@ -56,7 +55,6 @@ pub mod tensorize;
 
 pub use analytic::{continuous_optimum, solve_tiling, AnalyticModel, Candidate};
 pub use batched::BatchedOutput;
-pub use blas::{sgemm_ex, BlasOutput, GemmCall, Op as BlasOp};
 pub use config::TilingConfig;
 pub use emulation::{
     emulated_gemm, emulated_gemm_entrywise, emulated_gemm_rows, emulated_gemm_tk, EmulationScheme,

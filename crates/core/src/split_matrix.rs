@@ -9,7 +9,6 @@
 
 use egemm_fp::{split_planes, Half, SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
-use rayon::prelude::*;
 
 /// A binary32 matrix split into hi/lo binary16 planes.
 #[derive(Debug, Clone)]
@@ -33,14 +32,14 @@ pub struct SplitMatrix {
 
 impl SplitMatrix {
     /// Split every element of `src` with `scheme`. This is the O(N²)
-    /// "CUDA-core" phase of the emulation; parallelized across rows and
-    /// SIMD-dispatched within a row where the hardware allows
-    /// ([`SplitKernel::Auto`] — bit-identical to the scalar path).
+    /// "CUDA-core" phase of the emulation, run on the calling thread and
+    /// SIMD-dispatched where the hardware allows ([`SplitKernel::Auto`]
+    /// — bit-identical to the scalar path).
     pub fn split(src: &Matrix<f32>, scheme: SplitScheme) -> SplitMatrix {
         SplitMatrix::split_with(src, scheme, SplitKernel::default())
     }
 
-    /// [`SplitMatrix::split`] with an explicit per-row split kernel.
+    /// [`SplitMatrix::split`] with an explicit split kernel.
     pub fn split_with(src: &Matrix<f32>, scheme: SplitScheme, kernel: SplitKernel) -> SplitMatrix {
         let t_split = crate::telemetry::span_start();
         let rows = src.rows();
@@ -50,20 +49,16 @@ impl SplitMatrix {
         let mut lo_bits = vec![Half::ZERO; n];
         let mut hi_f32 = vec![0f32; n];
         let mut lo_f32 = vec![0f32; n];
-        // Process in row-sized chunks, in parallel (chunking needs a
-        // positive row width; a zero-column matrix has nothing to split).
-        let srcs = src.as_slice();
-        if cols > 0 {
-            hi_bits
-                .par_chunks_mut(cols)
-                .zip(lo_bits.par_chunks_mut(cols))
-                .zip(hi_f32.par_chunks_mut(cols).zip(lo_f32.par_chunks_mut(cols)))
-                .enumerate()
-                .for_each(|(r, ((hb, lb), (hf, lf)))| {
-                    let srow = &srcs[r * cols..(r + 1) * cols];
-                    split_planes(kernel, scheme, srow, hb, lb, hf, lf);
-                });
-        }
+        // The split is elementwise, so one call covers the whole buffer.
+        split_planes(
+            kernel,
+            scheme,
+            src.as_slice(),
+            &mut hi_bits,
+            &mut lo_bits,
+            &mut hi_f32,
+            &mut lo_f32,
+        );
         crate::telemetry::span_end(crate::telemetry::Phase::Split, t_split, n as u64);
         SplitMatrix {
             rows,

@@ -25,7 +25,6 @@ use crate::kernel::build_kernel;
 use crate::telemetry::GemmReport;
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::{blocks_per_sm, kernel_time, DeviceSpec, KernelTiming};
-use rayon::prelude::*;
 
 /// Choose a slice count for `shape` on `spec`: the smallest power of two
 /// that fills the device with at least two full waves (diminishing
@@ -77,32 +76,20 @@ impl Egemm {
         assert!(s >= 1 && s <= shape.k, "slice count out of range");
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        let rt = self.runtime();
-
-        // Slice boundaries: contiguous, ascending, sizes within 1.
-        let bounds: Vec<(usize, usize)> = (0..s)
-            .map(|i| {
-                let lo = shape.k * i / s;
-                let hi = shape.k * (i + 1) / s;
-                (lo, hi)
+        // One plan per slice, over contiguous ascending k ranges whose
+        // sizes differ by at most 1; chunking restarts at each slice
+        // start, like a fused kernel over the slice alone. The slices run
+        // as one tile grid on the runtime's pool, each into its own
+        // partial. A prepacked B cannot serve — the per-slice k grids
+        // start mid-operand — so every slice splits straight from the
+        // raw operands into packed slivers.
+        let plans: Vec<GemmPlan<'_>> = (0..s)
+            .map(|i| GemmPlan {
+                k_range: Some(shape.k * i / s..shape.k * (i + 1) / s),
+                ..self.plan(Operand::Raw(a), BOperand::Raw(b))
             })
             .collect();
-        // Partials, computed in parallel over slices; each slice runs the
-        // blocked engine over its k range (chunking restarts at the slice
-        // start, like a fused kernel over the slice alone). A prepacked B
-        // cannot serve — the per-slice k grids start mid-operand — so
-        // every slice splits straight from the raw operands into packed
-        // slivers.
-        let partials: Vec<Matrix<f32>> = bounds
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let plan = GemmPlan {
-                    k_range: Some(lo..hi),
-                    ..self.plan(Operand::Raw(a), BOperand::Raw(b))
-                };
-                engine::execute(rt, &plan)
-            })
-            .collect();
+        let partials = engine::execute_all(self.runtime(), &plans);
         // Ascending-slice reduction, in f32 like the device's epilogue.
         let mut d = Matrix::<f32>::zeros(shape.m, shape.n);
         for p in &partials {

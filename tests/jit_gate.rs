@@ -11,7 +11,9 @@
 //! safe and race-free as long as it happens before any engine work.
 
 use egemm::emulation::{emulated_gemm_entrywise, EmulationScheme};
-use egemm::engine::{execute, BOperand, EngineConfig, EngineRuntime, GemmPlan, Operand};
+use egemm::engine::{
+    execute, BOperand, EngineConfig, EngineRuntime, GemmPlan, Operand, RuntimeConfig,
+};
 use egemm::split_matrix::SplitMatrix;
 use egemm::{jit_available, jit_exec_mappings, TilingConfig};
 use egemm_matrix::Matrix;
@@ -21,6 +23,10 @@ fn jit_disabled_process_never_maps_executable_pages() {
     // Latch the knob before the first EngineRuntime exists.
     std::env::set_var("EGEMM_JIT", "0");
     assert!(!jit_available(), "EGEMM_JIT=0 must report unavailable");
+    let rt = EngineRuntime::new(RuntimeConfig {
+        threads: 2,
+        ..Default::default()
+    });
 
     let schemes = [
         EmulationScheme::EgemmTc,
@@ -44,10 +50,9 @@ fn jit_disabled_process_never_maps_executable_pages() {
             mc: 8,
             nc: 32,
             kc: 16,
-            threads: 2,
         };
         let plan = GemmPlan::new(Operand::Split(&sa), BOperand::Split(&sb), scheme, tk, cfg);
-        let d = execute(EngineRuntime::global(), &plan);
+        let d = execute(&rt, &plan);
         for i in 0..m {
             for j in 0..n {
                 let want = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);

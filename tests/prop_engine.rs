@@ -17,6 +17,7 @@ use egemm_matrix::Matrix;
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 const SCHEMES: [EmulationScheme; 4] = [
     EmulationScheme::EgemmTc,
@@ -61,9 +62,21 @@ fn bits(d: &Matrix<f32>) -> Vec<u32> {
     d.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
-/// Run `plan` on the process-wide runtime.
-fn run(plan: GemmPlan<'_>) -> Matrix<f32> {
-    execute(EngineRuntime::global(), &plan)
+/// A private runtime of `threads` workers (at most 8), built once per
+/// width and shared across tests and proptest cases.
+fn pool(threads: usize) -> &'static Arc<EngineRuntime> {
+    static POOLS: [OnceLock<Arc<EngineRuntime>>; 9] = [const { OnceLock::new() }; 9];
+    POOLS[threads].get_or_init(|| {
+        EngineRuntime::new(RuntimeConfig {
+            threads,
+            ..Default::default()
+        })
+    })
+}
+
+/// Run `plan` on the shared runtime of `threads` workers.
+fn run(threads: usize, plan: GemmPlan<'_>) -> Matrix<f32> {
+    execute(pool(threads), &plan)
 }
 
 /// A full-product plan over split operands.
@@ -116,8 +129,8 @@ proptest! {
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
-        let cfg = EngineConfig { mc, nc, kc, threads };
-        let d = run(GemmPlan { c: c_opt, ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let cfg = EngineConfig { mc, nc, kc };
+        let d = run(threads, GemmPlan { c: c_opt, ..split_plan(&sa, &sb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
         prop_assert_eq!(bits(&d), bits(&want), "{:?} tk={}", scheme, tk);
     }
@@ -136,8 +149,8 @@ proptest! {
         let (m, n) = (5usize, 7usize);
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let cfg = EngineConfig { mc: 3, nc: 5, kc: 9, threads: 2 };
-        let d = run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let cfg = EngineConfig { mc: 3, nc: 5, kc: 9 };
+        let d = run(2, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k);
         prop_assert_eq!(bits(&d), bits(&want));
     }
@@ -172,14 +185,14 @@ proptest! {
         let c_opt = if with_c { Some(&c) } else { None };
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let cfg = EngineConfig { mc: 5, nc: 9, kc: 12, threads };
+        let cfg = EngineConfig { mc: 5, nc: 9, kc: 12 };
         let raw = GemmPlan {
             c: c_opt,
             ..GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg)
         };
 
         // Full product.
-        let got = run(raw.clone());
+        let got = run(threads, raw.clone());
         let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
         prop_assert_eq!(
             bits(&got), bits(&want),
@@ -339,12 +352,12 @@ proptest! {
         let want_range = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k));
 
         for threads in [2usize, 4, 8] {
-            let cfg = EngineConfig { mc: 5, nc: 9, kc: 7, threads };
-            let split = bits(&run(split_plan(&sa, &sb, scheme, tk, cfg)));
+            let cfg = EngineConfig { mc: 5, nc: 9, kc: 7 };
+            let split = bits(&run(threads, split_plan(&sa, &sb, scheme, tk, cfg)));
             prop_assert_eq!(&split, &want, "split operands diverged (threads={})", threads);
 
             let raw = GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg);
-            let fused = bits(&run(raw.clone()));
+            let fused = bits(&run(threads, raw.clone()));
             prop_assert_eq!(&fused, &want, "fused diverged (threads={})", threads);
 
             let rt = EngineRuntime::new(RuntimeConfig { threads, cache_bytes: 0 });
@@ -353,7 +366,7 @@ proptest! {
             let prepared = bits(&execute(&rt, &prepared));
             prop_assert_eq!(&prepared, &want, "prepared-B diverged (threads={})", threads);
 
-            let ranged = bits(&run(GemmPlan { k_range: Some(k_lo..k), ..raw }));
+            let ranged = bits(&run(threads, GemmPlan { k_range: Some(k_lo..k), ..raw }));
             prop_assert_eq!(&ranged, &want_range, "split-K diverged (threads={})", threads);
         }
     }
@@ -379,7 +392,6 @@ fn panel_store_packs_each_panel_exactly_once_per_call() {
             mc: 5,
             nc: 16,
             kc: 8,
-            threads,
         };
         for call in 0..2 {
             let before = rt.sched_stats();
@@ -448,9 +460,8 @@ fn adversarial_shapes_bit_identical() {
                     mc: 5,
                     nc: 9,
                     kc: 12,
-                    threads: 2,
                 };
-                let d = run(split_plan(&sa, &sb, scheme, tk, cfg));
+                let d = run(2, split_plan(&sa, &sb, scheme, tk, cfg));
                 let replay = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
                 for i in 0..m {
                     for j in 0..n {
@@ -534,9 +545,9 @@ proptest! {
         let tk = [4usize, 8, 16][tk_idx];
         let threads = [1usize, 4][pool_idx];
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
-        let cfg = EngineConfig { mc: 8, nc: 32, kc: 16, threads };
+        let cfg = EngineConfig { mc: 8, nc: 32, kc: 16 };
 
-        let d = run(split_plan(&sa, &sb, scheme, tk, cfg));
+        let d = run(threads, split_plan(&sa, &sb, scheme, tk, cfg));
         prop_assert_eq!(
             bits(&d), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k)),
             "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
@@ -545,7 +556,7 @@ proptest! {
         // Split-K slice: kernels bake the panel depth, so an offset
         // range exercises short first/last panels under the JIT too.
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let ranged = run(GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let ranged = run(threads, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
         prop_assert_eq!(
             bits(&ranged), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k)),
             "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
@@ -564,12 +575,7 @@ fn edge_sweep(rt: &EngineRuntime, tk: usize, k: usize, kc: usize) {
     for n in 1usize..=33 {
         let m = 4 + (n % 4) + 1;
         let (sa, sb) = split_pair(m, k, n, scheme, n as u64);
-        let cfg = EngineConfig {
-            mc: 8,
-            nc: 64,
-            kc,
-            threads: 1,
-        };
+        let cfg = EngineConfig { mc: 8, nc: 64, kc };
         let d = execute(rt, &split_plan(&sa, &sb, scheme, tk, cfg));
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
         assert_eq!(bits(&d), bits(&want), "edge sweep n={n} m={m} tk={tk}");
@@ -580,7 +586,7 @@ fn edge_sweep(rt: &EngineRuntime, tk: usize, k: usize, kc: usize) {
 fn jit_edge_masks_bit_identical() {
     // k = 20 with kc = 16 gives one looped panel (two tk=8 chunks) and
     // one ragged-only panel (4 deep).
-    edge_sweep(EngineRuntime::global(), 8, 20, 16);
+    edge_sweep(pool(1), 8, 20, 16);
 }
 
 #[test]
@@ -618,7 +624,6 @@ fn jit_cache_compiles_each_key_exactly_once() {
         mc: 8,
         nc: 32,
         kc: 16,
-        threads: 2,
     };
     let d1 = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
     let after1 = rt.cache_stats();
@@ -701,7 +706,6 @@ fn special_values_keep_the_output_contract() {
         mc: 8,
         nc: 32,
         kc: 16,
-        threads: 2,
     };
     let rt = EngineRuntime::new(RuntimeConfig {
         threads: 2,

@@ -202,6 +202,63 @@ fn batched_report_shows_shared_b_prepared_once() {
     }
 }
 
+/// Batched and split-K calls run on the caller and the runtime's own
+/// `egemm-engine` pool, at the runtime's width, and spawn no threads of
+/// their own. A ring is registered per recording thread and kept for
+/// the life of the process, so a call that spawned threads would grow
+/// the ring registry (`report.lanes`) on every call.
+#[test]
+fn batched_and_split_k_spawn_no_per_call_threads() {
+    let _g = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let me = telemetry::worker_id();
+    // One 64 x 256 macro-tile per 32^3 problem: the batch is a 2-tile
+    // grid and the 4-slice split-K call a 4-tile grid.
+    let a: Vec<Matrix<f32>> = (0..2)
+        .map(|i| Matrix::random_uniform(32, 32, 90 + i))
+        .collect();
+    let b: Vec<Matrix<f32>> = (0..2)
+        .map(|i| Matrix::random_uniform(32, 32, 95 + i))
+        .collect();
+    let ka = Matrix::<f32>::random_uniform(32, 256, 98);
+    let kb = Matrix::<f32>::random_uniform(256, 32, 99);
+    for threads in [1usize, 2] {
+        let eng = engine(threads);
+        eng.gemm_batched(&a, &b); // warm: both B cached, kernels compiled
+        telemetry::set_enabled(true);
+        let mut reports: Vec<_> = (0..3).map(|_| eng.gemm_batched(&a, &b).report).collect();
+        reports.push(eng.gemm_split_k(&ka, &kb, 4).report);
+        telemetry::set_enabled(false);
+
+        let registered = reports[0].as_ref().expect("tracing on").lanes.len();
+        for (call, report) in reports.iter().enumerate() {
+            let report = report.as_ref().expect("tracing on must yield a report");
+            assert_eq!(
+                report.lanes.len(),
+                registered,
+                "call {call} on {threads} worker(s) registered new trace rings"
+            );
+            let working: Vec<_> = report
+                .lanes
+                .iter()
+                .filter(|l| l.events.iter().any(|e| e.phase == Phase::Worker))
+                .collect();
+            assert!(
+                !working.is_empty() && working.len() <= threads,
+                "call {call}: {} lanes ran tiles on {threads} worker(s)",
+                working.len()
+            );
+            for lane in working {
+                assert!(
+                    lane.worker == me || lane.name.starts_with("egemm-engine#"),
+                    "call {call} on {threads} worker(s) ran tiles on {:?}, \
+                     neither the caller nor a pool thread",
+                    lane.name
+                );
+            }
+        }
+    }
+}
+
 /// Pushing far more spans than a ring holds must neither grow the ring
 /// nor stall the recorder: the drain returns exactly `RING_CAPACITY`
 /// surviving events — the newest ones — and an exact count of drops.
