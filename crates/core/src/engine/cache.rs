@@ -23,8 +23,17 @@
 //! prepares it exactly once (asserted by the cache-stats test in
 //! `crates/core/src/batched.rs`).
 //!
-//! Eviction is LRU by total resident bytes. Evicted entries stay alive for as long as callers hold
-//! their `Arc`s; the cache merely drops its reference.
+//! Eviction is LRU by total resident bytes, and happens before a miss
+//! packs: slots go until the resident bytes plus the new pack's size
+//! (known from the key's shape) fit the bound. The first victim whose
+//! entry and pack nobody else holds lends its planes to the new pack,
+//! which overwrites them, so a cache streaming cold operands rewrites
+//! memory it already has instead of faulting in fresh pages while
+//! freeing as much. A victim still pinned (by a [`PreparedOperand`] or
+//! a racing caller) stays alive for as long as those `Arc`s do; the
+//! cache merely drops its reference.
+//!
+//! [`PreparedOperand`]: crate::PreparedOperand
 
 use crate::telemetry;
 use egemm_fp::SplitScheme;
@@ -258,11 +267,15 @@ impl PanelCache {
     /// to the `packs` counter) only if none exist yet or the stored
     /// geometry disagrees with `kc`. The entry's mutex is held across
     /// the pack so concurrent callers pack exactly once.
+    ///
+    /// Before packing, LRU slots are evicted to make room for the new
+    /// pack, and `pack_fn` receives the planes of the first victim it
+    /// may overwrite (see the module doc), or `None`.
     pub(crate) fn get_or_pack(
         &self,
         key: CacheKey,
         kc: usize,
-        pack_fn: impl FnOnce() -> PackedB,
+        pack_fn: impl FnOnce(Option<(Vec<f32>, Vec<f32>)>) -> PackedB,
     ) -> Arc<PackedB> {
         let entry = self.entry_for_key(key);
         let t_lookup = telemetry::span_start();
@@ -274,18 +287,46 @@ impl PanelCache {
             }
         }
         telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 0);
+        let old_bytes = guard.as_ref().map_or(0, |p| p.bytes());
+        let planes = self.make_room(key, old_bytes, PackedB::bytes_for(key.rows, key.cols));
         self.packs.fetch_add(1, Ordering::Relaxed);
         let t_pack = telemetry::span_start();
-        let packed = Arc::new(pack_fn());
+        let packed = Arc::new(pack_fn(planes));
         let new_bytes = packed.bytes();
         telemetry::span_end(telemetry::Phase::FusedSplitPack, t_pack, new_bytes as u64);
-        let old_bytes = guard.as_ref().map_or(0, |p| p.bytes());
         *guard = Some(packed.clone());
         drop(guard);
         if self.capacity_bytes > 0 {
             self.recharge(key, old_bytes, new_bytes);
         }
         packed
+    }
+
+    /// Evict LRU slots (never `keep`) until the bound holds with `keep`
+    /// charged `new_bytes` instead of `old_bytes`, and return the planes
+    /// of the first victim whose entry and pack nobody else holds and
+    /// whose planes hold `new_bytes`. Every other victim is dropped
+    /// outside the map lock.
+    fn make_room(
+        &self,
+        keep: CacheKey,
+        old_bytes: usize,
+        new_bytes: usize,
+    ) -> Option<(Vec<f32>, Vec<f32>)> {
+        if self.capacity_bytes == 0 {
+            return None;
+        }
+        let victims = self.evict_over_bound(
+            &mut lock_unpoisoned(&self.map),
+            keep,
+            new_bytes.saturating_sub(old_bytes),
+        );
+        victims.into_iter().find_map(|slot| {
+            let entry = Arc::into_inner(slot.entry)?;
+            let packed = entry.into_inner().unwrap_or_else(PoisonError::into_inner)?;
+            let packed = Arc::into_inner(packed)?;
+            (packed.bytes() >= new_bytes).then(|| packed.into_planes())
+        })
     }
 
     /// Replace `old_bytes` of `key`'s charge with `new_bytes` (a pack
@@ -305,24 +346,35 @@ impl PanelCache {
                     .fetch_sub((old_bytes - new_bytes) as u64, Ordering::Relaxed);
             }
         }
-        self.evict_over_bound(&mut map, key);
+        // Only a racing pack of another key can leave the bound exceeded
+        // here, since make_room already fit this one.
+        drop(self.evict_over_bound(&mut map, key, 0));
     }
 
-    /// Evict least-recently-used slots (never `keep`, never the last
-    /// resident slot) until the byte bound holds.
-    fn evict_over_bound(&self, map: &mut HashMap<CacheKey, Slot>, keep: CacheKey) {
-        while self.bytes.load(Ordering::Relaxed) > self.capacity_bytes as u64 && map.len() > 1 {
+    /// Evict least-recently-used slots (never `keep`) until the resident
+    /// bytes plus `incoming` fit the byte bound, and return the evicted
+    /// slots.
+    fn evict_over_bound(
+        &self,
+        map: &mut HashMap<CacheKey, Slot>,
+        keep: CacheKey,
+        incoming: usize,
+    ) -> Vec<Slot> {
+        let mut victims = Vec::new();
+        while self.bytes.load(Ordering::Relaxed) + incoming as u64 > self.capacity_bytes as u64 {
             let victim = map
                 .iter()
                 .filter(|(k, _)| **k != keep)
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(k, _)| *k);
-            let Some(v) = victim else { break };
-            if let Some(s) = map.remove(&v) {
-                self.bytes.fetch_sub(s.charged as u64, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            let Some(s) = victim.and_then(|v| map.remove(&v)) else {
+                break;
+            };
+            self.bytes.fetch_sub(s.charged as u64, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            victims.push(s);
         }
+        victims
     }
 }
 
@@ -345,7 +397,7 @@ mod tests {
 
     /// The panels of `mat` at panel depth 8.
     fn pack(mat: &Matrix<f32>) -> PackedB {
-        PackedB::pack_fused(mat, SplitScheme::Round, SplitKernel::Scalar, 8)
+        PackedB::pack_fused(mat, SplitScheme::Round, SplitKernel::Scalar, 8, None)
     }
 
     #[test]
@@ -367,8 +419,8 @@ mod tests {
     fn hit_miss_and_split_counting() {
         let cache = PanelCache::new(usize::MAX);
         let (mat, key) = operand(8, 16, 1);
-        let p1 = cache.get_or_pack(key, 8, || pack(&mat));
-        let p2 = cache.get_or_pack(key, 8, || panic!("second lookup must not pack"));
+        let p1 = cache.get_or_pack(key, 8, |_| pack(&mat));
+        let p2 = cache.get_or_pack(key, 8, |_| panic!("second lookup must not pack"));
         assert!(Arc::ptr_eq(&p1, &p2));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.packs), (1, 1, 1));
@@ -380,7 +432,7 @@ mod tests {
         let cache = PanelCache::new(0);
         let (mat, key) = operand(4, 4, 2);
         for _ in 0..3 {
-            cache.get_or_pack(key, 8, || pack(&mat));
+            cache.get_or_pack(key, 8, |_| pack(&mat));
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.packs, s.bytes), (0, 3, 3, 0));
@@ -395,18 +447,18 @@ mod tests {
         let (m1, k1) = operand(8, 16, 3);
         let (m2, k2) = operand(8, 16, 4);
         let (m3, k3) = operand(8, 16, 5);
-        cache.get_or_pack(k1, 8, || pack(&m1));
-        cache.get_or_pack(k2, 8, || pack(&m2));
+        cache.get_or_pack(k1, 8, |_| pack(&m1));
+        cache.get_or_pack(k2, 8, |_| pack(&m2));
         // Touch k1 so k2 is the LRU victim.
-        cache.get_or_pack(k1, 8, || panic!("k1 should be resident"));
-        cache.get_or_pack(k3, 8, || pack(&m3));
+        cache.get_or_pack(k1, 8, |_| panic!("k1 should be resident"));
+        cache.get_or_pack(k3, 8, |_| pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= 2500, "resident {} over bound", s.bytes);
         // k1 survived, k2 was evicted.
-        cache.get_or_pack(k1, 8, || panic!("k1 evicted unexpectedly"));
+        cache.get_or_pack(k1, 8, |_| panic!("k1 evicted unexpectedly"));
         let before = cache.stats().packs;
-        cache.get_or_pack(k2, 8, || pack(&m2));
+        cache.get_or_pack(k2, 8, |_| pack(&m2));
         assert_eq!(cache.stats().packs, before + 1, "k2 should re-pack");
     }
 
@@ -418,13 +470,13 @@ mod tests {
         let cache = PanelCache::new(usize::MAX);
         let (mat, key) = operand(8, 16, 11);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_pack(key, 8, || panic!("pack failure"));
+            cache.get_or_pack(key, 8, |_| panic!("pack failure"));
         }));
         assert!(poisoned.is_err());
-        let packed = cache.get_or_pack(key, 8, || pack(&mat));
+        let packed = cache.get_or_pack(key, 8, |_| pack(&mat));
         assert_eq!(packed.kc(), 8);
         // And a further lookup hits the now-resident pack.
-        let again = cache.get_or_pack(key, 8, || panic!("must be resident"));
+        let again = cache.get_or_pack(key, 8, |_| panic!("must be resident"));
         assert!(Arc::ptr_eq(&packed, &again));
     }
 
@@ -435,21 +487,21 @@ mod tests {
         // exactly to the surviving allocations.
         let cache = PanelCache::new(3000);
         let (m1, k1) = operand(8, 16, 21);
-        let p1 = cache.get_or_pack(k1, 8, || pack(&m1));
+        let p1 = cache.get_or_pack(k1, 8, |_| pack(&m1));
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(p1.bytes(), 2 * 4 * 8 * 16);
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // A hit reuses the allocation: resident bytes unchanged.
-        let p1b = cache.get_or_pack(k1, 8, || panic!("must be resident"));
+        let p1b = cache.get_or_pack(k1, 8, |_| panic!("must be resident"));
         assert!(Arc::ptr_eq(&p1, &p1b));
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // Two more entries (1024 B each) push past the 3000-byte bound;
         // after the eviction the counter matches the surviving
         // allocations exactly.
         let (m2, k2) = operand(8, 16, 22);
-        let p2 = cache.get_or_pack(k2, 8, || pack(&m2));
+        let p2 = cache.get_or_pack(k2, 8, |_| pack(&m2));
         let (m3, k3) = operand(8, 16, 23);
-        let p3 = cache.get_or_pack(k3, 8, || pack(&m3));
+        let p3 = cache.get_or_pack(k3, 8, |_| pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.bytes, (p2.bytes() + p3.bytes()) as u64);

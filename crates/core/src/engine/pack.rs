@@ -143,8 +143,16 @@ pub(crate) fn pack_a_fused(
 
 /// Fused split+pack of B: read raw f32 rows and emit both packed planes
 /// directly — same layout as two [`pack_b`] calls over the planes of a
-/// [`crate::SplitMatrix`]. Each row segment is split contiguously into its
-/// strip sliver; padding columns are zeroed in both planes.
+/// [`crate::SplitMatrix`], overwriting every element of the
+/// `ceil(ncb/NR) * kcb * NR` it covers.
+///
+/// The panel goes in blocks of up to NR rows: for each block and strip,
+/// the block's row segments are gathered into an NR x NR stack tile
+/// (lanes past the ragged last strip's width zeroed) and split with one
+/// call straight into the strip's rows `[kk0, kk0 + rows)`, which are
+/// contiguous in both planes. So B is read a block of rows at a time,
+/// and one split call covers up to NR x NR elements. A split of +0.0 is
+/// +0.0 in both planes, so the padding matches [`pack_b`]'s zeros.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_fused(
     src: &[f32],
@@ -159,23 +167,29 @@ pub(crate) fn pack_b_fused(
     lo: &mut [f32],
 ) {
     let strips = ncb.div_ceil(NR);
-    for sb in 0..strips {
-        let hs = &mut hi[sb * kcb * NR..(sb + 1) * kcb * NR];
-        let ls = &mut lo[sb * kcb * NR..(sb + 1) * kcb * NR];
-        let jbase = j0 + sb * NR;
-        let cols = NR.min(ncb - sb * NR);
-        for kk in 0..kcb {
-            let brow = &src[(p0 + kk) * n + jbase..(p0 + kk) * n + jbase + cols];
-            let hd = &mut hs[kk * NR..kk * NR + NR];
-            let ld = &mut ls[kk * NR..kk * NR + NR];
-            split_planes_f32(kernel, scheme, brow, &mut hd[..cols], &mut ld[..cols]);
-            for d in hd[cols..].iter_mut() {
-                *d = 0.0;
+    let mut tile = [0f32; NR * NR];
+    let mut kk0 = 0;
+    while kk0 < kcb {
+        let rows = NR.min(kcb - kk0);
+        for sb in 0..strips {
+            let jbase = j0 + sb * NR;
+            let cols = NR.min(ncb - sb * NR);
+            for (r, dst) in tile.chunks_exact_mut(NR).take(rows).enumerate() {
+                let row = (p0 + kk0 + r) * n + jbase;
+                dst[..cols].copy_from_slice(&src[row..row + cols]);
+                dst[cols..].fill(0.0);
             }
-            for d in ld[cols..].iter_mut() {
-                *d = 0.0;
-            }
+            let off = sb * kcb * NR + kk0 * NR;
+            let len = rows * NR;
+            split_planes_f32(
+                kernel,
+                scheme,
+                &tile[..len],
+                &mut hi[off..off + len],
+                &mut lo[off..off + len],
+            );
         }
+        kk0 += rows;
     }
 }
 
@@ -282,7 +296,8 @@ impl PanelStore {
 /// of `kcb x NR` row-major slivers — exactly what [`pack_b`] produces for
 /// the full column range of one k panel. Panels are stored at the stride
 /// of a *full* panel (`strips * kc * NR`) so panel offsets don't depend
-/// on the ragged depth of the final panel.
+/// on the ragged depth of the final panel, which ends exactly at the
+/// plane's length, [`plane_len`]`(k, n)`.
 ///
 /// A macro-tile whose column origin `jc` is NR-aligned and whose k grid
 /// starts at 0 with the same `kc` reads its slivers at global strip
@@ -301,31 +316,45 @@ pub(crate) struct PackedB {
     lo: Vec<f32>,
 }
 
+/// Elements in each plane of a packed `k x n` B: `ceil(n/NR)` strips of
+/// NR lanes over all `k` rows, whatever the panel depth.
+fn plane_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * NR * k
+}
+
 impl PackedB {
     /// Fused split+pack of a raw operand with panel depth `kc` (>= 1,
     /// already clamped to the chunk grid by the caller): per panel,
     /// bit-for-bit the [`pack_b`] of both planes of
     /// `SplitMatrix::split_with(src, scheme, kernel)`, without ever
     /// materializing the split planes.
+    ///
+    /// `reuse` lends the planes of a pack nobody reads any more; the
+    /// pack sizes them to [`plane_len`] and overwrites every element, so
+    /// their old contents cannot reach the output. Without them both
+    /// planes are fresh zeroed allocations.
     pub(crate) fn pack_fused(
         src: &egemm_matrix::Matrix<f32>,
         scheme: SplitScheme,
         kernel: SplitKernel,
         kc: usize,
+        reuse: Option<(Vec<f32>, Vec<f32>)>,
     ) -> PackedB {
         assert!(kc >= 1, "panel depth must be positive");
         let k = src.rows();
         let n = src.cols();
         let strips = n.div_ceil(NR);
-        let panels = k.div_ceil(kc);
         let panel_stride = strips * kc * NR;
-        let mut hi = vec![0f32; panels * panel_stride];
-        let mut lo = vec![0f32; panels * panel_stride];
+        let len = plane_len(k, n);
+        let (mut hi, mut lo) = match reuse {
+            Some((hi, lo)) => (fit(hi, len), fit(lo, len)),
+            None => (vec![0f32; len], vec![0f32; len]),
+        };
         let mut pc = 0usize;
         while pc < k {
             let kcb = kc.min(k - pc);
             let base = (pc / kc) * panel_stride;
-            let len = strips * kcb * NR;
+            let end = base + strips * kcb * NR;
             pack_b_fused(
                 src.as_slice(),
                 n,
@@ -335,8 +364,8 @@ impl PackedB {
                 kcb,
                 scheme,
                 kernel,
-                &mut hi[base..base + len],
-                &mut lo[base..base + len],
+                &mut hi[base..end],
+                &mut lo[base..end],
             );
             pc += kcb;
         }
@@ -371,6 +400,18 @@ impl PackedB {
         4 * (self.hi.len() + self.lo.len())
     }
 
+    /// What [`PackedB::bytes`] will read for a `k x n` operand, known
+    /// before it is packed.
+    pub(crate) fn bytes_for(k: usize, n: usize) -> usize {
+        2 * 4 * plane_len(k, n)
+    }
+
+    /// Both planes, for [`PackedB::pack_fused`] to pack another operand
+    /// into.
+    pub(crate) fn into_planes(self) -> (Vec<f32>, Vec<f32>) {
+        (self.hi, self.lo)
+    }
+
     /// The `kcb x NR` sliver of global strip `strip` in panel `panel`
     /// (whose actual depth is `kcb`).
     #[cfg(test)]
@@ -395,6 +436,15 @@ impl PackedB {
         let base = panel * self.panel_stride + strip * kcb * NR;
         &plane[base..base + take * kcb * NR]
     }
+}
+
+/// `plane` sized to `len` elements with its spare capacity released, so
+/// that [`PackedB::bytes`] stays the memory the pack pins. The cache
+/// lends only planes at least `len` long, which this cuts in place.
+fn fit(mut plane: Vec<f32>, len: usize) -> Vec<f32> {
+    plane.resize(len, 0.0);
+    plane.shrink_to_fit();
+    plane
 }
 
 #[cfg(test)]
@@ -470,7 +520,7 @@ mod tests {
         let (k, n, kc) = (23usize, 37usize, 8usize);
         let src = Matrix::<f32>::random_uniform(k, n, 42);
         let split = SplitMatrix::split(&src, SplitScheme::Round);
-        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, kc);
+        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, kc, None);
         assert_eq!((packed.k(), packed.n(), packed.kc()), (k, n, kc));
         for lo_plane in [false, true] {
             let plane = split.plane(lo_plane);
@@ -582,7 +632,7 @@ mod tests {
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
             for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let fused = PackedB::pack_fused(&src, scheme, kernel, kc);
+                let fused = PackedB::pack_fused(&src, scheme, kernel, kc, None);
                 assert_eq!((fused.k(), fused.n(), fused.kc()), (k, n, kc));
                 for lo_plane in [false, true] {
                     let mut pc = 0usize;
@@ -642,9 +692,86 @@ mod tests {
 
     #[test]
     fn packed_b_bytes_accounting() {
-        let src = Matrix::<f32>::random_uniform(8, 16, 1);
-        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, 8);
-        // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
-        assert_eq!(packed.bytes(), 2 * 4 * 8 * 16);
+        // Each plane holds its strips over the real depth k, not over
+        // whole kc panels: (k, n, kc) -> strips x NR x k per plane.
+        for (k, n, kc, strips) in [(8, 16, 8, 1), (5, 16, 8, 1), (23, 37, 8, 3)] {
+            let src = Matrix::<f32>::random_uniform(k, n, 1);
+            let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, kc, None);
+            // 2 planes x 4 bytes, as the cache charges before packing.
+            assert_eq!(
+                packed.bytes(),
+                2 * 4 * strips * NR * k,
+                "k={k} n={n} kc={kc}"
+            );
+            assert_eq!(PackedB::bytes_for(k, n), packed.bytes());
+        }
+    }
+
+    /// The bit patterns of `xs`, so a NaN left over from a reused buffer
+    /// fails the comparison.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn blocked_pack_bit_identical_at_real_depths() {
+        // k = 85 over kc = 40: panels of depth 40, 40 and 5, so panels
+        // span two full 16-row blocks and a ragged one (40 mod 16 = 8).
+        // n = 37 leaves the last strip 5 lanes wide.
+        let (k, n, kc) = (85usize, 37usize, 40usize);
+        let strips = n.div_ceil(NR);
+        let src = Matrix::<f32>::random_uniform(k, n, 85);
+        for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
+            for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
+                let split = SplitMatrix::split_with(&src, scheme, kernel);
+                let tag = format!("{scheme:?} {kernel:?}");
+                // Whole operand, into reused planes longer than needed
+                // and filled with NaN.
+                let len = plane_len(k, n);
+                let stale = || vec![f32::NAN; len + 3 * NR];
+                let packed =
+                    PackedB::pack_fused(&src, scheme, kernel, kc, Some((stale(), stale())));
+                assert_eq!(packed.bytes(), 2 * 4 * len, "{tag}");
+                for lo_plane in [false, true] {
+                    let plane = split.plane(lo_plane);
+                    let mut pc = 0usize;
+                    while pc < k {
+                        let kcb = kc.min(k - pc);
+                        let mut want = vec![-1.0f32; strips * kcb * NR];
+                        pack_b(plane, n, 0, n, pc, kcb, &mut want);
+                        for sb in 0..strips {
+                            assert_eq!(
+                                bits(packed.sliver(lo_plane, pc / kc, kcb, sb)),
+                                bits(&want[sb * kcb * NR..(sb + 1) * kcb * NR]),
+                                "{tag} lo={lo_plane} pc={pc} sb={sb}"
+                            );
+                        }
+                        pc += kcb;
+                    }
+                }
+                // One tile: column origin j0 = 3, width 30 (a ragged
+                // second strip), the middle panel, NaN-filled output.
+                let (j0, ncb, p0, kcb) = (3usize, 30usize, kc, kc);
+                let tile_len = ncb.div_ceil(NR) * kcb * NR;
+                let (mut hi, mut lo) = (vec![f32::NAN; tile_len], vec![f32::NAN; tile_len]);
+                pack_b_fused(
+                    src.as_slice(),
+                    n,
+                    j0,
+                    ncb,
+                    p0,
+                    kcb,
+                    scheme,
+                    kernel,
+                    &mut hi,
+                    &mut lo,
+                );
+                for (lo_plane, got) in [(false, &hi), (true, &lo)] {
+                    let mut want = vec![-1.0f32; tile_len];
+                    pack_b(split.plane(lo_plane), n, j0, ncb, p0, kcb, &mut want);
+                    assert_eq!(bits(got), bits(&want), "{tag} tile lo={lo_plane}");
+                }
+            }
+        }
     }
 }

@@ -288,15 +288,17 @@ impl EngineRuntime {
 
     /// Pack `src`'s B panels straight from the raw f32 data for
     /// blocking depth `kc` (already clamped to the chunk grid), through
-    /// the cache: a content-fingerprint hit skips the pack.
+    /// the cache: a content-fingerprint hit skips the pack, and a miss
+    /// packs into the planes of the entry it evicts when nobody holds
+    /// them.
     pub(crate) fn prepare_b(
         &self,
         src: &Matrix<f32>,
         scheme: SplitScheme,
         kc: usize,
     ) -> PreparedOperand {
-        let packed = self.cache.get_or_pack(key_of(src, scheme), kc, || {
-            PackedB::pack_fused(src, scheme, SplitKernel::Auto, kc)
+        let packed = self.cache.get_or_pack(key_of(src, scheme), kc, |planes| {
+            PackedB::pack_fused(src, scheme, SplitKernel::Auto, kc, planes)
         });
         PreparedOperand { packed, scheme }
     }
@@ -638,6 +640,54 @@ mod tests {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn eviction_reuses_planes_only_when_nobody_holds_them() {
+        use crate::{Egemm, TilingConfig};
+        use egemm_tcsim::DeviceSpec;
+        let egemm = |cache_bytes| {
+            Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER).with_runtime(EngineRuntime::new(
+                RuntimeConfig {
+                    threads: 1,
+                    cache_bytes,
+                },
+            ))
+        };
+        // The bound holds one 64 x 64 pack: 2 planes x 64 x 64 x 4 B.
+        let eg = egemm(2 * 4 * 64 * 64);
+        let cold = egemm(0);
+        let a = Matrix::<f32>::random_uniform(8, 64, 1);
+        let b: Vec<Matrix<f32>> = (0..3)
+            .map(|s| Matrix::<f32>::random_uniform(64, 64, 10 + s))
+            .collect();
+        let planes = |p: &PreparedOperand| {
+            [false, true].map(|lo| p.packed.sliver_span(lo, 0, 1, 0, 1).as_ptr())
+        };
+        let bits = |d: Matrix<f32>| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let check = |p: &PreparedOperand, b: &Matrix<f32>| {
+            assert_eq!(
+                bits(eg.gemm_prepared(&a, p, None).d),
+                bits(cold.gemm(&a, b).d)
+            );
+        };
+        // b[0]'s pack is evicted while a handle pins it: b[1] packs into
+        // fresh planes, and the held pack still reads b[0].
+        let h0 = eg.prepare(&b[0]);
+        let h1 = eg.prepare(&b[1]);
+        assert_eq!(eg.runtime().cache_stats().evictions, 1);
+        assert_ne!(planes(&h1), planes(&h0));
+        check(&h0, &b[0]);
+        check(&h1, &b[1]);
+        // Once nobody holds b[1]'s pack, evicting it lends b[2] its planes.
+        let reused = planes(&h1);
+        drop((h0, h1));
+        let h2 = eg.prepare(&b[2]);
+        assert_eq!(planes(&h2), reused);
+        check(&h2, &b[2]);
+        let s = eg.runtime().cache_stats();
+        assert_eq!((s.evictions, s.packs), (2, 3));
+        assert_eq!(s.bytes, h2.bytes() as u64);
     }
 
     #[test]

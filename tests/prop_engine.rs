@@ -325,6 +325,74 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A cache bound of one or two of the largest packs makes cold Bs
+    /// evict, and an evicted pack nobody holds lends its planes to the
+    /// next pack, cut down when the next B is smaller. Streaming three
+    /// large Bs then three smaller ones, with the prepared handles of
+    /// some held to the end, stays bitwise identical to the uncached
+    /// path at pool sizes 1 and 4, and so do the held handles after
+    /// every later eviction.
+    #[test]
+    fn evicted_planes_reused_bit_identical(
+        m in 1usize..12,
+        big in (16usize..96, 16usize..96),
+        small in (1usize..16, 1usize..96),
+        held in any::<u8>(),
+        slots in 1usize..3,
+        scheme_idx in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let scheme = SCHEMES[scheme_idx];
+        let cold = cold_reference(scheme);
+        let shapes = [big, big, big, small, small, small];
+        let bs: Vec<Matrix<f32>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, n))| Matrix::<f32>::random_uniform(k, n, seed + i as u64))
+            .collect();
+        let cache_bytes = slots * cold.prepare(&bs[0]).bytes();
+        for threads in [1usize, 4] {
+            let eg = egemm_on(scheme, RuntimeConfig { threads, cache_bytes });
+            let mut pinned = Vec::new();
+            for (i, b) in bs.iter().enumerate() {
+                let a = Matrix::<f32>::random_uniform(m, b.rows(), seed + 100 + i as u64);
+                let d = if held >> i & 1 == 1 {
+                    let h = eg.prepare(b);
+                    let d = eg.gemm_prepared(&a, &h, None).d;
+                    pinned.push((a.clone(), i, h));
+                    d
+                } else {
+                    eg.gemm(&a, b).d
+                };
+                prop_assert_eq!(
+                    bits(&d),
+                    bits(&cold.gemm(&a, b).d),
+                    "B {} diverged ({:?}, threads={})",
+                    i,
+                    scheme,
+                    threads
+                );
+            }
+            for (a, i, h) in &pinned {
+                prop_assert_eq!(
+                    bits(&eg.gemm_prepared(a, h, None).d),
+                    bits(&cold.gemm(a, &bs[*i]).d),
+                    "held B {} diverged after later packs ({:?}, threads={})",
+                    i,
+                    scheme,
+                    threads
+                );
+            }
+            let s = eg.runtime().cache_stats();
+            prop_assert!(s.evictions >= 1, "the third large B must evict: {:?}", s);
+            prop_assert!(s.bytes <= cache_bytes as u64, "over the bound: {:?}", s);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Work-stealing pool sizes 2/4/8 under deliberately tiny blocking

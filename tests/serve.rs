@@ -223,25 +223,31 @@ fn deadline_expires_before_dispatch() {
 /// reported as a timeout — with the `after_dispatch` flag set.
 #[test]
 fn deadline_expires_after_dispatch() {
-    // The deadline is an eighth of a directly timed call of the same
+    // The deadline is a quarter of a directly timed call of the same
     // shape on the same engine, so the served call outlives it in any
     // build profile and under a contended test run. A first call
     // compiles the kernels; the timed one and the served one each pack
-    // a B of their own, so they do the same work.
-    let n = 512;
+    // a B of their own, so they do the same work. The shape is wide and
+    // shallow because the deadline runs from admission, which hashes A
+    // and B before queueing: in a debug build the n x n output costs the
+    // call about 70 times what hashing the n x DEPTH operands costs
+    // (about 10 times for a square product), so the queue wait stays far
+    // below the deadline.
+    const DEPTH: usize = 16;
+    let n = 2048;
     let eng = engine(1);
-    let a = Matrix::<f32>::random_uniform(n, n, 1);
-    let b = Matrix::<f32>::random_uniform(n, n, 2);
-    eng.gemm(&a, &Matrix::<f32>::random_uniform(n, n, 3));
+    let a = Matrix::<f32>::random_uniform(n, DEPTH, 1);
+    let b = Matrix::<f32>::random_uniform(DEPTH, n, 2);
+    eng.gemm(&a, &Matrix::<f32>::random_uniform(DEPTH, n, 3));
     let start = Instant::now();
-    eng.gemm(&a, &Matrix::<f32>::random_uniform(n, n, 4));
+    eng.gemm(&a, &Matrix::<f32>::random_uniform(DEPTH, n, 4));
     let call = start.elapsed();
     // The floor keeps the deadline far above the scheduler's
     // microsecond dequeue, so it is still live at dispatch.
-    let deadline = (call / 8).max(Duration::from_millis(2));
+    let deadline = (call / 4).max(Duration::from_millis(2));
     assert!(
         call >= deadline * 2,
-        "a {n}^3 call took {call:?}; too fast for a {deadline:?} deadline"
+        "a {n}x{DEPTH}x{n} call took {call:?}; too fast for a {deadline:?} deadline"
     );
 
     let server = Server::start(eng, ServerConfig::default());
