@@ -183,10 +183,9 @@ fn draw(addr: &str, prev: Option<&Scrape>, cur: &Scrape, dt: f64, clear: bool) {
         fmt_si(get(cur, "egemm_cache_resident_bytes")),
     ));
     out.push_str(&format!(
-        "  steals     {:>9}   tiles stolen {:>6}   panel reuse {:>8}   spans dropped {:>6}\n",
+        "  steals     {:>9}   tiles stolen {:>6}   spans dropped {:>6}\n",
         fmt_si(get(cur, "egemm_sched_steals")),
         fmt_si(get(cur, "egemm_sched_tiles_stolen")),
-        fmt_si(get(cur, "egemm_panel_reuse_hits")),
         fmt_si(get(cur, "egemm_trace_spans_dropped_total")),
     ));
     out.push_str(&format!(

@@ -8,7 +8,7 @@
 //! sizes stops being the bottleneck the §7.3 small-size discussion
 //! describes.
 
-use crate::engine::{self, BOperand, Operand};
+use crate::engine::{self, Operand};
 use crate::gemm::Egemm;
 use crate::kernel::build_kernel;
 use crate::telemetry::{probe, GemmReport};
@@ -20,8 +20,6 @@ use egemm_tcsim::{kernel_time, KernelTiming};
 pub struct BatchedOutput {
     /// Per-problem products, in input order.
     pub d: Vec<Matrix<f32>>,
-    /// Simulated timing of the single batched launch.
-    pub timing: KernelTiming,
     /// Telemetry for the whole batch (prepare + compute phases) —
     /// `Some` only while tracing is on.
     pub report: Option<GemmReport>,
@@ -58,7 +56,7 @@ impl Egemm {
         let plans: Vec<_> = a
             .iter()
             .zip(&prepared)
-            .map(|(ai, pb)| self.plan(Operand::Raw(ai), BOperand::Prepared(pb)))
+            .map(|(ai, pb)| self.plan(Operand::Raw(ai), pb))
             .collect();
         let d = engine::execute_all(self.runtime(), &plans);
         let report = self.trace_end(
@@ -78,11 +76,7 @@ impl Egemm {
             let i = probe::pick(a.len());
             probe::maybe_probe(self.scheme, &a[i], &b[i], None, &d[i]);
         }
-        BatchedOutput {
-            d,
-            timing: self.time_batched(shape, a.len()),
-            report,
-        }
+        BatchedOutput { d, report }
     }
 
     /// Timing of a batched launch: one kernel whose grid is the union of

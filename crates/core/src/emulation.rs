@@ -28,7 +28,7 @@
 //! large-size precision experiments (Figure 7).
 
 use crate::config::TilingConfig;
-use crate::engine::{self, BOperand, EngineConfig, EngineRuntime, GemmPlan, Operand};
+use crate::engine::{self, EngineConfig, EngineRuntime, GemmPlan, Operand};
 use crate::split_matrix::SplitMatrix;
 use egemm_fp::{PrecisionFormat, SplitScheme};
 use egemm_matrix::Matrix;
@@ -155,17 +155,13 @@ pub fn emulated_gemm_tk(
     scheme: EmulationScheme,
     tk: usize,
 ) -> Matrix<f32> {
+    let (rt, cfg) = (EngineRuntime::global(), EngineConfig::default());
+    let pb = engine::prepare_b_split(rt, b, 0..b.rows(), tk, cfg);
     let plan = GemmPlan {
         c,
-        ..GemmPlan::new(
-            Operand::Split(a),
-            BOperand::Split(b),
-            scheme,
-            tk,
-            EngineConfig::default(),
-        )
+        ..GemmPlan::new(Operand::Split(a), &pb, scheme, tk, cfg)
     };
-    engine::execute(EngineRuntime::global(), &plan)
+    engine::execute(rt, &plan)
 }
 
 /// Row-sampled emulated GEMM: compute only the output rows in `rows`
@@ -183,17 +179,14 @@ pub fn emulated_gemm_rows(
     rows: &[usize],
     scheme: EmulationScheme,
 ) -> Matrix<f32> {
+    let (rt, cfg) = (EngineRuntime::global(), EngineConfig::default());
+    let tk = TilingConfig::TC.k;
+    let pb = engine::prepare_b_split(rt, b, 0..b.rows(), tk, cfg);
     let plan = GemmPlan {
         rows: Some(rows),
-        ..GemmPlan::new(
-            Operand::Split(a),
-            BOperand::Split(b),
-            scheme,
-            TilingConfig::TC.k,
-            EngineConfig::default(),
-        )
+        ..GemmPlan::new(Operand::Split(a), &pb, scheme, tk, cfg)
     };
-    engine::execute(EngineRuntime::global(), &plan)
+    engine::execute(rt, &plan)
 }
 
 /// Independent per-element oracle with identical numerics to

@@ -290,10 +290,9 @@ impl PanelCache {
         let old_bytes = guard.as_ref().map_or(0, |p| p.bytes());
         let planes = self.make_room(key, old_bytes, PackedB::bytes_for(key.rows, key.cols));
         self.packs.fetch_add(1, Ordering::Relaxed);
-        let t_pack = telemetry::span_start();
+        // The pack records its own spans, one per panel.
         let packed = Arc::new(pack_fn(planes));
         let new_bytes = packed.bytes();
-        telemetry::span_end(telemetry::Phase::FusedSplitPack, t_pack, new_bytes as u64);
         *guard = Some(packed.clone());
         drop(guard);
         if self.capacity_bytes > 0 {
@@ -381,7 +380,7 @@ impl PanelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egemm_fp::SplitKernel;
+    use crate::engine::pack::{BRows, Panel};
     use egemm_matrix::Matrix;
 
     fn operand(m: usize, n: usize, seed: u64) -> (Matrix<f32>, CacheKey) {
@@ -397,7 +396,12 @@ mod tests {
 
     /// The panels of `mat` at panel depth 8.
     fn pack(mat: &Matrix<f32>) -> PackedB {
-        PackedB::pack_fused(mat, SplitScheme::Round, SplitKernel::Scalar, 8, None)
+        let mut packed = PackedB::new(mat.rows(), mat.cols(), 8, None);
+        let rows = BRows::raw(mat, 0..mat.rows());
+        packed
+            .panels(rows, SplitScheme::Round)
+            .for_each(Panel::pack);
+        packed
     }
 
     #[test]

@@ -37,6 +37,9 @@ pub(crate) struct ExecBuf {
 // drop; sharing the start address across threads is plain pointer
 // sharing with no interior mutation.
 unsafe impl Send for ExecBuf {}
+// SAFETY: `&ExecBuf` exposes only the start address and the length of
+// that immutable mapping, so shared references on several threads can
+// read nothing another thread writes.
 unsafe impl Sync for ExecBuf {}
 
 impl ExecBuf {

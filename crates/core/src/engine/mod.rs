@@ -13,11 +13,10 @@
 //! before the next block, so the B panel it just touched stays hot) and
 //! idle workers steal half-ranges from the most-loaded victim, so
 //! skewed shapes (m = 64, n = k = 4096) parallelize across column tiles
-//! where whole-row partitioning would idle every core but four. Cold B
-//! panels are packed cooperatively through a per-call
-//! `pack::PanelStore`: the first worker to reach a (jc, pc) panel
-//! packs and publishes it, every other worker reuses it — once per
-//! panel per call instead of once per tile per worker.
+//! where whole-row partitioning would idle every core but four. B is
+//! packed whole before the tile grid starts, one k panel per claim on
+//! the same pool, so every tile reads its B slivers from one prepared
+//! operand and no tile packs B.
 //!
 //! The engine is numerically *invisible*: per output element it replays
 //! exactly the profiled Tensor-Core accumulation order — ascending k in
@@ -39,15 +38,18 @@
 //! clause.
 //!
 //! The public surface is one plan and one executor: a [`GemmPlan`]
-//! names the operands (A as split planes or raw f32; B as split planes,
-//! raw f32, or panels packed once by [`prepare_b`]), an optional C, an
-//! optional row sample and k slice, and the scheme/chunk depth/blocking;
-//! [`execute`] validates the whole plan before any compute and runs it.
-//! Raw operands take the fused path — each tile's pack splits them on
-//! the fly, so no split matrix is ever materialized. Batched and split-K
-//! calls hand `execute_all` several plans of one output shape, and their
-//! tile grids run as one grid on the runtime's pool, so every call runs
-//! at the runtime's width.
+//! names the operands (A as split planes or raw f32; B as a
+//! [`PreparedOperand`]), an optional C, an optional row sample and k
+//! slice, and the scheme/chunk depth/blocking; [`execute`] validates the
+//! whole plan before any compute and runs it. A B is prepared one of
+//! three ways: [`prepare_b`] packs raw f32 through the runtime's
+//! content-addressed cache, [`prepare_b_rows`] packs a row range of raw
+//! f32 (a split-K slice) and [`prepare_b_split`] packs the planes of a
+//! [`SplitMatrix`], both past the cache. A raw A takes the fused path —
+//! each tile's pack splits it on the fly, so no split matrix is ever
+//! materialized. Batched and split-K calls hand `execute_all` several
+//! plans of one output shape, and their tile grids run as one grid on
+//! the runtime's pool, so every call runs at the runtime's width.
 
 mod cache;
 pub(crate) mod jit;
@@ -64,7 +66,7 @@ use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 pub use jit::{available as jit_available, exec_mappings as jit_exec_mappings};
 use micro::PlanePair;
-use pack::{pack_a, pack_a_fused, pack_b, pack_b_fused, PanelStore, MR, NR};
+use pack::{pack_a, pack_a_fused, BRows, MR, NR};
 pub use runtime::{CacheStats, EngineRuntime, PreparedOperand, RuntimeConfig};
 pub use sched::SchedStats;
 use sched::{Claim, TileScheduler};
@@ -128,15 +130,6 @@ impl Operand<'_> {
     }
 }
 
-/// The B operand of a [`GemmPlan`]: either input form of [`Operand`], or
-/// whole-operand panels packed once by [`prepare_b`].
-#[derive(Debug, Clone, Copy)]
-pub enum BOperand<'a> {
-    Split(&'a SplitMatrix),
-    Raw(&'a Matrix<f32>),
-    Prepared(&'a PreparedOperand),
-}
-
 /// One emulated GEMM `D = A·B (+ C)` with the accumulation semantics of
 /// [`crate::emulated_gemm_tk`]: per output element, ascending k in
 /// `tk`-sized chunks, the scheme's terms in issue order per chunk.
@@ -144,13 +137,13 @@ pub enum BOperand<'a> {
 /// `rows` computes only the listed A rows (strictly ascending; the
 /// output is `rows.len() x n`, bit-identical to those rows of the full
 /// product). `k_range` computes the split-K partial over `[k_lo, k_hi)`
-/// with chunking restarted at `k_lo`. `c`, when present, seeds the
-/// accumulator and must match the output shape. A prepared B requires
-/// the full k range and a panel depth matching `clamp(cfg.kc, tk)`.
+/// with chunking restarted at `k_lo`, and B holds exactly the rows of
+/// that range. `c`, when present, seeds the accumulator and must match
+/// the output shape. B's panel depth must match `clamp(cfg.kc, tk)`.
 #[derive(Debug, Clone)]
 pub struct GemmPlan<'a> {
     pub a: Operand<'a>,
-    pub b: BOperand<'a>,
+    pub b: &'a PreparedOperand,
     pub c: Option<&'a Matrix<f32>>,
     pub rows: Option<&'a [usize]>,
     pub k_range: Option<Range<usize>>,
@@ -163,7 +156,7 @@ impl<'a> GemmPlan<'a> {
     /// The full product `A·B`: no C, every row, the whole reduction.
     pub fn new(
         a: Operand<'a>,
-        b: BOperand<'a>,
+        b: &'a PreparedOperand,
         scheme: EmulationScheme,
         tk: usize,
         cfg: EngineConfig,
@@ -184,21 +177,20 @@ impl<'a> GemmPlan<'a> {
     /// Runs before any compute, so a bad plan never does partial work.
     fn validate(&self) -> (usize, usize, Range<usize>) {
         let (a_rows, k) = self.a.shape();
-        let (b_rows, n) = match self.b {
-            BOperand::Split(s) => (s.rows(), s.cols()),
-            BOperand::Raw(m) => (m.rows(), m.cols()),
-            BOperand::Prepared(p) => (p.rows(), p.cols()),
-        };
-        assert_eq!(k, b_rows, "inner dimensions disagree");
+        let n = self.b.cols();
+        let ks = self.k_range.clone().unwrap_or(0..k);
+        assert!(
+            ks.start <= ks.end && ks.end <= k,
+            "k range [{}, {}) out of bounds",
+            ks.start,
+            ks.end
+        );
+        assert_eq!(ks.len(), self.b.rows(), "inner dimensions disagree");
         let split = self.scheme.split_scheme();
         if let Operand::Split(s) = self.a {
             assert_eq!(s.scheme, split, "A split scheme mismatch");
         }
-        match self.b {
-            BOperand::Split(s) => assert_eq!(s.scheme, split, "B split scheme mismatch"),
-            BOperand::Prepared(p) => assert_eq!(p.scheme(), split, "B split scheme mismatch"),
-            BOperand::Raw(_) => {}
-        }
+        assert_eq!(self.b.scheme(), split, "B split scheme mismatch");
         assert!(self.tk > 0, "tk must be positive");
         if let Some(rows) = self.rows {
             for (pos, &r) in rows.iter().enumerate() {
@@ -220,29 +212,19 @@ impl<'a> GemmPlan<'a> {
         if let Some(c0) = self.c {
             assert_eq!((c0.rows(), c0.cols()), (m_out, n), "C shape");
         }
-        let ks = self.k_range.clone().unwrap_or(0..k);
-        assert!(
-            ks.start <= ks.end && ks.end <= k,
-            "k range [{}, {}) out of bounds",
-            ks.start,
-            ks.end
+        assert_eq!(
+            self.b.packed.kc(),
+            clamp_kc(self.cfg.kc, self.tk),
+            "prepacked panel depth disagrees with the blocking in effect"
         );
-        if let BOperand::Prepared(p) = self.b {
-            assert!(ks == (0..k), "prepacked B requires a full k range");
-            assert_eq!(
-                p.packed.kc(),
-                clamp_kc(self.cfg.kc, self.tk),
-                "prepacked panel depth disagrees with the blocking in effect"
-            );
-        }
         (m_out, n, ks)
     }
 }
 
 /// Pack `src`'s B panels straight from the raw f32 data through `rt`'s
-/// cache, for reuse as [`BOperand::Prepared`] under the same `tk`/`cfg`
-/// blocking. A cache hit skips the pack; the returned handle pins the
-/// panels independently of eviction.
+/// cache, as the B of plans over its whole depth under the same
+/// `tk`/`cfg` blocking. A cache hit skips the pack; the returned handle
+/// pins the panels independently of eviction.
 pub fn prepare_b(
     rt: &EngineRuntime,
     src: &Matrix<f32>,
@@ -252,6 +234,57 @@ pub fn prepare_b(
 ) -> PreparedOperand {
     assert!(tk > 0, "tk must be positive");
     rt.prepare_b(src, scheme, clamp_kc(cfg.kc, tk))
+}
+
+/// Pack rows `rows` of the raw `src` as the B of a plan whose k range is
+/// `rows` (a split-K slice), past the cache. The rows are a view of
+/// `src`, so nothing is copied before the pack.
+///
+/// # Panics
+/// If `tk` is zero or `rows` is out of bounds.
+pub fn prepare_b_rows(
+    rt: &EngineRuntime,
+    src: &Matrix<f32>,
+    rows: Range<usize>,
+    scheme: SplitScheme,
+    tk: usize,
+    cfg: EngineConfig,
+) -> PreparedOperand {
+    let mut prepared = prepare_b_slices(rt, src, &[rows], scheme, tk, cfg);
+    prepared.pop().expect("one slice, one prepared B")
+}
+
+/// [`prepare_b_rows`] of every range in `slices`, with the panels of
+/// all of them in one claim list.
+pub(crate) fn prepare_b_slices(
+    rt: &EngineRuntime,
+    src: &Matrix<f32>,
+    slices: &[Range<usize>],
+    scheme: SplitScheme,
+    tk: usize,
+    cfg: EngineConfig,
+) -> Vec<PreparedOperand> {
+    assert!(tk > 0, "tk must be positive");
+    let views: Vec<_> = slices.iter().map(|r| BRows::raw(src, r.clone())).collect();
+    rt.prepare_uncached(&views, scheme, clamp_kc(cfg.kc, tk))
+}
+
+/// Pack rows `rows` of both planes of the split `src` as they are, as
+/// the B of a plan whose k range is `rows`, past the cache.
+///
+/// # Panics
+/// If `tk` is zero or `rows` is out of bounds.
+pub fn prepare_b_split(
+    rt: &EngineRuntime,
+    src: &SplitMatrix,
+    rows: Range<usize>,
+    tk: usize,
+    cfg: EngineConfig,
+) -> PreparedOperand {
+    assert!(tk > 0, "tk must be positive");
+    let view = BRows::split(src, rows);
+    let mut prepared = rt.prepare_uncached(&[view], src.scheme, clamp_kc(cfg.kc, tk));
+    prepared.pop().expect("one operand, one prepared B")
 }
 
 /// One plan's output buffer, handed to workers as a raw pointer; tiles
@@ -268,9 +301,10 @@ unsafe impl Sync for SharedOut {}
 ///
 /// # Panics
 /// Before any compute, if the plan is invalid: operand or C shapes
-/// disagree, a split scheme differs from the plan's, `tk` is zero, a
-/// sampled row is out of range or out of order, the k range is out of
-/// bounds, or a prepared B meets a partial k range or another `kc`.
+/// disagree (B's depth must equal the k range's length), a split scheme
+/// differs from the plan's, `tk` is zero, a sampled row is out of range
+/// or out of order, the k range is out of bounds, or B was packed at
+/// another `kc`.
 pub fn execute(rt: &EngineRuntime, plan: &GemmPlan<'_>) -> Matrix<f32> {
     let mut d = execute_all(rt, std::slice::from_ref(plan));
     d.pop().expect("one plan, one output")
@@ -323,21 +357,14 @@ pub(crate) fn execute_all(rt: &EngineRuntime, plans: &[GemmPlan<'_>]) -> Vec<Mat
 
     // Within a plan, tiles are linearized column-major (t = jc_idx *
     // tiles_m + ic_idx), so each worker's contiguous initial range walks
-    // all row tiles of one jc column block before advancing — the packed
-    // B panel it shares through the store stays hot across the whole run.
+    // all row tiles of one jc column block before advancing — the B
+    // slivers of that block stay hot across the whole run.
     let sched = TileScheduler::new(n_tiles, threads);
     let jobs: Vec<PlanJob> = outs
         .iter_mut()
-        .zip(plans.iter().zip(checked))
-        .map(|(out, (plan, (_, _, ks)))| PlanJob {
+        .zip(checked)
+        .map(|(out, (_, _, ks))| PlanJob {
             out: SharedOut(out.as_mut_slice().as_mut_ptr()),
-            // Cooperative B-panel store: present whenever B must be
-            // packed this call (absent on the prepacked path, which
-            // reads slivers directly).
-            store: match plan.b {
-                BOperand::Prepared(_) => None,
-                _ => Some(PanelStore::new(tiles_n, ks.len().div_ceil(kc))),
-            },
             ks,
         })
         .collect();
@@ -366,12 +393,10 @@ struct WorkerCtx {
     per_plan: usize,
 }
 
-/// What one plan of a dispatch owns: its output buffer, its k slice and,
-/// for a B that is not prepared, its cooperative panel store.
+/// What one plan of a dispatch owns: its output buffer and its k slice.
 struct PlanJob {
     out: SharedOut,
     ks: Range<usize>,
-    store: Option<PanelStore>,
 }
 
 fn worker(
@@ -386,14 +411,12 @@ fn worker(
     let terms = scheme.terms();
     let split_scheme = scheme.split_scheme();
     let (a_hi_used, a_lo_used) = (terms.iter().any(|t| !t.0), terms.iter().any(|t| t.0));
-    let (b_hi_used, b_lo_used) = (terms.iter().any(|t| !t.1), terms.iter().any(|t| t.1));
     // Per-worker A pack scratch, reused across tiles and panels. Planes
     // a scheme never touches stay empty and are never indexed, except
     // when some plan's A is raw: a fused pack always emits both planes
     // (the split computes them together; the microkernel still reads
-    // only the used ones).
-    // B panels come from the shared cooperative store (or the prepacked
-    // operand), never from per-worker scratch.
+    // only the used ones). B slivers are read straight from each plan's
+    // prepared operand.
     let fused_a = plans.iter().any(|p| matches!(p.a, Operand::Raw(_)));
     let a_cap = ctx.mc.div_ceil(MR) * MR * ctx.kc;
     let mut a_hi = vec![0f32; if a_hi_used || fused_a { a_cap } else { 0 }];
@@ -427,10 +450,7 @@ fn worker(
         tiles_claimed += 1;
         let (plan, job) = (&plans[t / ctx.per_plan], &jobs[t / ctx.per_plan]);
         let k = plan.a.shape().1;
-        let b_pack = match plan.b {
-            BOperand::Prepared(p) => Some(&*p.packed),
-            _ => None,
-        };
+        let b_pack = &*plan.b.packed;
         let local = t % ctx.per_plan;
         let ic_idx = local % ctx.tiles_m;
         let jc_idx = local / ctx.tiles_m;
@@ -455,7 +475,6 @@ fn worker(
         while pc < ks.end {
             let kcb = ctx.kc.min(ks.end - pc);
             let a_len = row_blocks * kcb * MR;
-            let b_len = strips * kcb * NR;
             match plan.a {
                 Operand::Split(sa) => {
                     let t_pack_a = telemetry::span_start();
@@ -491,69 +510,6 @@ fn worker(
                     );
                 }
             }
-            // B panels go through the cooperative store: the first
-            // worker to reach (jc, pc) packs and publishes it, everyone
-            // else reuses the published planes — the packed bytes are a
-            // pure function of (operand, jc, pc, blocking), so which
-            // worker packs cannot change a bit.
-            let b_planes: Option<(&[f32], &[f32])> = match &job.store {
-                None => None, // prepacked: slivers are read directly below
-                Some(store) => {
-                    let pc_idx = (pc - ks.start) / ctx.kc;
-                    let t_pack = telemetry::span_start();
-                    let (bh, bl, packed_here) =
-                        store.acquire(jc_idx, pc_idx, |hi, lo| match plan.b {
-                            BOperand::Split(sb) => {
-                                if b_hi_used {
-                                    hi.resize(b_len, 0.0);
-                                    pack_b(sb.plane(false), ctx.n, jc, ncb, pc, kcb, hi);
-                                }
-                                if b_lo_used {
-                                    lo.resize(b_len, 0.0);
-                                    pack_b(sb.plane(true), ctx.n, jc, ncb, pc, kcb, lo);
-                                }
-                            }
-                            BOperand::Raw(rb) => {
-                                hi.resize(b_len, 0.0);
-                                lo.resize(b_len, 0.0);
-                                pack_b_fused(
-                                    rb.as_slice(),
-                                    ctx.n,
-                                    jc,
-                                    ncb,
-                                    pc,
-                                    kcb,
-                                    split_scheme,
-                                    SplitKernel::Auto,
-                                    hi,
-                                    lo,
-                                );
-                            }
-                            BOperand::Prepared(_) => {
-                                unreachable!("a prepacked B has no panel store")
-                            }
-                        });
-                    if packed_here {
-                        counters.note_panel_packed();
-                        match plan.b {
-                            BOperand::Split(_) => telemetry::span_end(
-                                telemetry::Phase::PackB,
-                                t_pack,
-                                4 * (b_len * (b_hi_used as usize + b_lo_used as usize)) as u64,
-                            ),
-                            _ => telemetry::span_end(
-                                telemetry::Phase::FusedSplitPack,
-                                t_pack,
-                                (4 * 2 * b_len) as u64,
-                            ),
-                        }
-                    } else {
-                        counters.note_panel_reused();
-                        telemetry::span_end(telemetry::Phase::PanelWait, t_pack, pc_idx as u64);
-                    }
-                    Some((bh, bl))
-                }
-            };
             let t_tile = telemetry::span_start();
             let mut sb = 0;
             while sb < strips {
@@ -567,24 +523,16 @@ fn worker(
                     Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => 2,
                     _ => 1,
                 };
-                // Prepacked slivers are bit-identical to what pack_b
-                // would have produced for this tile: jc is NR-aligned
-                // (nc is clamped to an NR multiple) and the k grid
-                // matches (k_lo = 0, same kc), so global strip jc/NR+sb
-                // of panel pc/kc covers exactly the same column range
-                // with the same zero padding.
-                let b_pair = match b_pack {
-                    Some(p) => PlanePair {
-                        hi: p.sliver_span(false, pc / ctx.kc, kcb, jc / NR + sb, take),
-                        lo: p.sliver_span(true, pc / ctx.kc, kcb, jc / NR + sb, take),
-                    },
-                    None => {
-                        let (bh, bl) = b_planes.expect("store-packed planes present");
-                        PlanePair {
-                            hi: sliver_span(bh, sb, kcb * NR, take),
-                            lo: sliver_span(bl, sb, kcb * NR, take),
-                        }
-                    }
+                // Prepared slivers are bit-identical to what pack_b
+                // would produce for this tile: jc is NR-aligned (nc is
+                // clamped to an NR multiple) and B holds exactly the
+                // plan's k slice at the same kc, so global strip
+                // jc/NR+sb of panel (pc-k_lo)/kc covers the same column
+                // and k range with the same zero padding.
+                let panel = (pc - ks.start) / ctx.kc;
+                let b_pair = PlanePair {
+                    hi: b_pack.sliver_span(false, panel, kcb, jc / NR + sb, take),
+                    lo: b_pack.sliver_span(true, panel, kcb, jc / NR + sb, take),
                 };
                 let j0 = jc + sb * NR;
                 let cols = (take * NR).min(ncb - sb * NR);
@@ -635,18 +583,10 @@ fn worker(
 /// unused (empty) plane.
 #[inline]
 fn sliver(buf: &[f32], idx: usize, len: usize) -> &[f32] {
-    sliver_span(buf, idx, len, 1)
-}
-
-/// `take` consecutive packed slivers starting at `idx` as one slice
-/// (slivers are contiguous at stride `len`), or an empty slice for an
-/// unused (empty) plane.
-#[inline]
-fn sliver_span(buf: &[f32], idx: usize, len: usize, take: usize) -> &[f32] {
     if buf.is_empty() {
         &[]
     } else {
-        &buf[idx * len..(idx + take) * len]
+        &buf[idx * len..(idx + 1) * len]
     }
 }
 
@@ -700,10 +640,15 @@ mod tests {
         })
     }
 
+    /// All of the split `sb` as a B prepared for `tk`/`cfg`.
+    fn whole(sb: &SplitMatrix, tk: usize, cfg: EngineConfig) -> PreparedOperand {
+        prepare_b_split(pool(2), sb, 0..sb.rows(), tk, cfg)
+    }
+
     /// Execute a full-product plan on the shared 2-worker runtime.
     fn run(
         a: Operand<'_>,
-        b: BOperand<'_>,
+        b: &PreparedOperand,
         c: Option<&Matrix<f32>>,
         scheme: EmulationScheme,
         tk: usize,
@@ -714,6 +659,19 @@ mod tests {
             ..GemmPlan::new(a, b, scheme, tk, cfg)
         };
         execute(pool(2), &plan)
+    }
+
+    /// The full product over split operands on the shared 2-worker
+    /// runtime.
+    fn run_split(
+        sa: &SplitMatrix,
+        sb: &SplitMatrix,
+        c: Option<&Matrix<f32>>,
+        scheme: EmulationScheme,
+        tk: usize,
+        cfg: EngineConfig,
+    ) -> Matrix<f32> {
+        run(Operand::Split(sa), &whole(sb, tk, cfg), c, scheme, tk, cfg)
     }
 
     fn assert_bits_eq(got: &Matrix<f32>, want: &Matrix<f32>, what: &str) {
@@ -733,14 +691,7 @@ mod tests {
             let (sa, sb) = split_pair(11, 29, 13, scheme, 7);
             let c = Matrix::<f32>::random_uniform(11, 13, 77);
             for tk in [4usize, 8, 16] {
-                let d = run(
-                    Operand::Split(&sa),
-                    BOperand::Split(&sb),
-                    Some(&c),
-                    scheme,
-                    tk,
-                    tight(),
-                );
+                let d = run_split(&sa, &sb, Some(&c), scheme, tk, tight());
                 for i in 0..11 {
                     for j in 0..13 {
                         let mut want = c.get(i, j);
@@ -771,14 +722,7 @@ mod tests {
     fn default_config_matches_oracle() {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(10, 40, 12, scheme, 3);
-        let d = run(
-            Operand::Split(&sa),
-            BOperand::Split(&sb),
-            None,
-            scheme,
-            8,
-            EngineConfig::default(),
-        );
+        let d = run_split(&sa, &sb, None, scheme, 8, EngineConfig::default());
         for &(i, j) in &[(0usize, 0usize), (9, 11), (4, 7)] {
             let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
             assert_eq!(d.get(i, j).to_bits(), e.to_bits());
@@ -790,27 +734,13 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         // 1 x k x 1.
         let (sa, sb) = split_pair(1, 17, 1, scheme, 9);
-        let d = run(
-            Operand::Split(&sa),
-            BOperand::Split(&sb),
-            None,
-            scheme,
-            8,
-            tight(),
-        );
+        let d = run_split(&sa, &sb, None, scheme, 8, tight());
         let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, 0, 0);
         assert_eq!(d.get(0, 0).to_bits(), e.to_bits());
-        // k = 0: output is C unchanged.
+        // k = 0: B has no panels, and the output is C unchanged.
         let (sa0, sb0) = split_pair(3, 0, 4, scheme, 11);
         let c = Matrix::<f32>::random_uniform(3, 4, 13);
-        let d0 = run(
-            Operand::Split(&sa0),
-            BOperand::Split(&sb0),
-            Some(&c),
-            scheme,
-            8,
-            tight(),
-        );
+        let d0 = run_split(&sa0, &sb0, Some(&c), scheme, 8, tight());
         assert_eq!(d0.as_slice(), c.as_slice());
     }
 
@@ -822,9 +752,10 @@ mod tests {
         rows: &[usize],
         scheme: EmulationScheme,
     ) -> Matrix<f32> {
+        let pb = whole(sb, 8, tight());
         let plan = GemmPlan {
             rows: Some(rows),
-            ..GemmPlan::new(Operand::Split(sa), BOperand::Split(sb), scheme, 8, tight())
+            ..GemmPlan::new(Operand::Split(sa), &pb, scheme, 8, tight())
         };
         execute(pool(2), &plan)
     }
@@ -833,14 +764,7 @@ mod tests {
     fn rows_gather_matches_full() {
         let scheme = EmulationScheme::Markidis;
         let (sa, sb) = split_pair(23, 31, 10, scheme, 15);
-        let full = run(
-            Operand::Split(&sa),
-            BOperand::Split(&sb),
-            None,
-            scheme,
-            8,
-            tight(),
-        );
+        let full = run_split(&sa, &sb, None, scheme, 8, tight());
         let rows = [0usize, 2, 3, 9, 17, 22];
         let sampled = run_rows(&sa, &sb, &rows, scheme);
         for (ri, &r) in rows.iter().enumerate() {
@@ -873,15 +797,10 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(6, 37, 5, scheme, 19);
         let (k_lo, k_hi, tk) = (13usize, 30usize, 8usize);
+        let pb = prepare_b_split(pool(2), &sb, k_lo..k_hi, tk, tight());
         let plan = GemmPlan {
             k_range: Some(k_lo..k_hi),
-            ..GemmPlan::new(
-                Operand::Split(&sa),
-                BOperand::Split(&sb),
-                scheme,
-                tk,
-                tight(),
-            )
+            ..GemmPlan::new(Operand::Split(&sa), &pb, scheme, tk, tight())
         };
         let d = execute(pool(2), &plan);
         for i in 0..6 {
@@ -909,13 +828,8 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         let (sa, sb) = split_pair(33, 48, 21, scheme, 23);
         let with = |threads| {
-            let plan = GemmPlan::new(
-                Operand::Split(&sa),
-                BOperand::Split(&sb),
-                scheme,
-                8,
-                tight(),
-            );
+            let pb = prepare_b_split(pool(threads), &sb, 0..48, 8, tight());
+            let plan = GemmPlan::new(Operand::Split(&sa), &pb, scheme, 8, tight());
             execute(pool(threads), &plan)
         };
         assert_bits_eq(&with(4), &with(1), "threads 4 vs 1");
@@ -934,24 +848,11 @@ mod tests {
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 45);
             for tk in [4usize, 8] {
-                let baseline = run(
-                    Operand::Split(&sa),
-                    BOperand::Split(&sb),
-                    Some(&c),
-                    scheme,
-                    tk,
-                    tight(),
-                );
+                let baseline = run_split(&sa, &sb, Some(&c), scheme, tk, tight());
                 let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, tight());
                 let plan = GemmPlan {
                     c: Some(&c),
-                    ..GemmPlan::new(
-                        Operand::Split(&sa),
-                        BOperand::Prepared(&pb),
-                        scheme,
-                        tk,
-                        tight(),
-                    )
+                    ..GemmPlan::new(Operand::Split(&sa), &pb, scheme, tk, tight())
                 };
                 let d = execute(&rt, &plan);
                 assert_bits_eq(&d, &baseline, &format!("{scheme:?} tk={tk}"));
@@ -969,14 +870,15 @@ mod tests {
         let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
         // Same shapes, different kc (16 vs tight()'s clamped 8).
         let other = EngineConfig { kc: 16, ..tight() };
-        let plan = GemmPlan::new(Operand::Raw(&a), BOperand::Prepared(&pb), scheme, 8, other);
+        let plan = GemmPlan::new(Operand::Raw(&a), &pb, scheme, 8, other);
         execute(&rt, &plan);
     }
 
     #[test]
     fn fused_entry_bit_identical_to_staged() {
-        // Raw operands (split per tile inside the pack) against the same
-        // operands handed in as split planes.
+        // Raw operands (A split per tile inside the pack, B split while
+        // it is prepared) against the same operands handed in as split
+        // planes.
         for scheme in SCHEMES {
             let a = Matrix::<f32>::random_uniform(11, 29, 61);
             let b = Matrix::<f32>::random_uniform(29, 13, 63);
@@ -984,22 +886,9 @@ mod tests {
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 65);
             for tk in [4usize, 8] {
-                let split = run(
-                    Operand::Split(&sa),
-                    BOperand::Split(&sb),
-                    Some(&c),
-                    scheme,
-                    tk,
-                    tight(),
-                );
-                let raw = run(
-                    Operand::Raw(&a),
-                    BOperand::Raw(&b),
-                    Some(&c),
-                    scheme,
-                    tk,
-                    tight(),
-                );
+                let split = run_split(&sa, &sb, Some(&c), scheme, tk, tight());
+                let pb = prepare_b_rows(pool(2), &b, 0..29, scheme.split_scheme(), tk, tight());
+                let raw = run(Operand::Raw(&a), &pb, Some(&c), scheme, tk, tight());
                 assert_bits_eq(&raw, &split, &format!("{scheme:?} tk={tk}"));
             }
         }
@@ -1019,15 +908,21 @@ mod tests {
             cache_bytes: 0,
         });
         for (k_lo, k_hi) in [(0usize, 37usize), (13, 30), (8, 8), (5, 37)] {
-            let ranged = |a, b| {
+            let ranged = |a, b: &PreparedOperand| {
                 let plan = GemmPlan {
                     k_range: Some(k_lo..k_hi),
                     ..GemmPlan::new(a, b, scheme, 8, tight())
                 };
                 execute(&rt, &plan)
             };
-            let split = ranged(Operand::Split(&sa), BOperand::Split(&sb));
-            let raw = ranged(Operand::Raw(&a), BOperand::Raw(&b));
+            let split = ranged(
+                Operand::Split(&sa),
+                &prepare_b_split(&rt, &sb, k_lo..k_hi, 8, tight()),
+            );
+            let raw = ranged(
+                Operand::Raw(&a),
+                &prepare_b_rows(&rt, &b, k_lo..k_hi, scheme.split_scheme(), 8, tight()),
+            );
             assert_bits_eq(&raw, &split, &format!("[{k_lo}, {k_hi})"));
         }
     }
@@ -1044,24 +939,11 @@ mod tests {
             let sa = SplitMatrix::split(&a, scheme.split_scheme());
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 75);
-            let baseline = run(
-                Operand::Split(&sa),
-                BOperand::Split(&sb),
-                Some(&c),
-                scheme,
-                8,
-                tight(),
-            );
+            let baseline = run_split(&sa, &sb, Some(&c), scheme, 8, tight());
             let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
             let plan = GemmPlan {
                 c: Some(&c),
-                ..GemmPlan::new(
-                    Operand::Raw(&a),
-                    BOperand::Prepared(&pb),
-                    scheme,
-                    8,
-                    tight(),
-                )
+                ..GemmPlan::new(Operand::Raw(&a), &pb, scheme, 8, tight())
             };
             assert_bits_eq(&execute(&rt, &plan), &baseline, &format!("{scheme:?}"));
         }
@@ -1092,21 +974,33 @@ mod tests {
         let c_bad = Matrix::<f32>::zeros(5, 5);
         let c_full = Matrix::<f32>::zeros(6, 5);
         let cfg = tight(); // kc clamps to 8 under tk = 8
-        let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, cfg);
+        let split = scheme.split_scheme();
+        let pb = prepare_b(&rt, &b, split, 8, cfg);
+        let pb_short = prepare_b(&rt, &b_short, split, 8, cfg);
         let pb_trunc = prepare_b(&rt, &b, SplitScheme::Truncate, 8, cfg);
-        let pb_kc16 = prepare_b(
-            &rt,
-            &b,
-            scheme.split_scheme(),
-            8,
-            EngineConfig { kc: 16, ..cfg },
-        );
-        let base = || GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, 8, cfg);
-        let prepared = |b| GemmPlan::new(Operand::Raw(&a), b, scheme, 8, cfg);
+        let pb_split_trunc = prepare_b_split(&rt, &sb_trunc, 0..16, 8, cfg);
+        let pb_kc16 = prepare_b(&rt, &b, split, 8, EngineConfig { kc: 16, ..cfg });
+        let pb_slice = prepare_b_rows(&rt, &b, 4..12, split, 8, cfg);
+        let base = || GemmPlan::new(Operand::Raw(&a), &pb, scheme, 8, cfg);
         let cases: Vec<(GemmPlan<'_>, &str)> = vec![
             (
                 GemmPlan {
-                    b: BOperand::Raw(&b_short),
+                    b: &pb_short,
+                    ..base()
+                },
+                "inner dimensions disagree",
+            ),
+            (
+                // B's depth must equal the k range's length, not A's k.
+                GemmPlan {
+                    k_range: Some(0..8),
+                    ..base()
+                },
+                "inner dimensions disagree",
+            ),
+            (
+                GemmPlan {
+                    b: &pb_slice,
                     ..base()
                 },
                 "inner dimensions disagree",
@@ -1120,13 +1014,16 @@ mod tests {
             ),
             (
                 GemmPlan {
-                    b: BOperand::Split(&sb_trunc),
+                    b: &pb_split_trunc,
                     ..base()
                 },
                 "B split scheme mismatch",
             ),
             (
-                prepared(BOperand::Prepared(&pb_trunc)),
+                GemmPlan {
+                    b: &pb_trunc,
+                    ..base()
+                },
                 "B split scheme mismatch",
             ),
             (
@@ -1176,27 +1073,25 @@ mod tests {
             ),
             (
                 GemmPlan {
-                    k_range: Some(0..8),
-                    ..prepared(BOperand::Prepared(&pb))
+                    b: &pb_kc16,
+                    ..base()
                 },
-                "prepacked B requires a full k range",
-            ),
-            (
-                prepared(BOperand::Prepared(&pb_kc16)),
                 "prepacked panel depth disagrees",
             ),
             (
                 // An empty A used to return before the kc check ran.
                 GemmPlan {
                     a: Operand::Raw(&empty_a),
-                    ..prepared(BOperand::Prepared(&pb_kc16))
+                    b: &pb_kc16,
+                    ..base()
                 },
                 "prepacked panel depth disagrees",
             ),
             (
                 GemmPlan {
                     rows: Some(&[]),
-                    ..prepared(BOperand::Prepared(&pb_kc16))
+                    b: &pb_kc16,
+                    ..base()
                 },
                 "prepacked panel depth disagrees",
             ),
@@ -1212,7 +1107,12 @@ mod tests {
             rows: Some(&[1, 3]),
             ..base()
         };
-        let tk16 = GemmPlan { tk: 16, ..base() };
+        let pb_tk16 = prepare_b(&rt, &b, split, 16, cfg);
+        let tk16 = GemmPlan {
+            tk: 16,
+            b: &pb_tk16,
+            ..base()
+        };
         for (plans, what) in [([base(), sampled], "shape"), ([base(), tk16], "tk")] {
             let msg = panic_message(|| {
                 execute_all(&rt, &plans);
@@ -1226,8 +1126,21 @@ mod tests {
         assert_eq!(execute_all(&rt, &[base(), base()]).len(), 2);
         let empty = GemmPlan {
             a: Operand::Raw(&empty_a),
-            ..prepared(BOperand::Prepared(&pb))
+            ..base()
         };
         assert_eq!(execute(&rt, &empty).rows(), 0);
+        // A B prepared from a slice runs under the matching k range, and
+        // matches the same slice prepared from split planes.
+        let ranged = |b| GemmPlan {
+            k_range: Some(4..12),
+            ..GemmPlan::new(Operand::Raw(&a), b, scheme, 8, cfg)
+        };
+        let sb = SplitMatrix::split(&b, split);
+        let pb_split_slice = prepare_b_split(&rt, &sb, 4..12, 8, cfg);
+        assert_bits_eq(
+            &execute(&rt, &ranged(&pb_slice)),
+            &execute(&rt, &ranged(&pb_split_slice)),
+            "slice 4..12",
+        );
     }
 }

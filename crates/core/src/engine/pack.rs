@@ -17,9 +17,11 @@
 //! the row-sampled entry point (`emulated_gemm_rows`) without a gather
 //! copy of A.
 
+use crate::split_matrix::SplitMatrix;
+use crate::telemetry::{self, Phase};
 use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use egemm_matrix::Matrix;
+use std::ops::Range;
 
 /// Microkernel output rows (register tile height).
 pub(crate) const MR: usize = 4;
@@ -193,104 +195,107 @@ pub(crate) fn pack_b_fused(
     }
 }
 
-/// Publication states of one [`PanelStore`] slot.
-const SLOT_EMPTY: u8 = 0;
-const SLOT_PACKING: u8 = 1;
-const SLOT_READY: u8 = 2;
-
-/// One cooperative (jc, pc) panel: an EMPTY → PACKING → READY state
-/// machine over lazily-allocated hi/lo buffers. The worker that wins the
-/// EMPTY → PACKING CAS is the slot's sole writer until its release store
-/// of READY publishes the buffers; the acquire load that observes READY
-/// is what makes the reads of every other worker sound.
-struct PanelSlot {
-    state: AtomicU8,
-    hi: UnsafeCell<Vec<f32>>,
-    lo: UnsafeCell<Vec<f32>>,
+/// The B rows one operand is prepared from: a `k x n` row-major view of
+/// raw f32, split while it is packed, or of both planes of a split
+/// operand, packed as they are. Rows `[lo, hi)` of a row-major matrix
+/// are contiguous, so a view of them is a sub-slice and copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BRows<'a> {
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+    src: Src<'a>,
 }
 
-// SAFETY: the state machine above enforces single-writer / post-publish
-// readers on the UnsafeCell contents.
-unsafe impl Sync for PanelSlot {}
-
-/// Cooperative shared store of packed B panels for one engine call: one
-/// slot per (jc column block, k panel). The first worker to need a panel
-/// packs and publishes it; every other worker waits for READY instead of
-/// re-packing — so cold-path B packing is done exactly once per (jc, pc)
-/// per call and parallelizes across workers instead of duplicating
-/// O(workers) times. Bit-identity is unaffected: the packed bytes are a
-/// pure function of (operand, jc, pc, blocking), independent of which
-/// worker packs.
-pub(crate) struct PanelStore {
-    slots: Vec<PanelSlot>,
-    /// k panels per jc block (slot index = `jc_idx * panels + pc_idx`).
-    panels: usize,
+#[derive(Debug, Clone, Copy)]
+enum Src<'a> {
+    Raw(&'a [f32]),
+    Split(&'a [f32], &'a [f32]),
 }
 
-impl PanelStore {
-    pub(crate) fn new(jc_blocks: usize, panels: usize) -> PanelStore {
-        let mut slots = Vec::with_capacity(jc_blocks * panels);
-        for _ in 0..jc_blocks * panels {
-            slots.push(PanelSlot {
-                state: AtomicU8::new(SLOT_EMPTY),
-                hi: UnsafeCell::new(Vec::new()),
-                lo: UnsafeCell::new(Vec::new()),
-            });
+impl<'a> BRows<'a> {
+    /// Rows `rows` of the raw operand `src`.
+    pub(crate) fn raw(src: &'a Matrix<f32>, rows: Range<usize>) -> BRows<'a> {
+        let span = row_span(src.rows(), src.cols(), &rows);
+        BRows {
+            k: rows.len(),
+            n: src.cols(),
+            src: Src::Raw(&src.as_slice()[span]),
         }
-        PanelStore { slots, panels }
     }
 
-    /// The packed hi/lo planes of panel (`jc_idx`, `pc_idx`), packing
-    /// them via `pack` if the calling worker arrives first. Returns the
-    /// published planes (a plane an operand never uses stays empty) and
-    /// whether this call did the packing.
-    pub(crate) fn acquire(
-        &self,
-        jc_idx: usize,
-        pc_idx: usize,
-        pack: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>),
-    ) -> (&[f32], &[f32], bool) {
-        let slot = &self.slots[jc_idx * self.panels + pc_idx];
-        match slot.state.compare_exchange(
-            SLOT_EMPTY,
-            SLOT_PACKING,
-            Ordering::Acquire,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                // SAFETY: winning the CAS makes this worker the slot's
-                // sole writer until the READY store below.
-                let (hi, lo) = unsafe { (&mut *slot.hi.get(), &mut *slot.lo.get()) };
-                pack(hi, lo);
-                slot.state.store(SLOT_READY, Ordering::Release);
-                // SAFETY: READY published; the buffers are frozen.
-                unsafe { (&*slot.hi.get(), &*slot.lo.get(), true) }
-            }
-            Err(mut s) => {
-                // Another worker is packing this panel; packing is
-                // bounded work, so spin briefly and yield the core so a
-                // descheduled packer can finish (essential when workers
-                // outnumber cores).
-                let mut spins = 0u32;
-                while s != SLOT_READY {
-                    spins += 1;
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                    s = slot.state.load(Ordering::Acquire);
-                }
-                // SAFETY: acquire of READY synchronizes with the
-                // packer's release store; the buffers are frozen.
-                unsafe { (&*slot.hi.get(), &*slot.lo.get(), false) }
-            }
+    /// Rows `rows` of both planes of the split operand `src`.
+    pub(crate) fn split(src: &'a SplitMatrix, rows: Range<usize>) -> BRows<'a> {
+        let span = row_span(src.rows(), src.cols(), &rows);
+        BRows {
+            k: rows.len(),
+            n: src.cols(),
+            src: Src::Split(&src.plane(false)[span.clone()], &src.plane(true)[span]),
+        }
+    }
+
+    /// Rows `[start, start + len)` of this view.
+    fn sub(self, start: usize, len: usize) -> BRows<'a> {
+        let span = start * self.n..(start + len) * self.n;
+        let src = match self.src {
+            Src::Raw(data) => Src::Raw(&data[span]),
+            Src::Split(hi, lo) => Src::Split(&hi[span.clone()], &lo[span]),
+        };
+        BRows {
+            k: len,
+            n: self.n,
+            src,
         }
     }
 }
 
-/// Both planes of a whole B operand split and packed once for reuse
-/// across calls.
+/// The element range of rows `rows` in a row-major `k x n` matrix.
+fn row_span(k: usize, n: usize, rows: &Range<usize>) -> Range<usize> {
+    assert!(
+        rows.start <= rows.end && rows.end <= k,
+        "B rows [{}, {}) out of bounds: B has {k} rows",
+        rows.start,
+        rows.end
+    );
+    rows.start * n..rows.end * n
+}
+
+/// One k panel of a B being prepared: its source rows and the two plane
+/// ranges it fills, which no other panel touches.
+pub(crate) struct Panel<'a> {
+    rows: BRows<'a>,
+    scheme: SplitScheme,
+    hi: &'a mut [f32],
+    lo: &'a mut [f32],
+}
+
+impl Panel<'_> {
+    /// Pack the panel over all `n` columns: [`pack_b_fused`] of raw rows,
+    /// [`pack_b`] of each plane of split rows. Either way every element
+    /// of both plane ranges is overwritten.
+    pub(crate) fn pack(self) {
+        let Panel {
+            rows: BRows { k: kcb, n, src },
+            scheme,
+            hi,
+            lo,
+        } = self;
+        let t_pack = telemetry::span_start();
+        let phase = match src {
+            Src::Raw(data) => {
+                pack_b_fused(data, n, 0, n, 0, kcb, scheme, SplitKernel::Auto, hi, lo);
+                Phase::FusedSplitPack
+            }
+            Src::Split(hi_rows, lo_rows) => {
+                pack_b(hi_rows, n, 0, n, 0, kcb, hi);
+                pack_b(lo_rows, n, 0, n, 0, kcb, lo);
+                Phase::PackB
+            }
+        };
+        telemetry::span_end(phase, t_pack, 4 * (hi.len() + lo.len()) as u64);
+    }
+}
+
+/// Both planes of a whole B operand, packed once before the tile grid.
 ///
 /// Layout: `k.div_ceil(kc)` panels, each holding `n.div_ceil(NR)` strips
 /// of `kcb x NR` row-major slivers — exactly what [`pack_b`] produces for
@@ -299,13 +304,11 @@ impl PanelStore {
 /// on the ragged depth of the final panel, which ends exactly at the
 /// plane's length, [`plane_len`]`(k, n)`.
 ///
-/// A macro-tile whose column origin `jc` is NR-aligned and whose k grid
-/// starts at 0 with the same `kc` reads its slivers at global strip
-/// `jc/NR + sb`, panel `pc/kc` — bit-for-bit the slivers a per-tile
-/// [`pack_b`] call would have produced, because strip contents depend
-/// only on the global column range and zero padding matches at the right
-/// edge. The engine asserts those alignment conditions before taking the
-/// prepacked path.
+/// A macro-tile whose column origin `jc` is NR-aligned reads its slivers
+/// at global strip `jc/NR + sb`, panel `(pc - k_lo)/kc` of a B packed from
+/// the plan's k slice — bit-for-bit the slivers a per-tile [`pack_b`]
+/// over that slice would produce, because strip contents depend only on
+/// the global column range and zero padding matches at the right edge.
 pub(crate) struct PackedB {
     n: usize,
     k: usize,
@@ -323,61 +326,69 @@ fn plane_len(k: usize, n: usize) -> usize {
 }
 
 impl PackedB {
-    /// Fused split+pack of a raw operand with panel depth `kc` (>= 1,
-    /// already clamped to the chunk grid by the caller): per panel,
-    /// bit-for-bit the [`pack_b`] of both planes of
-    /// `SplitMatrix::split_with(src, scheme, kernel)`, without ever
-    /// materializing the split planes.
+    /// The planes of a `k x n` operand at panel depth `kc` (>= 1, already
+    /// clamped to the chunk grid by the caller), to be filled by packing
+    /// every panel [`PackedB::panels`] yields.
     ///
-    /// `reuse` lends the planes of a pack nobody reads any more; the
-    /// pack sizes them to [`plane_len`] and overwrites every element, so
-    /// their old contents cannot reach the output. Without them both
-    /// planes are fresh zeroed allocations.
-    pub(crate) fn pack_fused(
-        src: &egemm_matrix::Matrix<f32>,
-        scheme: SplitScheme,
-        kernel: SplitKernel,
+    /// `reuse` lends the planes of a pack nobody reads any more; they are
+    /// sized to [`plane_len`] and every element is overwritten by the
+    /// panels, so their old contents cannot reach the output. Without
+    /// them both planes are fresh zeroed allocations.
+    pub(crate) fn new(
+        k: usize,
+        n: usize,
         kc: usize,
         reuse: Option<(Vec<f32>, Vec<f32>)>,
     ) -> PackedB {
         assert!(kc >= 1, "panel depth must be positive");
-        let k = src.rows();
-        let n = src.cols();
         let strips = n.div_ceil(NR);
-        let panel_stride = strips * kc * NR;
         let len = plane_len(k, n);
-        let (mut hi, mut lo) = match reuse {
+        let (hi, lo) = match reuse {
             Some((hi, lo)) => (fit(hi, len), fit(lo, len)),
             None => (vec![0f32; len], vec![0f32; len]),
         };
-        let mut pc = 0usize;
-        while pc < k {
-            let kcb = kc.min(k - pc);
-            let base = (pc / kc) * panel_stride;
-            let end = base + strips * kcb * NR;
-            pack_b_fused(
-                src.as_slice(),
-                n,
-                0,
-                n,
-                pc,
-                kcb,
-                scheme,
-                kernel,
-                &mut hi[base..end],
-                &mut lo[base..end],
-            );
-            pc += kcb;
-        }
         PackedB {
             n,
             k,
             kc,
             strips,
-            panel_stride,
+            panel_stride: strips * kc * NR,
             hi,
             lo,
         }
+    }
+
+    /// How many panels [`PackedB::panels`] yields: none when `n` or `k`
+    /// is 0.
+    pub(crate) fn panel_count(&self) -> usize {
+        self.hi.len().div_ceil(self.panel_stride.max(1))
+    }
+
+    /// Panel `p` packs rows `[p·kc, p·kc + kcb)` of `rows` into the
+    /// plane ranges `chunks_mut(panel_stride)` cuts for it, so the
+    /// panels borrow disjoint memory and can be packed in any order, on
+    /// any thread.
+    pub(crate) fn panels<'a>(
+        &'a mut self,
+        rows: BRows<'a>,
+        scheme: SplitScheme,
+    ) -> impl Iterator<Item = Panel<'a>> + 'a {
+        assert_eq!(
+            (rows.k, rows.n),
+            (self.k, self.n),
+            "B rows disagree with the packed shape"
+        );
+        let (k, kc, stride) = (self.k, self.kc, self.panel_stride.max(1));
+        self.hi
+            .chunks_mut(stride)
+            .zip(self.lo.chunks_mut(stride))
+            .enumerate()
+            .map(move |(p, (hi, lo))| Panel {
+                rows: rows.sub(p * kc, kc.min(k - p * kc)),
+                scheme,
+                hi,
+                lo,
+            })
     }
 
     /// Panel depth the operand was packed with.
@@ -406,8 +417,7 @@ impl PackedB {
         2 * 4 * plane_len(k, n)
     }
 
-    /// Both planes, for [`PackedB::pack_fused`] to pack another operand
-    /// into.
+    /// Both planes, for [`PackedB::new`] to lend to another operand.
     pub(crate) fn into_planes(self) -> (Vec<f32>, Vec<f32>) {
         (self.hi, self.lo)
     }
@@ -450,8 +460,14 @@ fn fit(mut plane: Vec<f32>, len: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_matrix::SplitMatrix;
-    use egemm_matrix::Matrix;
+    use crate::engine::{EngineRuntime, RuntimeConfig};
+
+    /// `rows` packed whole at depth `kc` on the calling thread.
+    fn pack_whole(rows: BRows<'_>, kc: usize, scheme: SplitScheme) -> PackedB {
+        let mut packed = PackedB::new(rows.k, rows.n, kc, None);
+        packed.panels(rows, scheme).for_each(Panel::pack);
+        packed
+    }
 
     #[test]
     fn pack_a_layout_and_padding() {
@@ -520,7 +536,7 @@ mod tests {
         let (k, n, kc) = (23usize, 37usize, 8usize);
         let src = Matrix::<f32>::random_uniform(k, n, 42);
         let split = SplitMatrix::split(&src, SplitScheme::Round);
-        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, kc, None);
+        let packed = pack_whole(BRows::raw(&src, 0..k), kc, SplitScheme::Round);
         assert_eq!((packed.k(), packed.n(), packed.kc()), (k, n, kc));
         for lo_plane in [false, true] {
             let plane = split.plane(lo_plane);
@@ -625,14 +641,14 @@ mod tests {
         // Same ragged shape as the sliver test: final panel depth 7,
         // final strip ragged. Each panel of the fused whole-operand pack
         // must be byte-for-byte the full-width pack_b of the split
-        // planes, for both kernels and schemes.
+        // planes, whichever kernel split them, for both schemes.
         let (k, n, kc) = (23usize, 37usize, 8usize);
         let src = Matrix::<f32>::random_uniform(k, n, 42);
         let strips = n.div_ceil(NR);
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
             for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let fused = PackedB::pack_fused(&src, scheme, kernel, kc, None);
+                let fused = pack_whole(BRows::raw(&src, 0..k), kc, scheme);
                 assert_eq!((fused.k(), fused.n(), fused.kc()), (k, n, kc));
                 for lo_plane in [false, true] {
                     let mut pc = 0usize;
@@ -654,49 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn panel_store_packs_once_and_publishes_to_all() {
-        use std::sync::atomic::AtomicUsize;
-        let store = PanelStore::new(2, 3);
-        let packs = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for jc_idx in 0..2 {
-                        for pc_idx in 0..3 {
-                            let (hi, lo, packed) = store.acquire(jc_idx, pc_idx, |hi, lo| {
-                                hi.resize(4, (jc_idx * 3 + pc_idx) as f32);
-                                lo.resize(4, -1.0);
-                            });
-                            if packed {
-                                packs.fetch_add(1, Ordering::Relaxed);
-                            }
-                            assert_eq!(hi, vec![(jc_idx * 3 + pc_idx) as f32; 4]);
-                            assert_eq!(lo, vec![-1.0f32; 4]);
-                        }
-                    }
-                });
-            }
-        });
-        // 6 slots, each packed by exactly one thread.
-        assert_eq!(packs.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn panel_store_keeps_unused_plane_empty() {
-        let store = PanelStore::new(1, 1);
-        let (hi, lo, packed) = store.acquire(0, 0, |hi, _lo| hi.resize(2, 7.0));
-        assert!(packed);
-        assert_eq!(hi, &[7.0, 7.0]);
-        assert!(lo.is_empty());
-    }
-
-    #[test]
     fn packed_b_bytes_accounting() {
         // Each plane holds its strips over the real depth k, not over
         // whole kc panels: (k, n, kc) -> strips x NR x k per plane.
         for (k, n, kc, strips) in [(8, 16, 8, 1), (5, 16, 8, 1), (23, 37, 8, 3)] {
             let src = Matrix::<f32>::random_uniform(k, n, 1);
-            let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, kc, None);
+            let packed = pack_whole(BRows::raw(&src, 0..k), kc, SplitScheme::Round);
             // 2 planes x 4 bytes, as the cache charges before packing.
             assert_eq!(
                 packed.bytes(),
@@ -717,38 +696,68 @@ mod tests {
     fn blocked_pack_bit_identical_at_real_depths() {
         // k = 85 over kc = 40: panels of depth 40, 40 and 5, so panels
         // span two full 16-row blocks and a ragged one (40 mod 16 = 8).
-        // n = 37 leaves the last strip 5 lanes wide.
+        // n = 37 leaves the last strip 5 lanes wide. Rows 13..85 and
+        // 27..66 start off a kc multiple (panels 40 + 32 deep, and one
+        // 39 deep). Raw and split-plane views of the same rows are
+        // packed in one claim list on pools of 1, 2, 4 and 8 workers,
+        // into reused planes longer than needed and filled with NaN.
         let (k, n, kc) = (85usize, 37usize, 40usize);
         let strips = n.div_ceil(NR);
         let src = Matrix::<f32>::random_uniform(k, n, 85);
+        let pools = [1usize, 2, 4, 8].map(|threads| {
+            EngineRuntime::new(RuntimeConfig {
+                threads,
+                cache_bytes: 0,
+            })
+        });
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
             for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let tag = format!("{scheme:?} {kernel:?}");
-                // Whole operand, into reused planes longer than needed
-                // and filled with NaN.
-                let len = plane_len(k, n);
-                let stale = || vec![f32::NAN; len + 3 * NR];
-                let packed =
-                    PackedB::pack_fused(&src, scheme, kernel, kc, Some((stale(), stale())));
-                assert_eq!(packed.bytes(), 2 * 4 * len, "{tag}");
-                for lo_plane in [false, true] {
-                    let plane = split.plane(lo_plane);
-                    let mut pc = 0usize;
-                    while pc < k {
-                        let kcb = kc.min(k - pc);
-                        let mut want = vec![-1.0f32; strips * kcb * NR];
-                        pack_b(plane, n, 0, n, pc, kcb, &mut want);
-                        for sb in 0..strips {
-                            assert_eq!(
-                                bits(packed.sliver(lo_plane, pc / kc, kcb, sb)),
-                                bits(&want[sb * kcb * NR..(sb + 1) * kcb * NR]),
-                                "{tag} lo={lo_plane} pc={pc} sb={sb}"
-                            );
+                for (rows, rt) in [0..k, 13..k, 27..66]
+                    .into_iter()
+                    .flat_map(|rows| pools.iter().map(move |rt| (rows.clone(), rt)))
+                {
+                    let tag = format!(
+                        "{scheme:?} {kernel:?} rows {rows:?} threads={}",
+                        rt.default_threads()
+                    );
+                    let len = plane_len(rows.len(), n);
+                    let stale = || {
+                        let plane = vec![f32::NAN; len + 3 * NR];
+                        Some((plane.clone(), plane))
+                    };
+                    let mut ops = [
+                        BRows::raw(&src, rows.clone()),
+                        BRows::split(&split, rows.clone()),
+                    ]
+                    .map(|view| (PackedB::new(view.k, view.n, kc, stale()), view));
+                    rt.pack_panels(&mut ops, scheme);
+                    for (form, (packed, _)) in ["raw", "split"].iter().zip(&ops) {
+                        assert_eq!(packed.bytes(), 2 * 4 * len, "{tag} {form}");
+                        for lo_plane in [false, true] {
+                            let mut pc = rows.start;
+                            while pc < rows.end {
+                                let kcb = kc.min(rows.end - pc);
+                                let mut want = vec![-1.0f32; strips * kcb * NR];
+                                pack_b(split.plane(lo_plane), n, 0, n, pc, kcb, &mut want);
+                                for sb in 0..strips {
+                                    assert_eq!(
+                                        bits(packed.sliver(
+                                            lo_plane,
+                                            (pc - rows.start) / kc,
+                                            kcb,
+                                            sb
+                                        )),
+                                        bits(&want[sb * kcb * NR..(sb + 1) * kcb * NR]),
+                                        "{tag} {form} lo={lo_plane} pc={pc} sb={sb}"
+                                    );
+                                }
+                                pc += kcb;
+                            }
                         }
-                        pc += kcb;
                     }
                 }
+                let tag = format!("{scheme:?} {kernel:?}");
                 // One tile: column origin j0 = 3, width 30 (a ragged
                 // second strip), the middle panel, NaN-filled output.
                 let (j0, ncb, p0, kcb) = (3usize, 30usize, kc, kc);

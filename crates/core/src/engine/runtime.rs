@@ -7,12 +7,14 @@
 //!
 //! * **Worker pool** — a fixed set of parked threads created lazily and
 //!   reused across calls. Dispatch hands the pool one type-erased job
-//!   pointer per call (the engine's tile-claiming worker loop); workers
-//!   claim it under a mutex, run it to completion, and park again.
-//!   Batched and split-K calls are one job each, so no engine path
-//!   dispatches from inside a job. A call that finds the pool busy
-//!   (another thread's dispatch, or a nested one) runs solo on its
-//!   caller instead of waiting or deadlocking.
+//!   pointer (the engine's tile-claiming worker loop, or a B prepare's
+//!   panel-claiming loop); workers claim it under a mutex, run it to
+//!   completion, and park again. Preparing a B (or all of a split-K
+//!   call's slices) is one job, and running a call's tiles (a batch's or
+//!   a split-K call's included) is one more, so no engine path
+//!   dispatches from inside a job. A call that
+//!   finds the pool busy (another thread's dispatch, or a nested one)
+//!   runs solo on its caller instead of waiting or deadlocking.
 //! * **Environment** — `EGEMM_THREADS` / `RAYON_NUM_THREADS` and
 //!   `EGEMM_CACHE_BYTES` are read once at runtime construction
 //!   ([`RuntimeConfig::from_env`]), never per call.
@@ -20,9 +22,9 @@
 //!   keyed by content fingerprint, plus the explicit [`PreparedOperand`]
 //!   handle for zero-lookup reuse.
 //!
-//! Every split the runtime issues (fused per-tile packs and whole-operand
-//! B packs) dispatches [`SplitKernel::Auto`], which is bit-identical to
-//! the scalar split.
+//! Every split the runtime issues (fused per-tile A packs and B panel
+//! packs) dispatches [`egemm_fp::SplitKernel::Auto`], which is
+//! bit-identical to the scalar split.
 //!
 //! None of this can change an output bit: the pool runs the exact worker
 //! function `thread::scope` used to run (tile regions stay disjoint and
@@ -32,11 +34,11 @@
 
 use super::cache::{fingerprint, lock_unpoisoned, CacheKey, PanelCache};
 use super::jit;
-use super::pack::PackedB;
+use super::pack::{BRows, PackedB, Panel};
 use super::sched::{SchedCounters, SchedStats};
 use crate::envcfg::{self, EnvNum};
 use crate::telemetry;
-use egemm_fp::{SplitKernel, SplitScheme};
+use egemm_fp::SplitScheme;
 use egemm_matrix::Matrix;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -161,10 +163,13 @@ impl RuntimeConfig {
     }
 }
 
-/// A B operand packed straight from raw f32 (no split matrix is ever
-/// materialized), handed back by [`crate::Egemm::prepare`] for
-/// zero-lookup reuse across calls. The handle pins its data: it stays
-/// valid even after cache eviction.
+/// A B operand packed whole into panel slivers: the only B a
+/// [`crate::GemmPlan`] takes. [`crate::prepare_b`] (and
+/// [`crate::Egemm::prepare`]) pack raw f32 through the cache, splitting
+/// while they pack; [`crate::prepare_b_rows`] and
+/// [`crate::prepare_b_split`] pack a row range of raw f32 or of split
+/// planes past it. The handle pins its data: it stays valid even after
+/// cache eviction.
 #[derive(Clone)]
 pub struct PreparedOperand {
     pub(crate) packed: Arc<PackedB>,
@@ -274,9 +279,9 @@ impl EngineRuntime {
         }
     }
 
-    /// Lifetime scheduler counters: steals, tiles moved by steals, and
-    /// cooperative panel-store packs vs. reuse hits. All monotone; take
-    /// deltas ([`SchedStats::delta_since`]) for per-call views.
+    /// Lifetime scheduler counters: steals and the tiles they moved.
+    /// Both monotone; take deltas ([`SchedStats::delta_since`]) for
+    /// per-call views.
     pub fn sched_stats(&self) -> SchedStats {
         self.sched.snapshot()
     }
@@ -298,9 +303,63 @@ impl EngineRuntime {
         kc: usize,
     ) -> PreparedOperand {
         let packed = self.cache.get_or_pack(key_of(src, scheme), kc, |planes| {
-            PackedB::pack_fused(src, scheme, SplitKernel::Auto, kc, planes)
+            let rows = BRows::raw(src, 0..src.rows());
+            let mut op = [(PackedB::new(rows.k, rows.n, kc, planes), rows)];
+            self.pack_panels(&mut op, scheme);
+            let [(packed, _)] = op;
+            packed
         });
         PreparedOperand { packed, scheme }
+    }
+
+    /// Pack each of `srcs` whole at depth `kc`, past the cache, with all
+    /// their panels in one claim list.
+    pub(crate) fn prepare_uncached(
+        &self,
+        srcs: &[BRows<'_>],
+        scheme: SplitScheme,
+        kc: usize,
+    ) -> Vec<PreparedOperand> {
+        let mut ops: Vec<_> = srcs
+            .iter()
+            .map(|&rows| (PackedB::new(rows.k, rows.n, kc, None), rows))
+            .collect();
+        self.pack_panels(&mut ops, scheme);
+        ops.into_iter()
+            .map(|(packed, _)| PreparedOperand {
+                packed: Arc::new(packed),
+                scheme,
+            })
+            .collect()
+    }
+
+    /// Pack every panel of `ops` (each a sized [`PackedB`] and the rows
+    /// it is packed from) on up to this runtime's width: the
+    /// participants pop panels from one list until it is empty, one
+    /// panel per claim. Panels fill disjoint plane ranges, so which
+    /// participant packs one cannot change a bit. A 1-worker runtime, or
+    /// a single panel in all, packs inline on the caller, with no
+    /// dispatch and no list.
+    pub(crate) fn pack_panels(&self, ops: &mut [(PackedB, BRows<'_>)], scheme: SplitScheme) {
+        let count: usize = ops.iter().map(|(packed, _)| packed.panel_count()).sum();
+        let panels = ops
+            .iter_mut()
+            .flat_map(|(packed, rows)| packed.panels(*rows, scheme));
+        let width = self.default_threads.min(count);
+        if width <= 1 {
+            panels.for_each(Panel::pack);
+            return;
+        }
+        let list = Mutex::new(panels.collect::<Vec<_>>());
+        self.run_parallel(width, &|| loop {
+            // The guard is dropped before the pack, so claims never wait
+            // on another participant's pack.
+            let next = lock_unpoisoned(&list).pop();
+            match next {
+                Some(panel) => panel.pack(),
+                None => break,
+            }
+        });
     }
 
     /// Run `f` on `workers` threads: the caller plus `workers - 1` pool
@@ -346,7 +405,13 @@ impl Drop for EngineRuntime {
 /// finished, which `Pool::run` enforces before returning.
 #[derive(Clone, Copy)]
 struct JobRef(*const (dyn Fn() + Sync));
+// SAFETY: the pointee is `Sync`, so calling it from another thread is
+// sound, and `Pool::run` keeps it alive until every worker that could
+// have read the pointer has finished with it.
 unsafe impl Send for JobRef {}
+// SAFETY: a `JobRef` only hands out shared calls of a `Sync` closure;
+// sharing the pointer between workers adds no access the closure does
+// not already allow.
 unsafe impl Sync for JobRef {}
 
 struct PoolState {

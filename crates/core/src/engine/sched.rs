@@ -10,7 +10,7 @@
 //! * The `tiles_m x tiles_n` grid is linearized **column-major**
 //!   (`t = jc_idx * tiles_m + ic_idx`), so a contiguous run of tile
 //!   indices walks all row tiles of one jc column block before advancing
-//!   to the next — a packed B panel is reused across the whole column.
+//!   to the next — the B slivers of that column stay in cache across it.
 //! * Each worker owns a contiguous initial slice of that order and a
 //!   private claim cursor (one `AtomicU64` packing `(lo, hi)`, padded to
 //!   its own cache line). Claims pop from the *front* with a CAS that
@@ -30,8 +30,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Scheduler counters, snapshotted per [`crate::EngineRuntime`]: how
-/// often work moved between workers and how often the cooperative panel
-/// store saved a redundant B pack. All fields are monotone over the
+/// often work moved between workers. All fields are monotone over the
 /// runtime's lifetime; per-call views are deltas
 /// ([`SchedStats::delta_since`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,11 +39,11 @@ pub struct SchedStats {
     pub steals: u64,
     /// Tiles transferred by those steals.
     pub tiles_stolen: u64,
-    /// B panels packed into the cooperative per-call panel store.
+    /// Always 0; kept until the benchmark retires
+    /// `sched.panel_reuse_ratio` (ROADMAP item 7).
     pub panels_packed: u64,
-    /// Panel acquisitions served by a panel another tile already packed
-    /// (or was packing) — each one is a per-tile B pack the old engine
-    /// would have redone.
+    /// Always 0; kept until the benchmark retires
+    /// `sched.panel_reuse_ratio` (ROADMAP item 7).
     pub panel_reuse_hits: u64,
 }
 
@@ -54,8 +53,7 @@ impl SchedStats {
         SchedStats {
             steals: self.steals - before.steals,
             tiles_stolen: self.tiles_stolen - before.tiles_stolen,
-            panels_packed: self.panels_packed - before.panels_packed,
-            panel_reuse_hits: self.panel_reuse_hits - before.panel_reuse_hits,
+            ..SchedStats::default()
         }
     }
 }
@@ -64,8 +62,8 @@ impl std::fmt::Display for SchedStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} steal(s) moving {} tile(s); {} panel(s) packed, {} reused",
-            self.steals, self.tiles_stolen, self.panels_packed, self.panel_reuse_hits
+            "{} steal(s) moving {} tile(s)",
+            self.steals, self.tiles_stolen
         )
     }
 }
@@ -76,8 +74,6 @@ impl std::fmt::Display for SchedStats {
 pub(crate) struct SchedCounters {
     steals: AtomicU64,
     tiles_stolen: AtomicU64,
-    panels_packed: AtomicU64,
-    panel_reuse_hits: AtomicU64,
 }
 
 impl SchedCounters {
@@ -86,20 +82,11 @@ impl SchedCounters {
         self.tiles_stolen.fetch_add(batch, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_panel_packed(&self) {
-        self.panels_packed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_panel_reused(&self) {
-        self.panel_reuse_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn snapshot(&self) -> SchedStats {
         SchedStats {
             steals: self.steals.load(Ordering::Relaxed),
             tiles_stolen: self.tiles_stolen.load(Ordering::Relaxed),
-            panels_packed: self.panels_packed.load(Ordering::Relaxed),
-            panel_reuse_hits: self.panel_reuse_hits.load(Ordering::Relaxed),
+            ..SchedStats::default()
         }
     }
 }
@@ -347,23 +334,17 @@ mod tests {
     fn sched_stats_delta_and_display() {
         let c = SchedCounters::default();
         c.note_steal(3);
-        c.note_panel_packed();
-        c.note_panel_reused();
-        c.note_panel_reused();
-        let before = SchedStats::default();
-        let after = c.snapshot();
-        let d = after.delta_since(&before);
+        let before = c.snapshot();
+        c.note_steal(2);
+        let d = c.snapshot().delta_since(&before);
         assert_eq!(
             d,
             SchedStats {
                 steals: 1,
-                tiles_stolen: 3,
-                panels_packed: 1,
-                panel_reuse_hits: 2,
+                tiles_stolen: 2,
+                ..SchedStats::default()
             }
         );
-        let text = d.to_string();
-        assert!(text.contains("1 steal(s) moving 3 tile(s)"), "{text}");
-        assert!(text.contains("1 panel(s) packed, 2 reused"), "{text}");
+        assert_eq!(d.to_string(), "1 steal(s) moving 2 tile(s)");
     }
 }

@@ -1,10 +1,12 @@
 //! The top-level EGEMM-TC API.
 //!
 //! [`Egemm`] ties the pipeline together the way the paper's system does:
-//! data split on the CUDA-core side (fused into the engine's per-tile
-//! pack), tiled emulated GEMM on the Tensor-Core side (functional
-//! executor, O(N³)), and the timing layer costing the kernel the SASS
-//! generator would emit. Every front end builds [`engine::GemmPlan`]s
+//! data split on the CUDA-core side (fused into the packs: B's, whole,
+//! before the tile grid, A's per tile), tiled emulated GEMM on the
+//! Tensor-Core side (functional executor, O(N³)), and the timing layer
+//! costing the kernel the SASS generator would emit ([`Egemm::time`]
+//! and its batched and split-K forms, called apart from the product).
+//! Every front end builds [`engine::GemmPlan`]s
 //! and runs them as one tile grid on the runtime's pool: one plan
 //! through [`engine::execute`], or one per problem (batched) or k slice
 //! (split-K). [`Egemm::auto`] runs the §6 analytic model to pick the
@@ -14,10 +16,9 @@ use crate::analytic::{solve_tiling, AnalyticModel};
 use crate::config::TilingConfig;
 use crate::emulation::EmulationScheme;
 use crate::engine;
-use crate::engine::{BOperand, EngineRuntime, GemmPlan, Operand, PreparedOperand};
+use crate::engine::{EngineRuntime, GemmPlan, Operand, PreparedOperand};
 use crate::kernel::build_kernel;
 pub use crate::kernel::KernelOpts;
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry::{self, metrics, probe, GemmReport};
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::{kernel_time, DeviceSpec, KernelTiming};
@@ -46,8 +47,6 @@ pub struct GemmOutput {
     /// The computed `D = A·B (+ C)`, bit-exact per the simulated Tensor
     /// Core semantics.
     pub d: Matrix<f32>,
-    /// Simulated execution time/throughput of the kernel on the device.
-    pub timing: KernelTiming,
     /// Problem shape.
     pub shape: GemmShape,
     /// Telemetry for this call — `Some` only while tracing is on
@@ -150,7 +149,7 @@ impl Egemm {
 
     /// A full-product plan under this instance's scheme, chunk depth and
     /// blocking.
-    pub(crate) fn plan<'a>(&self, a: Operand<'a>, b: BOperand<'a>) -> GemmPlan<'a> {
+    pub(crate) fn plan<'a>(&self, a: Operand<'a>, b: &'a PreparedOperand) -> GemmPlan<'a> {
         GemmPlan::new(a, b, self.scheme, TilingConfig::TC.k, self.opts.engine)
     }
 
@@ -192,7 +191,7 @@ impl Egemm {
         let window = self.trace_begin();
         let plan = GemmPlan {
             c,
-            ..self.plan(Operand::Raw(a), BOperand::Prepared(b))
+            ..self.plan(Operand::Raw(a), b)
         };
         let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(
@@ -200,15 +199,11 @@ impl Egemm {
             format!("gemm_prepared {}x{}x{}", shape.m, shape.n, shape.k),
         );
         Egemm::metrics_end(mwin, shape, 1);
-        GemmOutput {
-            d,
-            timing: self.time(shape),
-            shape,
-            report,
-        }
+        GemmOutput { d, shape, report }
     }
 
-    /// `D = A·B`: split, execute functionally, and cost the kernel.
+    /// `D = A·B`: split and execute functionally. [`Egemm::time`] costs
+    /// the kernel on the device.
     pub fn gemm(&self, a: &Matrix<f32>, b: &Matrix<f32>) -> GemmOutput {
         self.gemm_with_c(a, b, None)
     }
@@ -232,50 +227,14 @@ impl Egemm {
         let pb = self.prepare(b);
         let plan = GemmPlan {
             c,
-            ..self.plan(Operand::Raw(a), BOperand::Prepared(&pb))
+            ..self.plan(Operand::Raw(a), &pb)
         };
         let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(window, format!("gemm {}x{}x{}", shape.m, shape.n, shape.k));
         Egemm::metrics_end(mwin, shape, 1);
         // Sampled numerical-health check — reads a, b, c, d only.
         probe::maybe_probe(self.scheme, a, b, c, &d);
-        let timing = self.time(shape);
-        GemmOutput {
-            d,
-            timing,
-            shape,
-            report,
-        }
-    }
-
-    /// Pre-split entry point: reuse existing [`SplitMatrix`] operands (the
-    /// split is reusable across GEMMs over the same data, e.g. kMeans
-    /// iterations over a fixed point set).
-    pub fn gemm_split(
-        &self,
-        sa: &SplitMatrix,
-        sb: &SplitMatrix,
-        c: Option<&Matrix<f32>>,
-    ) -> GemmOutput {
-        let shape = GemmShape::new(sa.rows(), sb.cols(), sa.cols());
-        let mwin = Egemm::metrics_begin();
-        let window = self.trace_begin();
-        let plan = GemmPlan {
-            c,
-            ..self.plan(Operand::Split(sa), BOperand::Split(sb))
-        };
-        let d = engine::execute(&self.runtime, &plan);
-        let report = self.trace_end(
-            window,
-            format!("gemm_split {}x{}x{}", shape.m, shape.n, shape.k),
-        );
-        Egemm::metrics_end(mwin, shape, 1);
-        GemmOutput {
-            d,
-            timing: self.time(shape),
-            shape,
-            report,
-        }
+        GemmOutput { d, shape, report }
     }
 
     /// Timing-only path: cost a problem shape on the device without
@@ -327,18 +286,6 @@ mod tests {
         for (x, y) in with.d.as_slice().iter().zip(without.d.as_slice()) {
             assert!((x - y - 10.0).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn presplit_path_matches() {
-        let eg = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER);
-        let a = Matrix::<f32>::random_uniform(32, 32, 5);
-        let b = Matrix::<f32>::random_uniform(32, 32, 6);
-        let sa = SplitMatrix::split(&a, eg.scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, eg.scheme.split_scheme());
-        let d1 = eg.gemm(&a, &b).d;
-        let d2 = eg.gemm_split(&sa, &sb, None).d;
-        assert_eq!(d1, d2);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! let b = Matrix::<f32>::random_uniform(64, 64, 2);
 //! let out = eg.gemm(&a, &b);
 //! assert_eq!(out.d.rows(), 64);
-//! println!("simulated: {:.2} TFLOPS", out.timing.tflops);
+//! let timing = eg.time(out.shape);
+//! println!("simulated: {:.2} TFLOPS", timing.tflops);
 //! ```
 
 pub mod analytic;
@@ -60,9 +61,9 @@ pub use emulation::{
     emulated_gemm, emulated_gemm_entrywise, emulated_gemm_rows, emulated_gemm_tk, EmulationScheme,
 };
 pub use engine::{
-    content_fingerprint, execute, jit_available, jit_exec_mappings, prepare_b, BOperand,
-    CacheStats, EngineConfig, EngineRuntime, GemmPlan, Operand, PreparedOperand, RuntimeConfig,
-    SchedStats,
+    content_fingerprint, execute, jit_available, jit_exec_mappings, prepare_b, prepare_b_rows,
+    prepare_b_split, CacheStats, EngineConfig, EngineRuntime, GemmPlan, Operand, PreparedOperand,
+    RuntimeConfig, SchedStats,
 };
 pub use errbound::{crossover_k, dot_error_bound, dot_error_bound_with_c};
 pub use gemm::{Egemm, GemmOutput, KernelOpts};

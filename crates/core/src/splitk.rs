@@ -19,7 +19,7 @@
 //! kernel only in summation grouping, with the same error envelope.
 
 use crate::config::TilingConfig;
-use crate::engine::{self, BOperand, GemmPlan, Operand};
+use crate::engine::{self, GemmPlan, Operand};
 use crate::gemm::Egemm;
 use crate::kernel::build_kernel;
 use crate::telemetry::GemmReport;
@@ -53,8 +53,6 @@ pub struct SplitKOutput {
     pub d: Matrix<f32>,
     /// Slices used.
     pub slices: usize,
-    /// Simulated timing (main kernel + reduction pass).
-    pub timing: KernelTiming,
     /// Telemetry for the call (all slices + reduction) —
     /// `Some` only while tracing is on.
     pub report: Option<GemmReport>,
@@ -78,15 +76,27 @@ impl Egemm {
         let window = self.trace_begin();
         // One plan per slice, over contiguous ascending k ranges whose
         // sizes differ by at most 1; chunking restarts at each slice
-        // start, like a fused kernel over the slice alone. The slices run
-        // as one tile grid on the runtime's pool, each into its own
-        // partial. A prepacked B cannot serve — the per-slice k grids
-        // start mid-operand — so every slice splits straight from the
-        // raw operands into packed slivers.
-        let plans: Vec<GemmPlan<'_>> = (0..s)
-            .map(|i| GemmPlan {
-                k_range: Some(shape.k * i / s..shape.k * (i + 1) / s),
-                ..self.plan(Operand::Raw(a), BOperand::Raw(b))
+        // start, like a fused kernel over the slice alone. Each slice's B
+        // is its rows of B, packed past the cache with every slice's
+        // panels in one claim list; then the slices run as one tile grid
+        // on the runtime's pool, each into its own partial.
+        let ranges: Vec<_> = (0..s)
+            .map(|i| shape.k * i / s..shape.k * (i + 1) / s)
+            .collect();
+        let prepared = engine::prepare_b_slices(
+            self.runtime(),
+            b,
+            &ranges,
+            self.scheme.split_scheme(),
+            TilingConfig::TC.k,
+            self.opts.engine,
+        );
+        let plans: Vec<GemmPlan<'_>> = ranges
+            .into_iter()
+            .zip(&prepared)
+            .map(|(ks, pb)| GemmPlan {
+                k_range: Some(ks),
+                ..self.plan(Operand::Raw(a), pb)
             })
             .collect();
         let partials = engine::execute_all(self.runtime(), &plans);
@@ -105,7 +115,6 @@ impl Egemm {
         SplitKOutput {
             d,
             slices: s,
-            timing: self.time_split_k(shape, s),
             report,
         }
     }

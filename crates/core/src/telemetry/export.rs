@@ -130,11 +130,8 @@ impl GemmReport {
         ));
         s.push_str("},\"sched\":{");
         s.push_str(&format!(
-            "\"steals\":{},\"tiles_stolen\":{},\"panels_packed\":{},\"panel_reuse_hits\":{}",
-            self.sched.steals,
-            self.sched.tiles_stolen,
-            self.sched.panels_packed,
-            self.sched.panel_reuse_hits
+            "\"steals\":{},\"tiles_stolen\":{}",
+            self.sched.steals, self.sched.tiles_stolen
         ));
         s.push_str("},\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
@@ -168,18 +165,13 @@ impl GemmReport {
     /// named track (`pid` 1, `tid` = worker id); every span is a
     /// complete (`"ph":"X"`) event with microsecond `ts`/`dur` and its
     /// detail word under `args`. Counter (`"ph":"C"`) tracks record the
-    /// tiles moved by work-stealing, the shared B panels reused instead
-    /// of re-packed, and the spans the ring dropped.
+    /// tiles moved by work-stealing and the spans the ring dropped.
     pub fn chrome_trace(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         s.push_str(&format!(
             "{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"tiles_stolen\",\"ts\":0,\"args\":{{\"tiles_stolen\":{}}}}}",
             self.sched.tiles_stolen
-        ));
-        s.push_str(&format!(
-            ",{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"panel_reuse_hits\",\"ts\":0,\"args\":{{\"panel_reuse_hits\":{}}}}}",
-            self.sched.panel_reuse_hits
         ));
         s.push_str(&format!(
             ",{{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"spans_dropped\",\"ts\":0,\"args\":{{\"spans_dropped\":{}}}}}",
@@ -369,8 +361,7 @@ mod tests {
             sched: SchedStats {
                 steals: 2,
                 tiles_stolen: 5,
-                panels_packed: 4,
-                panel_reuse_hits: 9,
+                ..SchedStats::default()
             },
             workers: vec![WorkerLane {
                 worker: 3,
@@ -413,10 +404,7 @@ mod tests {
             "{j}"
         );
         assert!(
-            j.contains(
-                "\"sched\":{\"steals\":2,\"tiles_stolen\":5,\
-                 \"panels_packed\":4,\"panel_reuse_hits\":9}"
-            ),
+            j.contains("\"sched\":{\"steals\":2,\"tiles_stolen\":5}"),
             "{j}"
         );
     }
@@ -435,10 +423,6 @@ mod tests {
         assert!(t.contains("\"ph\":\"X\""), "{t}");
         assert!(
             t.contains("\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"tiles_stolen\",\"ts\":0,\"args\":{\"tiles_stolen\":5}"),
-            "{t}"
-        );
-        assert!(
-            t.contains("\"name\":\"panel_reuse_hits\",\"ts\":0,\"args\":{\"panel_reuse_hits\":9}"),
             "{t}"
         );
         assert!(t.contains("\"tid\":3"), "{t}");

@@ -100,8 +100,8 @@ pub enum Phase {
     Split = 0,
     /// Per-tile pack of the A planes (detail: bytes packed).
     PackA = 1,
-    /// Pack of the B planes — per-tile or whole-operand through the
-    /// cache (detail: bytes packed).
+    /// Pack of one k panel of a split operand's B planes, before the
+    /// tile grid (detail: bytes packed).
     PackB = 2,
     /// Microkernel compute over one macro-tile's packed panel (detail:
     /// tile index in the claim grid).
@@ -118,26 +118,23 @@ pub enum Phase {
     /// claimed).
     Worker = 7,
     /// Fused split+pack of a raw operand directly into panel slivers —
-    /// per-tile in the worker or whole-operand through the cache
-    /// (detail: bytes packed). Replaces a Split followed by a
+    /// per tile for A in the worker, per k panel for B before the tile
+    /// grid (detail: bytes packed). Replaces a Split followed by a
     /// PackA/PackB on the fused path.
     FusedSplitPack = 8,
     /// An idle worker's victim search ending in a successful steal of a
     /// contiguous tile range (detail: tiles transferred).
     Steal = 9,
-    /// Time spent waiting on another worker's in-flight pack of a
-    /// shared B panel (detail: k-panel index within the column block).
-    PanelWait = 10,
     /// One microkernel JIT compilation — IR lowering, register
     /// allocation, encoding, W^X publication, and verification against
     /// the interpreted kernel (detail: executable bytes published, 0
     /// when compilation failed).
-    JitCompile = 11,
+    JitCompile = 10,
 }
 
 impl Phase {
     /// Number of phases (array-aggregation bound).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every phase, in discriminant order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -151,7 +148,6 @@ impl Phase {
         Phase::Worker,
         Phase::FusedSplitPack,
         Phase::Steal,
-        Phase::PanelWait,
         Phase::JitCompile,
     ];
 
@@ -168,7 +164,6 @@ impl Phase {
             Phase::Worker => "worker",
             Phase::FusedSplitPack => "fused_split_pack",
             Phase::Steal => "steal",
-            Phase::PanelWait => "panel_wait",
             Phase::JitCompile => "jit_compile",
         }
     }

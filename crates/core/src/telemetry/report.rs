@@ -28,8 +28,8 @@ pub struct GemmReport {
     /// Cache counter deltas over the call (`bytes` is the resident
     /// total after the call, not a delta).
     pub cache: CacheStats,
-    /// Scheduler counter deltas over the call: steals, tiles moved by
-    /// steals, and cooperative panel-store packs vs. reuse hits.
+    /// Scheduler counter deltas over the call: steals and the tiles
+    /// they moved.
     pub sched: SchedStats,
     /// Per-worker activity, one entry per thread that recorded events.
     pub workers: Vec<WorkerLane>,

@@ -79,6 +79,8 @@ fn check(ret: i64) -> io::Result<i64> {
 
 /// `epoll_create1(EPOLL_CLOEXEC)` — a new epoll instance fd.
 pub fn epoll_create() -> io::Result<i32> {
+    // SAFETY: epoll_create1 takes one flags word and no pointers; it
+    // touches no memory of this process.
     check(unsafe { syscall4(SYS_EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0) }).map(|fd| fd as i32)
 }
 
@@ -86,6 +88,8 @@ pub fn epoll_create() -> io::Result<i32> {
 /// registration. `events` is ignored for `EPOLL_CTL_DEL`.
 pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, events: u32, data: u64) -> io::Result<()> {
     let ev = EpollEvent { events, data };
+    // SAFETY: the kernel only reads the one 12-byte `epoll_event` the
+    // pointer names, and `ev` lives on this frame until the call returns.
     check(unsafe {
         syscall4(
             SYS_EPOLL_CTL,
@@ -103,6 +107,8 @@ pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, events: u32, data: u64) -> io::Res
 /// `buf`. `EINTR` is retried here so callers never see it.
 pub fn epoll_wait(epfd: i32, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
     loop {
+        // SAFETY: the kernel writes at most `buf.len()` events through
+        // the pointer, and `buf` is exclusively borrowed for the call.
         let ret = unsafe {
             syscall4(
                 SYS_EPOLL_WAIT,
@@ -123,6 +129,8 @@ pub fn epoll_wait(epfd: i32, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Res
 /// `eventfd2(0, EFD_NONBLOCK | EFD_CLOEXEC)` — the reactor's wakeup
 /// channel: any thread writes an 8-byte count to unblock `epoll_wait`.
 pub fn eventfd() -> io::Result<i32> {
+    // SAFETY: eventfd2 takes an initial count and flags, no pointers; it
+    // touches no memory of this process.
     check(unsafe { syscall4(SYS_EVENTFD2, 0, EFD_NONBLOCK | EFD_CLOEXEC, 0, 0) })
         .map(|fd| fd as i32)
 }
@@ -163,6 +171,7 @@ mod tests {
         assert_eq!(epoll_wait(ep, &mut buf, 0).unwrap(), 0);
 
         epoll_ctl(ep, EPOLL_CTL_DEL, efd, 0, 0).unwrap();
+        // SAFETY: this test owns `ep` and nothing else closes it.
         drop(unsafe { std::fs::File::from_raw_fd(ep) });
     }
 }

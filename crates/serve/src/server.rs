@@ -107,7 +107,7 @@ type PrimaryOk<'a> = (&'a Matrix<f32>, usize, Option<&'a Arc<GemmReport>>);
 impl ServerInner {
     /// Serve counters plus the counters other owners keep: the result
     /// cache's, the queue's length, and the work-stealing scheduler's
-    /// steal / panel-reuse totals on the shared runtime. Reading them
+    /// stolen-tile total on the shared runtime. Reading them
     /// at snapshot time covers every dispatch through this server's
     /// engine without counting any event twice.
     fn stats_snapshot(&self) -> ServeStats {
@@ -115,7 +115,6 @@ impl ServerInner {
         s.queue_depth = lock_unpoisoned(&self.queue.state).queue.len() as u64;
         let sched = self.engine.runtime().sched_stats();
         s.tiles_stolen = sched.tiles_stolen;
-        s.panel_reuse_hits = sched.panel_reuse_hits;
         s.result_cache_hits = self.results.hits.load(Ordering::Relaxed);
         s.result_cache_misses = self.results.misses.load(Ordering::Relaxed);
         s.result_cache_evictions = self.results.evictions.load(Ordering::Relaxed);
@@ -374,10 +373,6 @@ impl Client {
             ("egemm_jit_cache_hits_total", Counter(cache.jit_hits)),
             ("egemm_sched_steals", Gauge(sched.steals as i64)),
             ("egemm_sched_tiles_stolen", Gauge(sched.tiles_stolen as i64)),
-            (
-                "egemm_panel_reuse_hits",
-                Gauge(sched.panel_reuse_hits as i64),
-            ),
         ];
         let mut series = self.stats().series();
         series.extend(runtime.map(|(name, v)| (name.to_string(), v)));
@@ -738,7 +733,6 @@ mod tests {
         // snapshot), and therefore the in-band "stats" wire reply.
         let j = stats.to_json();
         assert!(j.contains("\"tiles_stolen\":"), "{j}");
-        assert!(j.contains("\"panel_reuse_hits\":"), "{j}");
         s.shutdown();
     }
 

@@ -127,7 +127,6 @@ impl StatsInner {
             result_cache_evictions: 0,
             result_cache_bytes: 0,
             tiles_stolen: 0,
-            panel_reuse_hits: 0,
             p50_ns,
             p99_ns,
         }
@@ -199,10 +198,6 @@ pub struct ServeStats {
     /// snapshot time (not a serve-side counter), so it covers every
     /// dispatch through this server's engine.
     pub tiles_stolen: u64,
-    /// B panels served from the engine's cooperative panel store
-    /// instead of being re-packed per tile, summed over the server's
-    /// lifetime (same runtime-snapshot sourcing).
-    pub panel_reuse_hits: u64,
     /// Median admission-to-response latency over the retained window.
     pub p50_ns: u64,
     /// 99th-percentile latency over the retained window.
@@ -275,8 +270,7 @@ impl ServeStats {
              \"batched_ratio\":{:.4},\"dedup_hits\":{},\"backpressure_pauses\":{},\
              \"open_connections\":{},\"queue_depth\":{},\"result_cache_hits\":{},\
              \"result_cache_misses\":{},\"result_cache_evictions\":{},\"result_cache_bytes\":{},\
-             \"tiles_stolen\":{},\
-             \"panel_reuse_hits\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+             \"tiles_stolen\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
             self.submitted,
             self.admitted,
             self.rejected_busy,
@@ -298,7 +292,6 @@ impl ServeStats {
             self.result_cache_evictions,
             self.result_cache_bytes,
             self.tiles_stolen,
-            self.panel_reuse_hits,
             self.p50_ns,
             self.p99_ns,
         )
@@ -312,7 +305,7 @@ impl std::fmt::Display for ServeStats {
             "{} submitted: {} ok, {} busy, {} invalid, {} expired ({} late), {} engine-failed; \
              {} engine call(s) for {} dispatched ({:.2}x batched); \
              {} deduped, {} memoized ({:.1} KiB resident, {} evicted); \
-             {} tile(s) stolen, {} panel(s) reused; \
+             {} tile(s) stolen; \
              p50 {:.3} ms, p99 {:.3} ms",
             self.submitted,
             self.completed,
@@ -329,7 +322,6 @@ impl std::fmt::Display for ServeStats {
             self.result_cache_bytes as f64 / 1024.0,
             self.result_cache_evictions,
             self.tiles_stolen,
-            self.panel_reuse_hits,
             self.p50_ns as f64 / 1e6,
             self.p99_ns as f64 / 1e6,
         )

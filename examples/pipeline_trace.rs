@@ -115,17 +115,14 @@ fn main() {
     // the two calls: the fused cold call covers FusedSplitPack, Tile,
     // CacheLookup, Dispatch, Park and Worker. Phases the cold call
     // recorded must also appear by name in its exported trace. Split,
-    // PackA, PackB and PanelWait belong to B operands packed per call
-    // through the panel store (pre-split operands, split-K slices);
-    // `Egemm::gemm` prepares B whole, so these calls never take them.
-    // JitCompile only fires where the process can publish JIT kernels.
+    // PackA and PackB belong to split operands (`emulated_gemm` and
+    // friends); `Egemm::gemm` splits raw operands while it packs them,
+    // so these calls never take them. JitCompile only fires where the
+    // process can publish JIT kernels.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for phase in Phase::ALL {
         let n = cold_report.phase_count(phase) + warm_report.phase_count(phase);
-        let not_taken = matches!(
-            phase,
-            Phase::Split | Phase::PackA | Phase::PackB | Phase::PanelWait
-        );
+        let not_taken = matches!(phase, Phase::Split | Phase::PackA | Phase::PackB);
         let no_jit = phase == Phase::JitCompile && !egemm::jit_available();
         assert!(
             n > 0 || not_taken || no_jit,
@@ -142,8 +139,8 @@ fn main() {
     }
 
     // The fused pipeline's signature: fused_split_pack spans on the
-    // cold call (whole-operand B pack + per-tile A packs) and none of
-    // the pre-split phases.
+    // cold call (B's k panels, packed on the pool before the tile grid,
+    // and per-tile A packs) and none of the pre-split phases.
     assert!(
         cold_report.phase_count(Phase::FusedSplitPack) > 0,
         "fused cold call recorded no fused_split_pack spans"

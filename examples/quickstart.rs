@@ -52,12 +52,13 @@ fn main() {
         err_half.max_abs / err_eg.max_abs
     );
 
+    let timing = engine.time(out.shape);
     println!("\nsimulated execution on {}:", engine.spec.name);
-    println!("  time       : {:.3} ms", out.timing.time_s * 1e3);
-    println!("  throughput : {:.2} TFLOPS (Eq. 9)", out.timing.tflops);
-    println!("  bound      : {:?}", out.timing.bound);
+    println!("  time       : {:.3} ms", timing.time_s * 1e3);
+    println!("  throughput : {:.2} TFLOPS (Eq. 9)", timing.tflops);
+    println!("  bound      : {:?}", timing.bound);
     println!(
         "  occupancy  : {} block(s)/SM, {} wave(s)",
-        out.timing.blocks_per_sm, out.timing.waves
+        timing.blocks_per_sm, timing.waves
     );
 }

@@ -9,9 +9,9 @@
 //! non-multiples of every tile size, m << n and m >> n.
 
 use egemm::{
-    emulated_gemm_entrywise, emulated_gemm_rows, execute, prepare_b, BOperand, Egemm,
-    EmulationScheme, EngineConfig, EngineRuntime, GemmPlan, Operand, RuntimeConfig, SplitMatrix,
-    TilingConfig,
+    emulated_gemm_entrywise, emulated_gemm_rows, execute, prepare_b, prepare_b_rows,
+    prepare_b_split, Egemm, EmulationScheme, EngineConfig, EngineRuntime, GemmPlan, KernelOpts,
+    Operand, PreparedOperand, RuntimeConfig, SplitMatrix, TilingConfig,
 };
 use egemm_matrix::Matrix;
 use egemm_tcsim::DeviceSpec;
@@ -79,15 +79,27 @@ fn run(threads: usize, plan: GemmPlan<'_>) -> Matrix<f32> {
     execute(pool(threads), &plan)
 }
 
-/// A full-product plan over split operands.
+/// Rows `rows` of the split `sb`, prepared for `tk`/`cfg` on the shared
+/// runtime of `threads` workers.
+fn split_b(
+    threads: usize,
+    sb: &SplitMatrix,
+    rows: Range<usize>,
+    tk: usize,
+    cfg: EngineConfig,
+) -> PreparedOperand {
+    prepare_b_split(pool(threads), sb, rows, tk, cfg)
+}
+
+/// A plan over a split A and a B prepared from split planes.
 fn split_plan<'a>(
     sa: &'a SplitMatrix,
-    sb: &'a SplitMatrix,
+    pb: &'a PreparedOperand,
     scheme: EmulationScheme,
     tk: usize,
     cfg: EngineConfig,
 ) -> GemmPlan<'a> {
-    GemmPlan::new(Operand::Split(sa), BOperand::Split(sb), scheme, tk, cfg)
+    GemmPlan::new(Operand::Split(sa), pb, scheme, tk, cfg)
 }
 
 fn split_pair(
@@ -130,7 +142,8 @@ proptest! {
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
         let cfg = EngineConfig { mc, nc, kc };
-        let d = run(threads, GemmPlan { c: c_opt, ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let pb = split_b(threads, &sb, 0..k, tk, cfg);
+        let d = run(threads, GemmPlan { c: c_opt, ..split_plan(&sa, &pb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
         prop_assert_eq!(bits(&d), bits(&want), "{:?} tk={}", scheme, tk);
     }
@@ -150,7 +163,8 @@ proptest! {
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let k_lo = (cut_num * k / 8).min(k - 1);
         let cfg = EngineConfig { mc: 3, nc: 5, kc: 9 };
-        let d = run(2, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let pb = split_b(2, &sb, k_lo..k, tk, cfg);
+        let d = run(2, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &pb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k);
         prop_assert_eq!(bits(&d), bits(&want));
     }
@@ -159,11 +173,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The fused split-and-pack path (raw f32 operands, split per tile
-    /// inside the pack) bit-equals the scalar replay: random
-    /// (non-tile-multiple) shapes, all four schemes (covering both split
-    /// schemes), pool sizes 1 and 4, full products and split-K slices
-    /// starting mid-operand, with and without C.
+    /// The fused split-and-pack path (raw f32 operands: A split per tile
+    /// inside the pack, B split while it is prepared) bit-equals the
+    /// scalar replay: random (non-tile-multiple) shapes, all four schemes
+    /// (covering both split schemes), pool sizes 1 and 4, full products
+    /// and split-K slices starting mid-operand, with and without C.
     #[test]
     fn fused_pipeline_bit_identical_to_entrywise(
         m in 1usize..24,
@@ -186,9 +200,10 @@ proptest! {
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
         let cfg = EngineConfig { mc: 5, nc: 9, kc: 12 };
+        let pb = prepare_b(pool(threads), &b, scheme.split_scheme(), tk, cfg);
         let raw = GemmPlan {
             c: c_opt,
-            ..GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg)
+            ..GemmPlan::new(Operand::Raw(&a), &pb, scheme, tk, cfg)
         };
 
         // Full product.
@@ -203,7 +218,8 @@ proptest! {
         // Split-K slice: chunking restarts at k_lo.
         let k_lo = (cut_num * k / 8).min(k - 1);
         let rt = EngineRuntime::new(RuntimeConfig { threads, cache_bytes: 0 });
-        let got_r = execute(&rt, &GemmPlan { k_range: Some(k_lo..k), ..raw });
+        let pb_r = prepare_b_rows(&rt, &b, k_lo..k, scheme.split_scheme(), tk, cfg);
+        let got_r = execute(&rt, &GemmPlan { k_range: Some(k_lo..k), b: &pb_r, ..raw });
         let want_r = entrywise_tk(&sa, &sb, c_opt, scheme, tk, k_lo..k);
         prop_assert_eq!(
             bits(&got_r), bits(&want_r),
@@ -212,9 +228,8 @@ proptest! {
         );
     }
 
-    /// The public `Egemm` front ends — gemm, pre-split gemm, prepared
-    /// handles, split-K — bit-equal the scalar replay at pool sizes 1
-    /// and 4.
+    /// The public `Egemm` front ends — gemm, prepared handles, split-K —
+    /// bit-equal the scalar replay at pool sizes 1 and 4.
     #[test]
     fn public_api_bit_identical_to_entrywise(
         m in 1usize..16,
@@ -244,8 +259,6 @@ proptest! {
         for threads in [1usize, 4] {
             let eg = egemm_on(scheme, RuntimeConfig { threads, ..Default::default() });
             prop_assert_eq!(bits(&eg.gemm(&a, &b).d), want.clone(), "gemm (threads={})", threads);
-            let d_split = eg.gemm_split(&sa, &sb, None).d;
-            prop_assert_eq!(bits(&d_split), want.clone(), "gemm_split (threads={})", threads);
             let pb = eg.prepare(&b);
             let d_prep = eg.gemm_prepared(&a, &pb, None).d;
             prop_assert_eq!(bits(&d_prep), want.clone(), "prepared (threads={})", threads);
@@ -396,9 +409,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Work-stealing pool sizes 2/4/8 under deliberately tiny blocking
-    /// (many tiles per worker, so idle workers must steal, and every
-    /// jc column's B panel is contended through the cooperative store)
-    /// bit-equal the scalar replay across the split-operand, fused,
+    /// (many tiles per worker, so idle workers must steal, and many B
+    /// panels per prepare, so the pool packs them in parallel) bit-equal
+    /// the scalar replay across the split-operand, fused, cached
     /// prepared-B, and split-K paths.
     #[test]
     fn pool_sizes_bit_identical_under_tiny_blocking(
@@ -421,59 +434,69 @@ proptest! {
 
         for threads in [2usize, 4, 8] {
             let cfg = EngineConfig { mc: 5, nc: 9, kc: 7 };
-            let split = bits(&run(threads, split_plan(&sa, &sb, scheme, tk, cfg)));
+            let pb_split = split_b(threads, &sb, 0..k, tk, cfg);
+            let split = bits(&run(threads, split_plan(&sa, &pb_split, scheme, tk, cfg)));
             prop_assert_eq!(&split, &want, "split operands diverged (threads={})", threads);
 
-            let raw = GemmPlan::new(Operand::Raw(&a), BOperand::Raw(&b), scheme, tk, cfg);
+            let split_scheme = scheme.split_scheme();
+            let pb_raw = prepare_b_rows(pool(threads), &b, 0..k, split_scheme, tk, cfg);
+            let raw = GemmPlan::new(Operand::Raw(&a), &pb_raw, scheme, tk, cfg);
             let fused = bits(&run(threads, raw.clone()));
             prop_assert_eq!(&fused, &want, "fused diverged (threads={})", threads);
 
             let rt = EngineRuntime::new(RuntimeConfig { threads, cache_bytes: 0 });
-            let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
-            let prepared = GemmPlan::new(Operand::Raw(&a), BOperand::Prepared(&pb), scheme, tk, cfg);
+            let pb = prepare_b(&rt, &b, split_scheme, tk, cfg);
+            let prepared = GemmPlan::new(Operand::Raw(&a), &pb, scheme, tk, cfg);
             let prepared = bits(&execute(&rt, &prepared));
             prop_assert_eq!(&prepared, &want, "prepared-B diverged (threads={})", threads);
 
-            let ranged = bits(&run(threads, GemmPlan { k_range: Some(k_lo..k), ..raw }));
+            let pb_slice = prepare_b_rows(pool(threads), &b, k_lo..k, split_scheme, tk, cfg);
+            let slice = GemmPlan { k_range: Some(k_lo..k), b: &pb_slice, ..raw };
+            let ranged = bits(&run(threads, slice));
             prop_assert_eq!(&ranged, &want_range, "split-K diverged (threads={})", threads);
         }
     }
 }
 
 #[test]
-fn panel_store_packs_each_panel_exactly_once_per_call() {
-    // The cooperative panel store's contract: per engine call, each
-    // (jc, pc) B panel is packed by exactly one worker and every other
-    // (tile, pc) visit reuses the published copy. mc=5 / nc=16 / kc=8
-    // with tk=8 are already legal (no clamping), so a 23x29x31 product
-    // has a 5x2 tile grid over 4 k-panels: 2*4 = 8 packs and
-    // 5*2*4 - 8 = 32 reuse hits per cold call, at every pool size.
+fn prepare_packs_each_b_once_per_cold_call() {
+    // Every B is packed whole before the tile grid, one k panel per
+    // claim on the pool: a cold call packs its B exactly once, whatever
+    // the pool size, and a warm repeat reads the cached pack. mc=5 /
+    // nc=16 / kc=8 with tk=8 are already legal (no clamping), so a
+    // 23x29x31 product has a 5x2 tile grid over 4 k panels.
     let scheme = EmulationScheme::EgemmTc;
-    let tk = 8usize;
-    let (sa, sb) = split_pair(23, 29, 31, scheme, 55);
-    for threads in [1usize, 2, 4] {
-        let rt = EngineRuntime::new(RuntimeConfig {
-            threads,
-            cache_bytes: 0,
-        });
-        let cfg = EngineConfig {
+    let a = Matrix::<f32>::random_uniform(23, 29, 55);
+    let b = Matrix::<f32>::random_uniform(29, 31, 56);
+    let opts = KernelOpts {
+        engine: EngineConfig {
             mc: 5,
             nc: 16,
             kc: 8,
-        };
-        for call in 0..2 {
-            let before = rt.sched_stats();
-            let _ = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
-            let d = rt.sched_stats().delta_since(&before);
-            assert_eq!(
-                d.panels_packed, 8,
-                "threads={threads} call={call}: each (jc,pc) slot must pack exactly once"
-            );
-            assert_eq!(
-                d.panel_reuse_hits, 32,
-                "threads={threads} call={call}: remaining row tiles must reuse"
-            );
+        },
+        ..KernelOpts::default()
+    };
+    let mut outputs = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let eg = egemm_on(
+            scheme,
+            RuntimeConfig {
+                threads,
+                ..Default::default()
+            },
+        )
+        .with_opts(opts);
+        for call in ["cold", "warm"] {
+            let before = eg.runtime().cache_stats().packs;
+            let d = eg.gemm(&a, &b).d;
+            let packs = eg.runtime().cache_stats().packs - before;
+            let want = u64::from(call == "cold");
+            assert_eq!(packs, want, "threads={threads} {call}: B packs");
+            outputs.push((threads, call, bits(&d)));
         }
+    }
+    for (threads, call, d) in &outputs {
+        assert_eq!(d, &outputs[0].2, "threads={threads} {call} diverged");
     }
 }
 
@@ -529,7 +552,8 @@ fn adversarial_shapes_bit_identical() {
                     nc: 9,
                     kc: 12,
                 };
-                let d = run(2, split_plan(&sa, &sb, scheme, tk, cfg));
+                let pb = split_b(2, &sb, 0..k, tk, cfg);
+                let d = run(2, split_plan(&sa, &pb, scheme, tk, cfg));
                 let replay = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
                 for i in 0..m {
                     for j in 0..n {
@@ -615,7 +639,8 @@ proptest! {
         let (sa, sb) = split_pair(m, k, n, scheme, seed);
         let cfg = EngineConfig { mc: 8, nc: 32, kc: 16 };
 
-        let d = run(threads, split_plan(&sa, &sb, scheme, tk, cfg));
+        let pb = split_b(threads, &sb, 0..k, tk, cfg);
+        let d = run(threads, split_plan(&sa, &pb, scheme, tk, cfg));
         prop_assert_eq!(
             bits(&d), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k)),
             "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
@@ -624,7 +649,8 @@ proptest! {
         // Split-K slice: kernels bake the panel depth, so an offset
         // range exercises short first/last panels under the JIT too.
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let ranged = run(threads, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &sb, scheme, tk, cfg) });
+        let pb_r = split_b(threads, &sb, k_lo..k, tk, cfg);
+        let ranged = run(threads, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &pb_r, scheme, tk, cfg) });
         prop_assert_eq!(
             bits(&ranged), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k)),
             "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
@@ -644,7 +670,8 @@ fn edge_sweep(rt: &EngineRuntime, tk: usize, k: usize, kc: usize) {
         let m = 4 + (n % 4) + 1;
         let (sa, sb) = split_pair(m, k, n, scheme, n as u64);
         let cfg = EngineConfig { mc: 8, nc: 64, kc };
-        let d = execute(rt, &split_plan(&sa, &sb, scheme, tk, cfg));
+        let pb = prepare_b_split(rt, &sb, 0..k, tk, cfg);
+        let d = execute(rt, &split_plan(&sa, &pb, scheme, tk, cfg));
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
         assert_eq!(bits(&d), bits(&want), "edge sweep n={n} m={m} tk={tk}");
     }
@@ -693,9 +720,10 @@ fn jit_cache_compiles_each_key_exactly_once() {
         nc: 32,
         kc: 16,
     };
-    let d1 = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
+    let pb = prepare_b_split(&rt, &sb, 0..29, tk, cfg);
+    let d1 = execute(&rt, &split_plan(&sa, &pb, scheme, tk, cfg));
     let after1 = rt.cache_stats();
-    let d2 = execute(&rt, &split_plan(&sa, &sb, scheme, tk, cfg));
+    let d2 = execute(&rt, &split_plan(&sa, &pb, scheme, tk, cfg));
     let after2 = rt.cache_stats();
     assert_eq!(
         after1.jit_compiles, after2.jit_compiles,
@@ -789,9 +817,10 @@ fn special_values_keep_the_output_contract() {
             let sa = SplitMatrix::split(&a, scheme.split_scheme());
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
+            let pb_split = prepare_b_split(&rt, &sb, 0..k, tk, cfg);
             for c_opt in [None, Some(&c)] {
-                let split = split_plan(&sa, &sb, scheme, tk, cfg);
-                let raw = GemmPlan::new(Operand::Raw(&a), BOperand::Prepared(&pb), scheme, tk, cfg);
+                let split = split_plan(&sa, &pb_split, scheme, tk, cfg);
+                let raw = GemmPlan::new(Operand::Raw(&a), &pb, scheme, tk, cfg);
                 for (form, plan) in [("split/split", split), ("raw/prepared", raw)] {
                     let d = execute(&rt, &GemmPlan { c: c_opt, ..plan });
                     for i in 0..m {
