@@ -66,17 +66,12 @@ impl GemmBaseline for CublasTcEmulation {
         let sb = SplitMatrix::split(b, SplitScheme::Round);
         let mut d: Option<Matrix<f32>> = None;
         for &(a_lo, b_lo) in EmulationScheme::EgemmTc.terms() {
-            // Present the selected planes as a TcHalf-scheme operand pair:
-            // the single-term kernel reads only the hi plane, so stuff the
-            // chosen plane into a fresh SplitMatrix's hi slot by splitting
-            // the widened plane values (exact: they are binary16 already).
-            let ap = plane_matrix(&sa, a_lo);
-            let bp = plane_matrix(&sb, b_lo);
-            let pa = SplitMatrix::split(&ap, SplitScheme::Round);
-            let pb = SplitMatrix::split(&bp, SplitScheme::Round);
+            // Each launch is a TcHalf product of the widened planes: its
+            // round split of a binary16 value is that value, so the
+            // single-term kernel multiplies exactly the selected planes.
             let out = emulated_gemm_tk(
-                &pa,
-                &pb,
+                &plane_matrix(&sa, a_lo),
+                &plane_matrix(&sb, b_lo),
                 d.as_ref(),
                 EmulationScheme::TcHalf,
                 TilingConfig::TC.k,

@@ -67,14 +67,11 @@ fn main() {
     );
     for k in [8usize, 16, 32] {
         let cell = |scheme: EmulationScheme| -> f64 {
-            use egemm::SplitMatrix;
             use egemm_matrix::{gemm_f64_of_f32, Matrix};
             let a = Matrix::<f32>::random_uniform(256, k, 77);
             let b = Matrix::<f32>::random_uniform(k, 256, 78);
             let truth = gemm_f64_of_f32(&a, &b);
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
-            let d = egemm::emulated_gemm(&sa, &sb, None, scheme);
+            let d = egemm::emulated_gemm(&a, &b, None, scheme);
             egemm_fp::max_abs_error(&d.to_f64_vec(), &truth.to_f64_vec())
         };
         let e = cell(EmulationScheme::EgemmTc);

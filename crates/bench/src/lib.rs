@@ -13,7 +13,7 @@
 //!   baselines and formatted table output;
 //! * [`geo_mean`] and friends — the §7.3 summary statistics.
 
-use egemm::{emulated_gemm, emulated_gemm_rows, EmulationScheme, SplitMatrix};
+use egemm::{emulated_gemm, emulated_gemm_rows, EmulationScheme};
 use egemm_baselines::GemmBaseline;
 use egemm_fp::max_abs_error;
 use egemm_matrix::{GemmShape, Matrix};
@@ -159,10 +159,8 @@ pub fn f32_reference_rows(a: &Matrix<f32>, b: &Matrix<f32>, rows: &[usize]) -> V
 pub fn precision_cell(n: usize, scheme: EmulationScheme, sample_rows: usize, seed: u64) -> f64 {
     let a = Matrix::<f32>::random_uniform(n, n, seed);
     let b = Matrix::<f32>::random_uniform(n, n, seed + 1);
-    let sa = SplitMatrix::split(&a, scheme.split_scheme());
-    let sb = SplitMatrix::split(&b, scheme.split_scheme());
     if n <= sample_rows {
-        let d = emulated_gemm(&sa, &sb, None, scheme);
+        let d = emulated_gemm(&a, &b, None, scheme);
         let rows: Vec<usize> = (0..n).collect();
         let reference = f32_reference_rows(&a, &b, &rows);
         max_abs_error(&d.to_f64_vec(), &reference)
@@ -170,7 +168,7 @@ pub fn precision_cell(n: usize, scheme: EmulationScheme, sample_rows: usize, see
         // Deterministic stratified row sample.
         let stride = n / sample_rows;
         let rows: Vec<usize> = (0..sample_rows).map(|i| i * stride).collect();
-        let d = emulated_gemm_rows(&sa, &sb, &rows, scheme);
+        let d = emulated_gemm_rows(&a, &b, &rows, scheme);
         let reference = f32_reference_rows(&a, &b, &rows);
         max_abs_error(&d.to_f64_vec(), &reference)
     }

@@ -8,7 +8,7 @@
 //! sizes stops being the bottleneck the §7.3 small-size discussion
 //! describes.
 
-use crate::engine::{self, Operand};
+use crate::engine;
 use crate::gemm::Egemm;
 use crate::kernel::build_kernel;
 use crate::telemetry::{probe, GemmReport};
@@ -56,7 +56,7 @@ impl Egemm {
         let plans: Vec<_> = a
             .iter()
             .zip(&prepared)
-            .map(|(ai, pb)| self.plan(Operand::Raw(ai), pb))
+            .map(|(ai, pb)| self.plan(ai, pb))
             .collect();
         let d = engine::execute_all(self.runtime(), &plans);
         let report = self.trace_end(

@@ -22,13 +22,15 @@
 //! [`emulated_gemm`] is the *functional* executor: it computes, bit-for-bit,
 //! the value the simulated tiled Tensor-Core kernel produces, using the
 //! flattened accumulation order (ascending k in `t_k`-sized chunks, the 4
-//! terms per chunk). [`emulated_gemm_entrywise`] recomputes single output
-//! elements independently — the oracle used to prove the tiled executor and
-//! the flattened executor agree, and the row-sampled engine behind the
-//! large-size precision experiments (Figure 7).
+//! terms per chunk). It takes the raw binary32 operands and splits them
+//! while the engine packs them. [`emulated_gemm_rows`] computes only
+//! sampled output rows — the engine behind the large-size precision
+//! experiments (Figure 7). [`emulated_gemm_entrywise`] recomputes single
+//! output elements independently over split planes — the oracle used to
+//! prove the tiled executor and the flattened executor agree.
 
 use crate::config::TilingConfig;
-use crate::engine::{self, EngineConfig, EngineRuntime, GemmPlan, Operand};
+use crate::engine::{self, EngineConfig, EngineRuntime, GemmPlan};
 use crate::split_matrix::SplitMatrix;
 use egemm_fp::{PrecisionFormat, SplitScheme};
 use egemm_matrix::Matrix;
@@ -109,33 +111,32 @@ impl EmulationScheme {
     }
 }
 
-/// Functional emulated GEMM: `D = A·B + C` over split operands, producing
-/// exactly what the simulated tiled Tensor-Core kernel computes.
+/// Functional emulated GEMM: `D = A·B + C`, with A and B split under
+/// `scheme`'s split technique, producing exactly what the simulated tiled
+/// Tensor-Core kernel computes.
 ///
 /// Accumulation semantics (the profiled Tensor-Core arithmetic): per
 /// output element, k advances in `t_k`-sized chunks; within a chunk the
 /// scheme's terms are issued in order; within a term the `t_k` products
 /// are accumulated sequentially in binary32. Execution runs on the
 /// blocked pack-and-tile engine ([`crate::engine`]), parallel across 2D
-/// output tiles.
+/// output tiles: B is split while it is packed, past the operand cache,
+/// and A per tile.
 ///
 /// ```
-/// use egemm::{emulated_gemm, EmulationScheme, SplitMatrix};
+/// use egemm::{emulated_gemm, EmulationScheme};
 /// use egemm_matrix::Matrix;
 /// let a = Matrix::<f32>::random_uniform(16, 16, 1);
 /// let b = Matrix::<f32>::random_uniform(16, 16, 2);
-/// let scheme = EmulationScheme::EgemmTc;
-/// let sa = SplitMatrix::split(&a, scheme.split_scheme());
-/// let sb = SplitMatrix::split(&b, scheme.split_scheme());
-/// let d = emulated_gemm(&sa, &sb, None, scheme);
+/// let d = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
 /// assert_eq!((d.rows(), d.cols()), (16, 16));
 /// ```
 ///
 /// # Panics
-/// If the operand shapes disagree or the split schemes differ.
+/// If the operand shapes disagree.
 pub fn emulated_gemm(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
     c: Option<&Matrix<f32>>,
     scheme: EmulationScheme,
 ) -> Matrix<f32> {
@@ -149,17 +150,19 @@ pub fn emulated_gemm(
 /// `wmma::mma_sync` tile (`t_k = 16`), which changes the accumulation
 /// grouping and therefore the low-order bits.
 pub fn emulated_gemm_tk(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
     c: Option<&Matrix<f32>>,
     scheme: EmulationScheme,
     tk: usize,
 ) -> Matrix<f32> {
     let (rt, cfg) = (EngineRuntime::global(), EngineConfig::default());
-    let pb = engine::prepare_b_split(rt, b, 0..b.rows(), tk, cfg);
+    // B is packed past the operand cache: these entry points see each B
+    // once, so a fingerprint pass and cache residency would buy nothing.
+    let pb = engine::prepare_b_rows(rt, b, 0..b.rows(), scheme.split_scheme(), tk, cfg);
     let plan = GemmPlan {
         c,
-        ..GemmPlan::new(Operand::Split(a), &pb, scheme, tk, cfg)
+        ..GemmPlan::new(a, &pb, scheme, tk, cfg)
     };
     engine::execute(rt, &plan)
 }
@@ -174,17 +177,17 @@ pub fn emulated_gemm_tk(
 /// If any index is out of range or `rows` is not strictly ascending —
 /// both validated up front, before any compute.
 pub fn emulated_gemm_rows(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
     rows: &[usize],
     scheme: EmulationScheme,
 ) -> Matrix<f32> {
     let (rt, cfg) = (EngineRuntime::global(), EngineConfig::default());
     let tk = TilingConfig::TC.k;
-    let pb = engine::prepare_b_split(rt, b, 0..b.rows(), tk, cfg);
+    let pb = engine::prepare_b_rows(rt, b, 0..b.rows(), scheme.split_scheme(), tk, cfg);
     let plan = GemmPlan {
         rows: Some(rows),
-        ..GemmPlan::new(Operand::Split(a), &pb, scheme, tk, cfg)
+        ..GemmPlan::new(a, &pb, scheme, tk, cfg)
     };
     engine::execute(rt, &plan)
 }
@@ -268,9 +271,9 @@ mod tests {
             EmulationScheme::MarkidisFourTerm,
             EmulationScheme::TcHalf,
         ] {
-            let (_, _, sa, sb) = split_pair(24, 40, 17, scheme, 11);
+            let (a, b, sa, sb) = split_pair(24, 40, 17, scheme, 11);
             let c = Matrix::<f32>::random_uniform(24, 17, 99);
-            let d = emulated_gemm(&sa, &sb, Some(&c), scheme);
+            let d = emulated_gemm(&a, &b, Some(&c), scheme);
             for &(i, j) in &[(0usize, 0usize), (5, 3), (23, 16), (12, 8)] {
                 let e = emulated_gemm_entrywise(&sa, &sb, Some(&c), scheme, i, j);
                 assert_eq!(d.get(i, j).to_bits(), e.to_bits(), "{scheme:?} ({i},{j})");
@@ -281,10 +284,11 @@ mod tests {
     #[test]
     fn row_sampled_matches_full() {
         let scheme = EmulationScheme::EgemmTc;
-        let (_, _, sa, sb) = split_pair(32, 64, 32, scheme, 21);
-        let full = emulated_gemm(&sa, &sb, None, scheme);
+        let a = Matrix::<f32>::random_uniform(32, 64, 21);
+        let b = Matrix::<f32>::random_uniform(64, 32, 22);
+        let full = emulated_gemm(&a, &b, None, scheme);
         let rows = [0usize, 7, 31];
-        let sampled = emulated_gemm_rows(&sa, &sb, &rows, scheme);
+        let sampled = emulated_gemm_rows(&a, &b, &rows, scheme);
         for (ri, &r) in rows.iter().enumerate() {
             for j in 0..32 {
                 assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
@@ -296,14 +300,11 @@ mod tests {
     fn extended_precision_close_to_f32_reference() {
         // The headline property: emulation error is hundreds of times
         // smaller than plain half-precision (Figure 7's 350x).
-        let (a, b, sa, sb) = split_pair(64, 64, 64, EmulationScheme::EgemmTc, 31);
+        let a = Matrix::<f32>::random_uniform(64, 64, 31);
+        let b = Matrix::<f32>::random_uniform(64, 64, 32);
         let reference = gemm_f64_of_f32(&a, &b);
-        let egemm = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
-        let half = {
-            let sah = SplitMatrix::split(&a, SplitScheme::Round);
-            let sbh = SplitMatrix::split(&b, SplitScheme::Round);
-            emulated_gemm(&sah, &sbh, None, EmulationScheme::TcHalf)
-        };
+        let egemm = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
+        let half = emulated_gemm(&a, &b, None, EmulationScheme::TcHalf);
         let err_eg = max_abs_error(&egemm.to_f64_vec(), &reference.to_f64_vec());
         let err_half = max_abs_error(&half.to_f64_vec(), &reference.to_f64_vec());
         assert!(
@@ -318,16 +319,8 @@ mod tests {
         let a = Matrix::<f32>::random_uniform(n, n, 41);
         let b = Matrix::<f32>::random_uniform(n, n, 42);
         let reference = gemm_f64_of_f32(&a, &b).to_f64_vec();
-        let eg = {
-            let sa = SplitMatrix::split(&a, SplitScheme::Round);
-            let sb = SplitMatrix::split(&b, SplitScheme::Round);
-            emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc)
-        };
-        let mk = {
-            let sa = SplitMatrix::split(&a, SplitScheme::Truncate);
-            let sb = SplitMatrix::split(&b, SplitScheme::Truncate);
-            emulated_gemm(&sa, &sb, None, EmulationScheme::Markidis)
-        };
+        let eg = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
+        let mk = emulated_gemm(&a, &b, None, EmulationScheme::Markidis);
         let err_eg = max_abs_error(&eg.to_f64_vec(), &reference);
         let err_mk = max_abs_error(&mk.to_f64_vec(), &reference);
         assert!(
@@ -342,10 +335,8 @@ mod tests {
         let a = Matrix::<f32>::random_uniform(n, n, 51);
         let b = Matrix::<f32>::random_uniform(n, n, 52);
         let reference = gemm_f64_of_f32(&a, &b).to_f64_vec();
-        let sa = SplitMatrix::split(&a, SplitScheme::Truncate);
-        let sb = SplitMatrix::split(&b, SplitScheme::Truncate);
-        let four = emulated_gemm(&sa, &sb, None, EmulationScheme::MarkidisFourTerm);
-        let three = emulated_gemm(&sa, &sb, None, EmulationScheme::Markidis);
+        let four = emulated_gemm(&a, &b, None, EmulationScheme::MarkidisFourTerm);
+        let three = emulated_gemm(&a, &b, None, EmulationScheme::Markidis);
         let e4 = max_abs_error(&four.to_f64_vec(), &reference);
         let e3 = max_abs_error(&three.to_f64_vec(), &reference);
         // Dropping lo·lo and issuing hi·hi first costs accuracy, but not
@@ -357,10 +348,11 @@ mod tests {
     #[test]
     fn accumulates_into_c() {
         let scheme = EmulationScheme::EgemmTc;
-        let (_, _, sa, sb) = split_pair(16, 16, 16, scheme, 61);
+        let a = Matrix::<f32>::random_uniform(16, 16, 61);
+        let b = Matrix::<f32>::random_uniform(16, 16, 62);
         let c = Matrix::from_fn(16, 16, |_, _| 1.0f32);
-        let with_c = emulated_gemm(&sa, &sb, Some(&c), scheme);
-        let without = emulated_gemm(&sa, &sb, None, scheme);
+        let with_c = emulated_gemm(&a, &b, Some(&c), scheme);
+        let without = emulated_gemm(&a, &b, None, scheme);
         for (x, y) in with_c.as_slice().iter().zip(without.as_slice()) {
             assert!((x - y - 1.0).abs() < 1e-5);
         }
@@ -370,18 +362,9 @@ mod tests {
     fn k_not_multiple_of_tk() {
         // k = 13 exercises the partial trailing chunk.
         let scheme = EmulationScheme::EgemmTc;
-        let (_, _, sa, sb) = split_pair(4, 13, 5, scheme, 71);
-        let d = emulated_gemm(&sa, &sb, None, scheme);
+        let (a, b, sa, sb) = split_pair(4, 13, 5, scheme, 71);
+        let d = emulated_gemm(&a, &b, None, scheme);
         let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, 3, 4);
         assert_eq!(d.get(3, 4).to_bits(), e.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "split scheme mismatch")]
-    fn scheme_mismatch_rejected() {
-        let a = Matrix::<f32>::zeros(4, 4);
-        let sa = SplitMatrix::split(&a, SplitScheme::Truncate);
-        let sb = SplitMatrix::split(&a, SplitScheme::Truncate);
-        emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
     }
 }

@@ -3,10 +3,10 @@
 //! Code is staged into an anonymous read-write mapping, then flipped to
 //! read-execute with `mprotect` before the entry pointer is ever handed
 //! out — the pages are never writable and executable at the same time.
-//! The syscalls are issued raw (the same zero-dependency idiom as the
-//! serve crate's `reactor/sys.rs`): negative return values are
-//! `-errno`, and every failure path degrades to "no JIT" rather than
-//! panicking, because the interpreted microkernel is always available.
+//! The syscalls go through the crate's raw-syscall shim
+//! (`crate::syscall6`, which the serve crate's reactor shares), and
+//! every failure path degrades to "no JIT" rather than panicking,
+//! because the interpreted microkernel is always available.
 //!
 //! A process-wide counter tracks how many executable mappings were ever
 //! created; the `EGEMM_JIT=0` negative test asserts it stays zero when
@@ -70,6 +70,7 @@ impl Drop for ExecBuf {
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod sys {
     use super::{ExecBuf, EXEC_MAPPINGS};
+    use crate::syscall6;
     use std::sync::atomic::Ordering;
 
     const SYS_MMAP: i64 = 9;
@@ -82,30 +83,6 @@ mod sys {
     const MAP_ANONYMOUS: i64 = 0x20;
     const PAGE: usize = 4096;
 
-    /// Raw 6-argument syscall (x86-64 Linux ABI): negative return
-    /// values are `-errno`.
-    ///
-    /// # Safety
-    /// The caller must uphold the kernel's contract for syscall `n`
-    /// with these arguments.
-    unsafe fn syscall6(n: i64, a1: i64, a2: i64, a3: i64, a4: i64, a5: i64, a6: i64) -> i64 {
-        let ret: i64;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") n => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            in("r10") a4,
-            in("r8") a5,
-            in("r9") a6,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
-    }
-
     pub(super) fn publish(code: &[u8]) -> Option<ExecBuf> {
         if code.is_empty() {
             return None;
@@ -113,7 +90,7 @@ mod sys {
         let len = code.len().div_ceil(PAGE) * PAGE;
         // SAFETY: anonymous private mapping with no fixed address —
         // always safe to request; the result is checked before use.
-        let addr = unsafe {
+        let mapped = unsafe {
             syscall6(
                 SYS_MMAP,
                 0,
@@ -124,9 +101,10 @@ mod sys {
                 0,
             )
         };
-        if addr <= 0 {
-            return None;
-        }
+        let addr = match mapped {
+            Ok(addr) if addr > 0 => addr,
+            _ => return None,
+        };
         let ptr = addr as *mut u8;
         // SAFETY: `ptr..ptr+len` is the fresh writable mapping above and
         // `code` fits inside it.
@@ -144,7 +122,7 @@ mod sys {
                 0,
             )
         };
-        if rc != 0 {
+        if rc.is_err() {
             unmap(ptr, len);
             return None;
         }
@@ -155,8 +133,9 @@ mod sys {
     pub(super) fn unmap(ptr: *mut u8, len: usize) {
         // SAFETY: `ptr`/`len` describe exactly one mapping created by
         // `publish`; after this call the buffer is never touched again
-        // (ExecBuf is being dropped).
-        unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) };
+        // (ExecBuf is being dropped). A failure leaks the pages and
+        // nothing more.
+        let _ = unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) };
     }
 }
 

@@ -73,8 +73,7 @@ use std::sync::{Mutex, Once, OnceLock};
 
 /// The argument block a compiled kernel receives (pointer in `rdi`).
 /// Only the output row stride is runtime-variable — everything else a
-/// kernel needs is baked into its code. Plane pointers for planes the
-/// scheme never reads may dangle; the kernel never dereferences them.
+/// kernel needs is baked into its code.
 #[repr(C)]
 pub(crate) struct KernelArgs {
     pub a_hi: *const f32,
@@ -413,17 +412,6 @@ struct Tile {
     out: Vec<f32>,
 }
 
-/// Mirror the worker exactly: planes a scheme never reads are empty
-/// slices (dangling pointers a correct kernel never dereferences).
-/// `side` picks a term's A (`0`) or B (`1`) flag.
-fn pair<'a>(terms: &[(bool, bool)], side: usize, hi: &'a [f32], lo: &'a [f32]) -> PlanePair<'a> {
-    let used = |lo_part: bool| terms.iter().any(|t| [t.0, t.1][side] == lo_part);
-    PlanePair {
-        hi: if used(false) { hi } else { &[] },
-        lo: if used(true) { lo } else { &[] },
-    }
-}
-
 impl Tile {
     /// Finite binary16 planes and arbitrary binary32 C.
     fn finite(spec: &ir::KernelSpec, n: usize, seed: &mut u64) -> Tile {
@@ -477,8 +465,15 @@ impl Tile {
         eq: fn(f32, f32) -> bool,
     ) -> bool {
         let (mut got, mut want) = (self.out.clone(), self.out.clone());
-        let a = pair(&spec.terms, 0, &self.a_hi, &self.a_lo);
-        let b = pair(&spec.terms, 1, &self.b_hi, &self.b_lo);
+        // Both planes of each operand, as the worker passes them.
+        let a = PlanePair {
+            hi: &self.a_hi,
+            lo: &self.a_lo,
+        };
+        let b = PlanePair {
+            hi: &self.b_hi,
+            lo: &self.b_lo,
+        };
         let (rows, cols, kcb, tk) = (spec.rows, spec.cols, spec.kcb, spec.tk);
         // SAFETY: the kernel was emitted for exactly this spec; the
         // planes hold `strips` packed slivers; `got` and `want` are

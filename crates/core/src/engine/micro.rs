@@ -14,7 +14,6 @@ use super::pack::{MR, NR};
 use super::sliver;
 
 /// Per-plane packed operand views for one row block / column strip.
-/// Planes a scheme never touches are empty slices and never indexed.
 #[derive(Clone, Copy)]
 pub(crate) struct PlanePair<'a> {
     pub hi: &'a [f32],
@@ -46,7 +45,7 @@ impl<'a> PlanePair<'a> {
 /// # Safety
 /// `out` must be valid for reads and writes of `rows x cols` elements
 /// at row stride `n`, with no other thread accessing them during the
-/// call. `rows <= MR`, and each used plane of `b` must hold
+/// call. `rows <= MR`, and both planes of `b` must hold
 /// `cols.div_ceil(NR)` packed slivers of `kcb x NR`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn interpret(
@@ -187,9 +186,12 @@ mod tests {
         let ones = [1.0f32; 2 * NR];
         let a = PlanePair {
             hi: &ones[..MR],
-            lo: &[],
+            lo: &ones[..MR],
         };
-        let b = PlanePair { hi: &ones, lo: &[] };
+        let b = PlanePair {
+            hi: &ones,
+            lo: &ones,
+        };
         for kcb in [0, 1] {
             let mut got = out.clone();
             let tile = got[n + 2..].as_mut_ptr();

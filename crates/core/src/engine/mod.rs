@@ -1,22 +1,19 @@
 //! Blocked pack-and-tile execution engine for the emulated GEMM.
 //!
-//! The functional executor used to stream the whole B operand past every
-//! output row — O(m·k·n) DRAM traffic over B and a store/reload of the C
-//! row on every k step. This module is a BLIS-style replacement: the
-//! output is cut into `mc x nc` macro-tiles, each tile walks the
-//! reduction in `kc`-deep panels whose hi/lo operand planes are packed
-//! into contiguous, cache-resident slivers, and an `MR x NR`
-//! register-tiled microkernel keeps 32 accumulators in registers for a
-//! whole panel. Workers claim macro-tiles from the 2D grid through a
-//! locality-aware work-stealing scheduler (`sched`): each worker owns
-//! a contiguous column-major run (all row tiles of a jc column block
-//! before the next block, so the B panel it just touched stays hot) and
-//! idle workers steal half-ranges from the most-loaded victim, so
-//! skewed shapes (m = 64, n = k = 4096) parallelize across column tiles
-//! where whole-row partitioning would idle every core but four. B is
-//! packed whole before the tile grid starts, one k panel per claim on
-//! the same pool, so every tile reads its B slivers from one prepared
-//! operand and no tile packs B.
+//! A BLIS-style engine: the output is cut into `mc x nc` macro-tiles, each
+//! tile walks the reduction in `kc`-deep panels whose hi/lo operand
+//! planes are packed into contiguous, cache-resident slivers, and an
+//! `MR x NR` register-tiled microkernel keeps 32 accumulators in
+//! registers for a whole panel. Workers claim macro-tiles from the 2D
+//! grid through a locality-aware work-stealing scheduler (`sched`): each
+//! worker owns a contiguous column-major run (all row tiles of a jc
+//! column block before the next block, so the B panel it just touched
+//! stays hot) and idle workers steal half-ranges from the most-loaded
+//! victim, so skewed shapes (m = 64, n = k = 4096) parallelize across
+//! column tiles where whole-row partitioning would idle every core but
+//! four. B is packed whole before the tile grid starts, one k panel per
+//! claim on the same pool, so every tile reads its B slivers from one
+//! prepared operand and no tile packs B.
 //!
 //! The engine is numerically *invisible*: per output element it replays
 //! exactly the profiled Tensor-Core accumulation order — ascending k in
@@ -38,18 +35,18 @@
 //! clause.
 //!
 //! The public surface is one plan and one executor: a [`GemmPlan`]
-//! names the operands (A as split planes or raw f32; B as a
-//! [`PreparedOperand`]), an optional C, an optional row sample and k
-//! slice, and the scheme/chunk depth/blocking; [`execute`] validates the
-//! whole plan before any compute and runs it. A B is prepared one of
-//! three ways: [`prepare_b`] packs raw f32 through the runtime's
-//! content-addressed cache, [`prepare_b_rows`] packs a row range of raw
-//! f32 (a split-K slice) and [`prepare_b_split`] packs the planes of a
-//! [`SplitMatrix`], both past the cache. A raw A takes the fused path —
-//! each tile's pack splits it on the fly, so no split matrix is ever
-//! materialized. Batched and split-K calls hand `execute_all` several
-//! plans of one output shape, and their tile grids run as one grid on
-//! the runtime's pool, so every call runs at the runtime's width.
+//! names the operands (A as raw f32; B as a [`PreparedOperand`]), an
+//! optional C, an optional row sample and k slice, and the scheme/chunk
+//! depth/blocking; [`execute`] validates the whole plan before any
+//! compute and runs it. A B is prepared one of two ways: [`prepare_b`]
+//! packs raw f32 through the runtime's content-addressed cache, and
+//! [`prepare_b_rows`] packs a row range of raw f32 past it (a split-K
+//! slice, or a B used once). Both split B while they pack it, and each
+//! tile's pack splits its rows of A on the fly, so no split matrix is
+//! ever materialized. Batched and split-K calls hand `execute_all`
+//! several plans of one output shape, and their tile grids run as one
+//! grid on the runtime's pool, so every call runs at the runtime's
+//! width.
 
 mod cache;
 pub(crate) mod jit;
@@ -59,14 +56,13 @@ pub mod runtime;
 mod sched;
 
 use crate::emulation::EmulationScheme;
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry;
 pub use cache::fingerprint as content_fingerprint;
 use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 pub use jit::{available as jit_available, exec_mappings as jit_exec_mappings};
 use micro::PlanePair;
-use pack::{pack_a, pack_a_fused, BRows, MR, NR};
+use pack::{pack_a_fused, BRows, MR, NR};
 pub use runtime::{CacheStats, EngineRuntime, PreparedOperand, RuntimeConfig};
 pub use sched::SchedStats;
 use sched::{Claim, TileScheduler};
@@ -112,27 +108,10 @@ pub(crate) fn clamp_kc(kc: usize, tk: usize) -> usize {
     (kc.max(tk) / tk) * tk
 }
 
-/// The A operand of a [`GemmPlan`]: split planes, or raw f32 that each
-/// tile's pack splits on the fly (the fused path).
-#[derive(Debug, Clone, Copy)]
-pub enum Operand<'a> {
-    Split(&'a SplitMatrix),
-    Raw(&'a Matrix<f32>),
-}
-
-impl Operand<'_> {
-    /// `(rows, cols)` of the operand.
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            Operand::Split(s) => (s.rows(), s.cols()),
-            Operand::Raw(m) => (m.rows(), m.cols()),
-        }
-    }
-}
-
 /// One emulated GEMM `D = A·B (+ C)` with the accumulation semantics of
 /// [`crate::emulated_gemm_tk`]: per output element, ascending k in
-/// `tk`-sized chunks, the scheme's terms in issue order per chunk.
+/// `tk`-sized chunks, the scheme's terms in issue order per chunk. A is
+/// raw f32, split per tile while it is packed.
 ///
 /// `rows` computes only the listed A rows (strictly ascending; the
 /// output is `rows.len() x n`, bit-identical to those rows of the full
@@ -142,7 +121,7 @@ impl Operand<'_> {
 /// the output shape. B's panel depth must match `clamp(cfg.kc, tk)`.
 #[derive(Debug, Clone)]
 pub struct GemmPlan<'a> {
-    pub a: Operand<'a>,
+    pub a: &'a Matrix<f32>,
     pub b: &'a PreparedOperand,
     pub c: Option<&'a Matrix<f32>>,
     pub rows: Option<&'a [usize]>,
@@ -155,7 +134,7 @@ pub struct GemmPlan<'a> {
 impl<'a> GemmPlan<'a> {
     /// The full product `A·B`: no C, every row, the whole reduction.
     pub fn new(
-        a: Operand<'a>,
+        a: &'a Matrix<f32>,
         b: &'a PreparedOperand,
         scheme: EmulationScheme,
         tk: usize,
@@ -176,7 +155,7 @@ impl<'a> GemmPlan<'a> {
     /// Check the whole plan and resolve the output shape and k slice.
     /// Runs before any compute, so a bad plan never does partial work.
     fn validate(&self) -> (usize, usize, Range<usize>) {
-        let (a_rows, k) = self.a.shape();
+        let (a_rows, k) = (self.a.rows(), self.a.cols());
         let n = self.b.cols();
         let ks = self.k_range.clone().unwrap_or(0..k);
         assert!(
@@ -186,11 +165,11 @@ impl<'a> GemmPlan<'a> {
             ks.end
         );
         assert_eq!(ks.len(), self.b.rows(), "inner dimensions disagree");
-        let split = self.scheme.split_scheme();
-        if let Operand::Split(s) = self.a {
-            assert_eq!(s.scheme, split, "A split scheme mismatch");
-        }
-        assert_eq!(self.b.scheme(), split, "B split scheme mismatch");
+        assert_eq!(
+            self.b.scheme(),
+            self.scheme.split_scheme(),
+            "B split scheme mismatch"
+        );
         assert!(self.tk > 0, "tk must be positive");
         if let Some(rows) = self.rows {
             for (pos, &r) in rows.iter().enumerate() {
@@ -269,24 +248,6 @@ pub(crate) fn prepare_b_slices(
     rt.prepare_uncached(&views, scheme, clamp_kc(cfg.kc, tk))
 }
 
-/// Pack rows `rows` of both planes of the split `src` as they are, as
-/// the B of a plan whose k range is `rows`, past the cache.
-///
-/// # Panics
-/// If `tk` is zero or `rows` is out of bounds.
-pub fn prepare_b_split(
-    rt: &EngineRuntime,
-    src: &SplitMatrix,
-    rows: Range<usize>,
-    tk: usize,
-    cfg: EngineConfig,
-) -> PreparedOperand {
-    assert!(tk > 0, "tk must be positive");
-    let view = BRows::split(src, rows);
-    let mut prepared = rt.prepare_uncached(&[view], src.scheme, clamp_kc(cfg.kc, tk));
-    prepared.pop().expect("one operand, one prepared B")
-}
-
 /// One plan's output buffer, handed to workers as a raw pointer; tiles
 /// are disjoint by construction, so concurrent writes never overlap.
 struct SharedOut(*mut f32);
@@ -301,10 +262,10 @@ unsafe impl Sync for SharedOut {}
 ///
 /// # Panics
 /// Before any compute, if the plan is invalid: operand or C shapes
-/// disagree (B's depth must equal the k range's length), a split scheme
-/// differs from the plan's, `tk` is zero, a sampled row is out of range
-/// or out of order, the k range is out of bounds, or B was packed at
-/// another `kc`.
+/// disagree (B's depth must equal the k range's length), B was prepared
+/// under another split scheme than the plan's, `tk` is zero, a sampled
+/// row is out of range or out of order, the k range is out of bounds,
+/// or B was packed at another `kc`.
 pub fn execute(rt: &EngineRuntime, plan: &GemmPlan<'_>) -> Matrix<f32> {
     let mut d = execute_all(rt, std::slice::from_ref(plan));
     d.pop().expect("one plan, one output")
@@ -410,17 +371,13 @@ fn worker(
     let (scheme, tk) = (plans[0].scheme, plans[0].tk);
     let terms = scheme.terms();
     let split_scheme = scheme.split_scheme();
-    let (a_hi_used, a_lo_used) = (terms.iter().any(|t| !t.0), terms.iter().any(|t| t.0));
-    // Per-worker A pack scratch, reused across tiles and panels. Planes
-    // a scheme never touches stay empty and are never indexed, except
-    // when some plan's A is raw: a fused pack always emits both planes
-    // (the split computes them together; the microkernel still reads
-    // only the used ones). B slivers are read straight from each plan's
-    // prepared operand.
-    let fused_a = plans.iter().any(|p| matches!(p.a, Operand::Raw(_)));
+    // Per-worker A pack scratch, reused across tiles and panels. The
+    // fused pack emits both planes (the split computes them together);
+    // the microkernel reads only the ones the scheme's terms name. B
+    // slivers are read straight from each plan's prepared operand.
     let a_cap = ctx.mc.div_ceil(MR) * MR * ctx.kc;
-    let mut a_hi = vec![0f32; if a_hi_used || fused_a { a_cap } else { 0 }];
-    let mut a_lo = vec![0f32; if a_lo_used || fused_a { a_cap } else { 0 }];
+    let mut a_hi = vec![0f32; a_cap];
+    let mut a_lo = vec![0f32; a_cap];
     let mut rowbuf: Vec<usize> = Vec::with_capacity(ctx.mc);
     let counters = rt.sched_counters();
     // JIT dispatch state: the runtime's compiled-kernel cache (absent
@@ -449,7 +406,7 @@ fn worker(
         };
         tiles_claimed += 1;
         let (plan, job) = (&plans[t / ctx.per_plan], &jobs[t / ctx.per_plan]);
-        let k = plan.a.shape().1;
+        let k = plan.a.cols();
         let b_pack = &*plan.b.packed;
         let local = t % ctx.per_plan;
         let ic_idx = local % ctx.tiles_m;
@@ -475,41 +432,23 @@ fn worker(
         while pc < ks.end {
             let kcb = ctx.kc.min(ks.end - pc);
             let a_len = row_blocks * kcb * MR;
-            match plan.a {
-                Operand::Split(sa) => {
-                    let t_pack_a = telemetry::span_start();
-                    if a_hi_used {
-                        pack_a(sa.plane(false), k, &rowbuf, pc, kcb, &mut a_hi[..a_len]);
-                    }
-                    if a_lo_used {
-                        pack_a(sa.plane(true), k, &rowbuf, pc, kcb, &mut a_lo[..a_len]);
-                    }
-                    telemetry::span_end(
-                        telemetry::Phase::PackA,
-                        t_pack_a,
-                        4 * (a_len * (a_hi_used as usize + a_lo_used as usize)) as u64,
-                    );
-                }
-                Operand::Raw(ra) => {
-                    let t_fused = telemetry::span_start();
-                    pack_a_fused(
-                        ra.as_slice(),
-                        k,
-                        &rowbuf,
-                        pc,
-                        kcb,
-                        split_scheme,
-                        SplitKernel::Auto,
-                        &mut a_hi[..a_len],
-                        &mut a_lo[..a_len],
-                    );
-                    telemetry::span_end(
-                        telemetry::Phase::FusedSplitPack,
-                        t_fused,
-                        (4 * 2 * a_len) as u64,
-                    );
-                }
-            }
+            let t_fused = telemetry::span_start();
+            pack_a_fused(
+                plan.a.as_slice(),
+                k,
+                &rowbuf,
+                pc,
+                kcb,
+                split_scheme,
+                SplitKernel::Auto,
+                &mut a_hi[..a_len],
+                &mut a_lo[..a_len],
+            );
+            telemetry::span_end(
+                telemetry::Phase::FusedSplitPack,
+                t_fused,
+                (4 * 2 * a_len) as u64,
+            );
             let t_tile = telemetry::span_start();
             let mut sb = 0;
             while sb < strips {
@@ -523,8 +462,8 @@ fn worker(
                     Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => 2,
                     _ => 1,
                 };
-                // Prepared slivers are bit-identical to what pack_b
-                // would produce for this tile: jc is NR-aligned (nc is
+                // Prepared slivers are bit-identical to what a per-tile
+                // pack of the same B rows would produce: jc is NR-aligned (nc is
                 // clamped to an NR multiple) and B holds exactly the
                 // plan's k slice at the same kc, so global strip
                 // jc/NR+sb of panel (pc-k_lo)/kc covers the same column
@@ -579,21 +518,17 @@ fn worker(
     telemetry::span_end(telemetry::Phase::Worker, t_worker, tiles_claimed);
 }
 
-/// The `idx`-th packed sliver of `len` elements, or an empty slice for an
-/// unused (empty) plane.
+/// The `idx`-th packed sliver of `len` elements.
 #[inline]
 fn sliver(buf: &[f32], idx: usize, len: usize) -> &[f32] {
-    if buf.is_empty() {
-        &[]
-    } else {
-        &buf[idx * len..(idx + 1) * len]
-    }
+    &buf[idx * len..(idx + 1) * len]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::emulation::emulated_gemm_entrywise;
+    use crate::split_matrix::SplitMatrix;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::{Arc, OnceLock};
 
@@ -604,19 +539,49 @@ mod tests {
         EmulationScheme::TcHalf,
     ];
 
-    fn split_pair(
+    /// Raw `m x k` and `k x n` operands drawn from `seed`, and their
+    /// splits under `scheme` for the oracle.
+    fn operands(
         m: usize,
         k: usize,
         n: usize,
         scheme: EmulationScheme,
         seed: u64,
-    ) -> (SplitMatrix, SplitMatrix) {
+    ) -> (Matrix<f32>, Matrix<f32>, SplitMatrix, SplitMatrix) {
         let a = Matrix::<f32>::random_uniform(m, k, seed);
         let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-        (
-            SplitMatrix::split(&a, scheme.split_scheme()),
-            SplitMatrix::split(&b, scheme.split_scheme()),
-        )
+        let sa = SplitMatrix::split(&a, scheme.split_scheme());
+        let sb = SplitMatrix::split(&b, scheme.split_scheme());
+        (a, b, sa, sb)
+    }
+
+    /// Scalar replay of every output over the k range `ks`: C (or zero),
+    /// then ascending k in `tk` chunks from `ks.start`, the scheme's
+    /// terms in issue order per chunk, over the split planes.
+    fn replay(
+        sa: &SplitMatrix,
+        sb: &SplitMatrix,
+        c: Option<&Matrix<f32>>,
+        scheme: EmulationScheme,
+        tk: usize,
+        ks: Range<usize>,
+    ) -> Matrix<f32> {
+        let (k, n) = (sa.cols(), sb.cols());
+        Matrix::from_fn(sa.rows(), n, |i, j| {
+            let mut acc = c.map_or(0.0, |c0| c0.get(i, j));
+            let mut kt = ks.start;
+            while kt < ks.end {
+                let chunk = tk.min(ks.end - kt);
+                for &(al, bl) in scheme.terms() {
+                    let (ap, bp) = (sa.plane(al), sb.plane(bl));
+                    for kk in kt..kt + chunk {
+                        acc += ap[i * k + kk] * bp[kk * n + j];
+                    }
+                }
+                kt += chunk;
+            }
+            acc
+        })
     }
 
     /// Tiny tiles force interior and edge paths on small shapes.
@@ -640,14 +605,20 @@ mod tests {
         })
     }
 
-    /// All of the split `sb` as a B prepared for `tk`/`cfg`.
-    fn whole(sb: &SplitMatrix, tk: usize, cfg: EngineConfig) -> PreparedOperand {
-        prepare_b_split(pool(2), sb, 0..sb.rows(), tk, cfg)
+    /// All of the raw `b` as a B prepared for `scheme`/`tk`/`cfg`, past
+    /// the cache.
+    fn whole(
+        b: &Matrix<f32>,
+        scheme: EmulationScheme,
+        tk: usize,
+        cfg: EngineConfig,
+    ) -> PreparedOperand {
+        prepare_b_rows(pool(2), b, 0..b.rows(), scheme.split_scheme(), tk, cfg)
     }
 
     /// Execute a full-product plan on the shared 2-worker runtime.
     fn run(
-        a: Operand<'_>,
+        a: &Matrix<f32>,
         b: &PreparedOperand,
         c: Option<&Matrix<f32>>,
         scheme: EmulationScheme,
@@ -661,17 +632,16 @@ mod tests {
         execute(pool(2), &plan)
     }
 
-    /// The full product over split operands on the shared 2-worker
-    /// runtime.
-    fn run_split(
-        sa: &SplitMatrix,
-        sb: &SplitMatrix,
+    /// The full product of raw operands on the shared 2-worker runtime.
+    fn run_full(
+        a: &Matrix<f32>,
+        b: &Matrix<f32>,
         c: Option<&Matrix<f32>>,
         scheme: EmulationScheme,
         tk: usize,
         cfg: EngineConfig,
     ) -> Matrix<f32> {
-        run(Operand::Split(sa), &whole(sb, tk, cfg), c, scheme, tk, cfg)
+        run(a, &whole(b, scheme, tk, cfg), c, scheme, tk, cfg)
     }
 
     fn assert_bits_eq(got: &Matrix<f32>, want: &Matrix<f32>, what: &str) {
@@ -688,32 +658,12 @@ mod tests {
     #[test]
     fn bit_identical_to_oracle_all_schemes() {
         for scheme in SCHEMES {
-            let (sa, sb) = split_pair(11, 29, 13, scheme, 7);
+            let (a, b, sa, sb) = operands(11, 29, 13, scheme, 7);
             let c = Matrix::<f32>::random_uniform(11, 13, 77);
             for tk in [4usize, 8, 16] {
-                let d = run_split(&sa, &sb, Some(&c), scheme, tk, tight());
-                for i in 0..11 {
-                    for j in 0..13 {
-                        let mut want = c.get(i, j);
-                        let mut kt = 0;
-                        while kt < 29 {
-                            let chunk = tk.min(29 - kt);
-                            for &(al, bl) in scheme.terms() {
-                                let ap = sa.plane(al);
-                                let bp = sb.plane(bl);
-                                for kk in kt..kt + chunk {
-                                    want += ap[i * 29 + kk] * bp[kk * 13 + j];
-                                }
-                            }
-                            kt += chunk;
-                        }
-                        assert_eq!(
-                            d.get(i, j).to_bits(),
-                            want.to_bits(),
-                            "{scheme:?} tk={tk} ({i},{j})"
-                        );
-                    }
-                }
+                let d = run_full(&a, &b, Some(&c), scheme, tk, tight());
+                let want = replay(&sa, &sb, Some(&c), scheme, tk, 0..29);
+                assert_bits_eq(&d, &want, &format!("{scheme:?} tk={tk}"));
             }
         }
     }
@@ -721,8 +671,8 @@ mod tests {
     #[test]
     fn default_config_matches_oracle() {
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(10, 40, 12, scheme, 3);
-        let d = run_split(&sa, &sb, None, scheme, 8, EngineConfig::default());
+        let (a, b, sa, sb) = operands(10, 40, 12, scheme, 3);
+        let d = run_full(&a, &b, None, scheme, 8, EngineConfig::default());
         for &(i, j) in &[(0usize, 0usize), (9, 11), (4, 7)] {
             let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
             assert_eq!(d.get(i, j).to_bits(), e.to_bits());
@@ -733,29 +683,29 @@ mod tests {
     fn degenerate_shapes() {
         let scheme = EmulationScheme::EgemmTc;
         // 1 x k x 1.
-        let (sa, sb) = split_pair(1, 17, 1, scheme, 9);
-        let d = run_split(&sa, &sb, None, scheme, 8, tight());
+        let (a, b, sa, sb) = operands(1, 17, 1, scheme, 9);
+        let d = run_full(&a, &b, None, scheme, 8, tight());
         let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, 0, 0);
         assert_eq!(d.get(0, 0).to_bits(), e.to_bits());
         // k = 0: B has no panels, and the output is C unchanged.
-        let (sa0, sb0) = split_pair(3, 0, 4, scheme, 11);
+        let (a0, b0, _, _) = operands(3, 0, 4, scheme, 11);
         let c = Matrix::<f32>::random_uniform(3, 4, 13);
-        let d0 = run_split(&sa0, &sb0, Some(&c), scheme, 8, tight());
+        let d0 = run_full(&a0, &b0, Some(&c), scheme, 8, tight());
         assert_eq!(d0.as_slice(), c.as_slice());
     }
 
-    /// A row-sampled plan over split operands on the shared 2-worker
+    /// A row-sampled plan over raw operands on the shared 2-worker
     /// runtime.
     fn run_rows(
-        sa: &SplitMatrix,
-        sb: &SplitMatrix,
+        a: &Matrix<f32>,
+        b: &Matrix<f32>,
         rows: &[usize],
         scheme: EmulationScheme,
     ) -> Matrix<f32> {
-        let pb = whole(sb, 8, tight());
+        let pb = whole(b, scheme, 8, tight());
         let plan = GemmPlan {
             rows: Some(rows),
-            ..GemmPlan::new(Operand::Split(sa), &pb, scheme, 8, tight())
+            ..GemmPlan::new(a, &pb, scheme, 8, tight())
         };
         execute(pool(2), &plan)
     }
@@ -763,10 +713,10 @@ mod tests {
     #[test]
     fn rows_gather_matches_full() {
         let scheme = EmulationScheme::Markidis;
-        let (sa, sb) = split_pair(23, 31, 10, scheme, 15);
-        let full = run_split(&sa, &sb, None, scheme, 8, tight());
+        let (a, b, _, _) = operands(23, 31, 10, scheme, 15);
+        let full = run_full(&a, &b, None, scheme, 8, tight());
         let rows = [0usize, 2, 3, 9, 17, 22];
-        let sampled = run_rows(&sa, &sb, &rows, scheme);
+        let sampled = run_rows(&a, &b, &rows, scheme);
         for (ri, &r) in rows.iter().enumerate() {
             for j in 0..10 {
                 assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
@@ -778,16 +728,16 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rows_out_of_range_rejected() {
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(4, 8, 4, scheme, 17);
-        run_rows(&sa, &sb, &[0, 4], scheme);
+        let (a, b, _, _) = operands(4, 8, 4, scheme, 17);
+        run_rows(&a, &b, &[0, 4], scheme);
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn rows_descending_rejected() {
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(4, 8, 4, scheme, 17);
-        run_rows(&sa, &sb, &[2, 1], scheme);
+        let (a, b, _, _) = operands(4, 8, 4, scheme, 17);
+        run_rows(&a, &b, &[2, 1], scheme);
     }
 
     #[test]
@@ -795,41 +745,24 @@ mod tests {
         // A [k_lo, k_hi) slice must chunk from k_lo, like a fused kernel
         // run over the slice alone.
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(6, 37, 5, scheme, 19);
+        let (a, b, sa, sb) = operands(6, 37, 5, scheme, 19);
         let (k_lo, k_hi, tk) = (13usize, 30usize, 8usize);
-        let pb = prepare_b_split(pool(2), &sb, k_lo..k_hi, tk, tight());
+        let pb = prepare_b_rows(pool(2), &b, k_lo..k_hi, scheme.split_scheme(), tk, tight());
         let plan = GemmPlan {
             k_range: Some(k_lo..k_hi),
-            ..GemmPlan::new(Operand::Split(&sa), &pb, scheme, tk, tight())
+            ..GemmPlan::new(&a, &pb, scheme, tk, tight())
         };
-        let d = execute(pool(2), &plan);
-        for i in 0..6 {
-            for j in 0..5 {
-                let mut want = 0f32;
-                let mut kt = k_lo;
-                while kt < k_hi {
-                    let chunk = tk.min(k_hi - kt);
-                    for &(al, bl) in scheme.terms() {
-                        let ap = sa.plane(al);
-                        let bp = sb.plane(bl);
-                        for kk in kt..kt + chunk {
-                            want += ap[i * 37 + kk] * bp[kk * 5 + j];
-                        }
-                    }
-                    kt += chunk;
-                }
-                assert_eq!(d.get(i, j).to_bits(), want.to_bits(), "({i},{j})");
-            }
-        }
+        let want = replay(&sa, &sb, None, scheme, tk, k_lo..k_hi);
+        assert_bits_eq(&execute(pool(2), &plan), &want, "slice [13, 30)");
     }
 
     #[test]
     fn thread_count_does_not_change_bits() {
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(33, 48, 21, scheme, 23);
+        let (a, b, _, _) = operands(33, 48, 21, scheme, 23);
         let with = |threads| {
-            let pb = prepare_b_split(pool(threads), &sb, 0..48, 8, tight());
-            let plan = GemmPlan::new(Operand::Split(&sa), &pb, scheme, 8, tight());
+            let pb = prepare_b_rows(pool(threads), &b, 0..48, scheme.split_scheme(), 8, tight());
+            let plan = GemmPlan::new(&a, &pb, scheme, 8, tight());
             execute(pool(threads), &plan)
         };
         assert_bits_eq(&with(4), &with(1), "threads 4 vs 1");
@@ -837,6 +770,7 @@ mod tests {
 
     #[test]
     fn prepared_b_path_bit_identical() {
+        // A B packed through the cache against the same B packed past it.
         let rt = EngineRuntime::new(RuntimeConfig {
             threads: 2,
             ..Default::default()
@@ -844,15 +778,13 @@ mod tests {
         for scheme in SCHEMES {
             let a = Matrix::<f32>::random_uniform(11, 29, 41);
             let b = Matrix::<f32>::random_uniform(29, 13, 43);
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 45);
             for tk in [4usize, 8] {
-                let baseline = run_split(&sa, &sb, Some(&c), scheme, tk, tight());
+                let baseline = run_full(&a, &b, Some(&c), scheme, tk, tight());
                 let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, tight());
                 let plan = GemmPlan {
                     c: Some(&c),
-                    ..GemmPlan::new(Operand::Split(&sa), &pb, scheme, tk, tight())
+                    ..GemmPlan::new(&a, &pb, scheme, tk, tight())
                 };
                 let d = execute(&rt, &plan);
                 assert_bits_eq(&d, &baseline, &format!("{scheme:?} tk={tk}"));
@@ -870,15 +802,14 @@ mod tests {
         let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
         // Same shapes, different kc (16 vs tight()'s clamped 8).
         let other = EngineConfig { kc: 16, ..tight() };
-        let plan = GemmPlan::new(Operand::Raw(&a), &pb, scheme, 8, other);
+        let plan = GemmPlan::new(&a, &pb, scheme, 8, other);
         execute(&rt, &plan);
     }
 
     #[test]
-    fn fused_entry_bit_identical_to_staged() {
+    fn fused_entry_bit_identical_to_entrywise() {
         // Raw operands (A split per tile inside the pack, B split while
-        // it is prepared) against the same operands handed in as split
-        // planes.
+        // it is prepared) against the scalar replay of their splits.
         for scheme in SCHEMES {
             let a = Matrix::<f32>::random_uniform(11, 29, 61);
             let b = Matrix::<f32>::random_uniform(29, 13, 63);
@@ -886,18 +817,18 @@ mod tests {
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 65);
             for tk in [4usize, 8] {
-                let split = run_split(&sa, &sb, Some(&c), scheme, tk, tight());
+                let want = replay(&sa, &sb, Some(&c), scheme, tk, 0..29);
                 let pb = prepare_b_rows(pool(2), &b, 0..29, scheme.split_scheme(), tk, tight());
-                let raw = run(Operand::Raw(&a), &pb, Some(&c), scheme, tk, tight());
-                assert_bits_eq(&raw, &split, &format!("{scheme:?} tk={tk}"));
+                let raw = run(&a, &pb, Some(&c), scheme, tk, tight());
+                assert_bits_eq(&raw, &want, &format!("{scheme:?} tk={tk}"));
             }
         }
     }
 
     #[test]
-    fn fused_range_restarts_chunking_like_staged() {
-        // Split-K chunk boundaries land identically whether the slice's
-        // operand elements were split ahead of time or on the fly.
+    fn fused_range_restarts_chunking_like_entrywise() {
+        // Split-K chunk boundaries land where the scalar replay of the
+        // slice puts them when the operand elements are split on the fly.
         let scheme = EmulationScheme::EgemmTc;
         let a = Matrix::<f32>::random_uniform(6, 37, 67);
         let b = Matrix::<f32>::random_uniform(37, 5, 69);
@@ -908,22 +839,13 @@ mod tests {
             cache_bytes: 0,
         });
         for (k_lo, k_hi) in [(0usize, 37usize), (13, 30), (8, 8), (5, 37)] {
-            let ranged = |a, b: &PreparedOperand| {
-                let plan = GemmPlan {
-                    k_range: Some(k_lo..k_hi),
-                    ..GemmPlan::new(a, b, scheme, 8, tight())
-                };
-                execute(&rt, &plan)
+            let pb = prepare_b_rows(&rt, &b, k_lo..k_hi, scheme.split_scheme(), 8, tight());
+            let plan = GemmPlan {
+                k_range: Some(k_lo..k_hi),
+                ..GemmPlan::new(&a, &pb, scheme, 8, tight())
             };
-            let split = ranged(
-                Operand::Split(&sa),
-                &prepare_b_split(&rt, &sb, k_lo..k_hi, 8, tight()),
-            );
-            let raw = ranged(
-                Operand::Raw(&a),
-                &prepare_b_rows(&rt, &b, k_lo..k_hi, scheme.split_scheme(), 8, tight()),
-            );
-            assert_bits_eq(&raw, &split, &format!("[{k_lo}, {k_hi})"));
+            let want = replay(&sa, &sb, None, scheme, 8, k_lo..k_hi);
+            assert_bits_eq(&execute(&rt, &plan), &want, &format!("[{k_lo}, {k_hi})"));
         }
     }
 
@@ -939,13 +861,13 @@ mod tests {
             let sa = SplitMatrix::split(&a, scheme.split_scheme());
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let c = Matrix::<f32>::random_uniform(11, 13, 75);
-            let baseline = run_split(&sa, &sb, Some(&c), scheme, 8, tight());
+            let want = replay(&sa, &sb, Some(&c), scheme, 8, 0..29);
             let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
             let plan = GemmPlan {
                 c: Some(&c),
-                ..GemmPlan::new(Operand::Raw(&a), &pb, scheme, 8, tight())
+                ..GemmPlan::new(&a, &pb, scheme, 8, tight())
             };
-            assert_bits_eq(&execute(&rt, &plan), &baseline, &format!("{scheme:?}"));
+            assert_bits_eq(&execute(&rt, &plan), &want, &format!("{scheme:?}"));
         }
     }
 
@@ -969,8 +891,6 @@ mod tests {
         let b = Matrix::<f32>::random_uniform(16, 5, 83);
         let b_short = Matrix::<f32>::random_uniform(15, 5, 84);
         let empty_a = Matrix::<f32>::zeros(0, 16);
-        let sa_trunc = SplitMatrix::split(&a, SplitScheme::Truncate);
-        let sb_trunc = SplitMatrix::split(&b, SplitScheme::Truncate);
         let c_bad = Matrix::<f32>::zeros(5, 5);
         let c_full = Matrix::<f32>::zeros(6, 5);
         let cfg = tight(); // kc clamps to 8 under tk = 8
@@ -978,10 +898,10 @@ mod tests {
         let pb = prepare_b(&rt, &b, split, 8, cfg);
         let pb_short = prepare_b(&rt, &b_short, split, 8, cfg);
         let pb_trunc = prepare_b(&rt, &b, SplitScheme::Truncate, 8, cfg);
-        let pb_split_trunc = prepare_b_split(&rt, &sb_trunc, 0..16, 8, cfg);
+        let pb_rows_trunc = prepare_b_rows(&rt, &b, 0..16, SplitScheme::Truncate, 8, cfg);
         let pb_kc16 = prepare_b(&rt, &b, split, 8, EngineConfig { kc: 16, ..cfg });
         let pb_slice = prepare_b_rows(&rt, &b, 4..12, split, 8, cfg);
-        let base = || GemmPlan::new(Operand::Raw(&a), &pb, scheme, 8, cfg);
+        let base = || GemmPlan::new(&a, &pb, scheme, 8, cfg);
         let cases: Vec<(GemmPlan<'_>, &str)> = vec![
             (
                 GemmPlan {
@@ -1007,14 +927,7 @@ mod tests {
             ),
             (
                 GemmPlan {
-                    a: Operand::Split(&sa_trunc),
-                    ..base()
-                },
-                "A split scheme mismatch",
-            ),
-            (
-                GemmPlan {
-                    b: &pb_split_trunc,
+                    b: &pb_rows_trunc,
                     ..base()
                 },
                 "B split scheme mismatch",
@@ -1081,7 +994,7 @@ mod tests {
             (
                 // An empty A used to return before the kc check ran.
                 GemmPlan {
-                    a: Operand::Raw(&empty_a),
+                    a: &empty_a,
                     b: &pb_kc16,
                     ..base()
                 },
@@ -1125,21 +1038,21 @@ mod tests {
         assert!(execute_all(&rt, &[]).is_empty());
         assert_eq!(execute_all(&rt, &[base(), base()]).len(), 2);
         let empty = GemmPlan {
-            a: Operand::Raw(&empty_a),
+            a: &empty_a,
             ..base()
         };
         assert_eq!(execute(&rt, &empty).rows(), 0);
-        // A B prepared from a slice runs under the matching k range, and
-        // matches the same slice prepared from split planes.
-        let ranged = |b| GemmPlan {
+        // A B prepared from a slice runs under the matching k range and
+        // matches the scalar replay of that slice.
+        let ranged = GemmPlan {
             k_range: Some(4..12),
-            ..GemmPlan::new(Operand::Raw(&a), b, scheme, 8, cfg)
+            b: &pb_slice,
+            ..base()
         };
-        let sb = SplitMatrix::split(&b, split);
-        let pb_split_slice = prepare_b_split(&rt, &sb, 4..12, 8, cfg);
+        let (sa, sb) = (SplitMatrix::split(&a, split), SplitMatrix::split(&b, split));
         assert_bits_eq(
-            &execute(&rt, &ranged(&pb_slice)),
-            &execute(&rt, &ranged(&pb_split_slice)),
+            &execute(&rt, &ranged),
+            &replay(&sa, &sb, None, scheme, 8, 4..12),
             "slice 4..12",
         );
     }

@@ -17,7 +17,6 @@
 //! the row-sampled entry point (`emulated_gemm_rows`) without a gather
 //! copy of A.
 
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry::{self, Phase};
 use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
@@ -34,68 +33,9 @@ pub(crate) const MR: usize = 4;
 /// two strips into a 4 x 32 tile of eight zmm accumulators.
 pub(crate) const NR: usize = 16;
 
-/// Pack one plane of A for the row range `rows_idx` (global A row indices
-/// of the `mcb` output rows) and k panel `[p0, p0 + kcb)`. `k` is A's row
-/// stride. `out` must hold `ceil(mcb/MR) * kcb * MR` elements.
-pub(crate) fn pack_a(
-    plane: &[f32],
-    k: usize,
-    rows_idx: &[usize],
-    p0: usize,
-    kcb: usize,
-    out: &mut [f32],
-) {
-    let mcb = rows_idx.len();
-    let row_blocks = mcb.div_ceil(MR);
-    for rb in 0..row_blocks {
-        let block = &mut out[rb * kcb * MR..(rb + 1) * kcb * MR];
-        for r in 0..MR {
-            let i = rb * MR + r;
-            if i < mcb {
-                let arow = &plane[rows_idx[i] * k + p0..rows_idx[i] * k + p0 + kcb];
-                for kk in 0..kcb {
-                    block[kk * MR + r] = arow[kk];
-                }
-            } else {
-                for kk in 0..kcb {
-                    block[kk * MR + r] = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// Pack one plane of B for the column range `[j0, j0 + ncb)` and k panel
-/// `[p0, p0 + kcb)`. `n` is B's row stride. `out` must hold
-/// `ceil(ncb/NR) * kcb * NR` elements.
-pub(crate) fn pack_b(
-    plane: &[f32],
-    n: usize,
-    j0: usize,
-    ncb: usize,
-    p0: usize,
-    kcb: usize,
-    out: &mut [f32],
-) {
-    let strips = ncb.div_ceil(NR);
-    for sb in 0..strips {
-        let strip = &mut out[sb * kcb * NR..(sb + 1) * kcb * NR];
-        let jbase = j0 + sb * NR;
-        let cols = NR.min(ncb - sb * NR);
-        for kk in 0..kcb {
-            let brow = &plane[(p0 + kk) * n + jbase..(p0 + kk) * n + jbase + cols];
-            let dst = &mut strip[kk * NR..kk * NR + NR];
-            dst[..cols].copy_from_slice(brow);
-            for d in dst[cols..].iter_mut() {
-                *d = 0.0;
-            }
-        }
-    }
-}
-
 /// Fused split+pack of A: read raw f32 rows and emit both packed planes
-/// directly — same layout as two [`pack_a`] calls over the planes of a
-/// [`crate::SplitMatrix`], with no split matrix materialized in between.
+/// directly in the A block layout above, with no split matrix
+/// materialized in between.
 /// Each real row is split straight into its column-major sliver lane
 /// (stride `MR`); padded rows are zeroed in both planes. Bit-identity
 /// with packing the split planes holds because the split is elementwise:
@@ -144,9 +84,8 @@ pub(crate) fn pack_a_fused(
 }
 
 /// Fused split+pack of B: read raw f32 rows and emit both packed planes
-/// directly — same layout as two [`pack_b`] calls over the planes of a
-/// [`crate::SplitMatrix`], overwriting every element of the
-/// `ceil(ncb/NR) * kcb * NR` it covers.
+/// directly in the B panel layout above, overwriting every element of
+/// the `ceil(ncb/NR) * kcb * NR` it covers.
 ///
 /// The panel goes in blocks of up to NR rows: for each block and strip,
 /// the block's row segments are gathered into an NR x NR stack tile
@@ -196,20 +135,14 @@ pub(crate) fn pack_b_fused(
 }
 
 /// The B rows one operand is prepared from: a `k x n` row-major view of
-/// raw f32, split while it is packed, or of both planes of a split
-/// operand, packed as they are. Rows `[lo, hi)` of a row-major matrix
-/// are contiguous, so a view of them is a sub-slice and copies nothing.
+/// raw f32, split while it is packed. Rows `[lo, hi)` of a row-major
+/// matrix are contiguous, so a view of them is a sub-slice and copies
+/// nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BRows<'a> {
     pub(crate) k: usize,
     pub(crate) n: usize,
-    src: Src<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Src<'a> {
-    Raw(&'a [f32]),
-    Split(&'a [f32], &'a [f32]),
+    data: &'a [f32],
 }
 
 impl<'a> BRows<'a> {
@@ -219,31 +152,16 @@ impl<'a> BRows<'a> {
         BRows {
             k: rows.len(),
             n: src.cols(),
-            src: Src::Raw(&src.as_slice()[span]),
-        }
-    }
-
-    /// Rows `rows` of both planes of the split operand `src`.
-    pub(crate) fn split(src: &'a SplitMatrix, rows: Range<usize>) -> BRows<'a> {
-        let span = row_span(src.rows(), src.cols(), &rows);
-        BRows {
-            k: rows.len(),
-            n: src.cols(),
-            src: Src::Split(&src.plane(false)[span.clone()], &src.plane(true)[span]),
+            data: &src.as_slice()[span],
         }
     }
 
     /// Rows `[start, start + len)` of this view.
     fn sub(self, start: usize, len: usize) -> BRows<'a> {
-        let span = start * self.n..(start + len) * self.n;
-        let src = match self.src {
-            Src::Raw(data) => Src::Raw(&data[span]),
-            Src::Split(hi, lo) => Src::Split(&hi[span.clone()], &lo[span]),
-        };
         BRows {
             k: len,
             n: self.n,
-            src,
+            data: &self.data[start * self.n..(start + len) * self.n],
         }
     }
 }
@@ -269,45 +187,35 @@ pub(crate) struct Panel<'a> {
 }
 
 impl Panel<'_> {
-    /// Pack the panel over all `n` columns: [`pack_b_fused`] of raw rows,
-    /// [`pack_b`] of each plane of split rows. Either way every element
-    /// of both plane ranges is overwritten.
+    /// Pack the panel over all `n` columns with [`pack_b_fused`], which
+    /// overwrites every element of both plane ranges.
     pub(crate) fn pack(self) {
         let Panel {
-            rows: BRows { k: kcb, n, src },
+            rows: BRows { k: kcb, n, data },
             scheme,
             hi,
             lo,
         } = self;
         let t_pack = telemetry::span_start();
-        let phase = match src {
-            Src::Raw(data) => {
-                pack_b_fused(data, n, 0, n, 0, kcb, scheme, SplitKernel::Auto, hi, lo);
-                Phase::FusedSplitPack
-            }
-            Src::Split(hi_rows, lo_rows) => {
-                pack_b(hi_rows, n, 0, n, 0, kcb, hi);
-                pack_b(lo_rows, n, 0, n, 0, kcb, lo);
-                Phase::PackB
-            }
-        };
-        telemetry::span_end(phase, t_pack, 4 * (hi.len() + lo.len()) as u64);
+        pack_b_fused(data, n, 0, n, 0, kcb, scheme, SplitKernel::Auto, hi, lo);
+        let bytes = 4 * (hi.len() + lo.len()) as u64;
+        telemetry::span_end(Phase::FusedSplitPack, t_pack, bytes);
     }
 }
 
 /// Both planes of a whole B operand, packed once before the tile grid.
 ///
 /// Layout: `k.div_ceil(kc)` panels, each holding `n.div_ceil(NR)` strips
-/// of `kcb x NR` row-major slivers — exactly what [`pack_b`] produces for
-/// the full column range of one k panel. Panels are stored at the stride
+/// of `kcb x NR` row-major slivers — the B panel layout over the full
+/// column range of one k panel. Panels are stored at the stride
 /// of a *full* panel (`strips * kc * NR`) so panel offsets don't depend
 /// on the ragged depth of the final panel, which ends exactly at the
 /// plane's length, [`plane_len`]`(k, n)`.
 ///
 /// A macro-tile whose column origin `jc` is NR-aligned reads its slivers
 /// at global strip `jc/NR + sb`, panel `(pc - k_lo)/kc` of a B packed from
-/// the plan's k slice — bit-for-bit the slivers a per-tile [`pack_b`]
-/// over that slice would produce, because strip contents depend only on
+/// the plan's k slice — bit-for-bit the slivers a per-tile pack over
+/// that slice would produce, because strip contents depend only on
 /// the global column range and zero padding matches at the right edge.
 pub(crate) struct PackedB {
     n: usize,
@@ -461,6 +369,62 @@ fn fit(mut plane: Vec<f32>, len: usize) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::engine::{EngineRuntime, RuntimeConfig};
+    use crate::split_matrix::SplitMatrix;
+
+    /// The layout oracle the fused A pack is compared with: one plane
+    /// of A, packed as it is, for the row range `rows_idx` (global A row
+    /// indices of the `mcb` output rows) and k panel `[p0, p0 + kcb)`.
+    /// `k` is A's row stride. `out` must hold `ceil(mcb/MR) * kcb * MR`
+    /// elements.
+    fn pack_a(plane: &[f32], k: usize, rows_idx: &[usize], p0: usize, kcb: usize, out: &mut [f32]) {
+        let mcb = rows_idx.len();
+        let row_blocks = mcb.div_ceil(MR);
+        for rb in 0..row_blocks {
+            let block = &mut out[rb * kcb * MR..(rb + 1) * kcb * MR];
+            for r in 0..MR {
+                let i = rb * MR + r;
+                if i < mcb {
+                    let arow = &plane[rows_idx[i] * k + p0..rows_idx[i] * k + p0 + kcb];
+                    for kk in 0..kcb {
+                        block[kk * MR + r] = arow[kk];
+                    }
+                } else {
+                    for kk in 0..kcb {
+                        block[kk * MR + r] = 0.0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The layout oracle for the fused B pack: one plane of B, packed as
+    /// it is, for the column range `[j0, j0 + ncb)` and k panel
+    /// `[p0, p0 + kcb)`. `n` is B's row stride. `out` must hold
+    /// `ceil(ncb/NR) * kcb * NR` elements.
+    fn pack_b(
+        plane: &[f32],
+        n: usize,
+        j0: usize,
+        ncb: usize,
+        p0: usize,
+        kcb: usize,
+        out: &mut [f32],
+    ) {
+        let strips = ncb.div_ceil(NR);
+        for sb in 0..strips {
+            let strip = &mut out[sb * kcb * NR..(sb + 1) * kcb * NR];
+            let jbase = j0 + sb * NR;
+            let cols = NR.min(ncb - sb * NR);
+            for kk in 0..kcb {
+                let brow = &plane[(p0 + kk) * n + jbase..(p0 + kk) * n + jbase + cols];
+                let dst = &mut strip[kk * NR..kk * NR + NR];
+                dst[..cols].copy_from_slice(brow);
+                for d in dst[cols..].iter_mut() {
+                    *d = 0.0;
+                }
+            }
+        }
+    }
 
     /// `rows` packed whole at depth `kc` on the calling thread.
     fn pack_whole(rows: BRows<'_>, kc: usize, scheme: SplitScheme) -> PackedB {
@@ -698,9 +662,9 @@ mod tests {
         // span two full 16-row blocks and a ragged one (40 mod 16 = 8).
         // n = 37 leaves the last strip 5 lanes wide. Rows 13..85 and
         // 27..66 start off a kc multiple (panels 40 + 32 deep, and one
-        // 39 deep). Raw and split-plane views of the same rows are
-        // packed in one claim list on pools of 1, 2, 4 and 8 workers,
-        // into reused planes longer than needed and filled with NaN.
+        // 39 deep). Views of two of those row ranges are packed in one
+        // claim list on pools of 1, 2, 4 and 8 workers, into reused
+        // planes longer than needed and filled with NaN.
         let (k, n, kc) = (85usize, 37usize, 40usize);
         let strips = n.div_ceil(NR);
         let src = Matrix::<f32>::random_uniform(k, n, 85);
@@ -710,46 +674,45 @@ mod tests {
                 cache_bytes: 0,
             })
         });
+        let pairs = [(0..k, 27..66), (13..k, 0..k), (27..66, 13..k)];
         for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
             for kernel in [SplitKernel::Scalar, SplitKernel::Auto] {
                 let split = SplitMatrix::split_with(&src, scheme, kernel);
-                for (rows, rt) in [0..k, 13..k, 27..66]
-                    .into_iter()
-                    .flat_map(|rows| pools.iter().map(move |rt| (rows.clone(), rt)))
+                for ((rows, other), rt) in pairs
+                    .iter()
+                    .flat_map(|pair| pools.iter().map(move |rt| (pair.clone(), rt)))
                 {
-                    let tag = format!(
-                        "{scheme:?} {kernel:?} rows {rows:?} threads={}",
-                        rt.default_threads()
-                    );
-                    let len = plane_len(rows.len(), n);
-                    let stale = || {
-                        let plane = vec![f32::NAN; len + 3 * NR];
+                    let stale = |view: &BRows<'_>| {
+                        let plane = vec![f32::NAN; plane_len(view.k, n) + 3 * NR];
                         Some((plane.clone(), plane))
                     };
-                    let mut ops = [
-                        BRows::raw(&src, rows.clone()),
-                        BRows::split(&split, rows.clone()),
-                    ]
-                    .map(|view| (PackedB::new(view.k, view.n, kc, stale()), view));
+                    let mut ops = [rows.clone(), other.clone()]
+                        .map(|r| BRows::raw(&src, r))
+                        .map(|view| (PackedB::new(view.k, view.n, kc, stale(&view)), view));
                     rt.pack_panels(&mut ops, scheme);
-                    for (form, (packed, _)) in ["raw", "split"].iter().zip(&ops) {
-                        assert_eq!(packed.bytes(), 2 * 4 * len, "{tag} {form}");
+                    for (range, (packed, _)) in [rows, other].iter().zip(&ops) {
+                        let tag = format!(
+                            "{scheme:?} {kernel:?} rows {range:?} threads={}",
+                            rt.default_threads()
+                        );
+                        let len = plane_len(range.len(), n);
+                        assert_eq!(packed.bytes(), 2 * 4 * len, "{tag}");
                         for lo_plane in [false, true] {
-                            let mut pc = rows.start;
-                            while pc < rows.end {
-                                let kcb = kc.min(rows.end - pc);
+                            let mut pc = range.start;
+                            while pc < range.end {
+                                let kcb = kc.min(range.end - pc);
                                 let mut want = vec![-1.0f32; strips * kcb * NR];
                                 pack_b(split.plane(lo_plane), n, 0, n, pc, kcb, &mut want);
                                 for sb in 0..strips {
                                     assert_eq!(
                                         bits(packed.sliver(
                                             lo_plane,
-                                            (pc - rows.start) / kc,
+                                            (pc - range.start) / kc,
                                             kcb,
                                             sb
                                         )),
                                         bits(&want[sb * kcb * NR..(sb + 1) * kcb * NR]),
-                                        "{tag} {form} lo={lo_plane} pc={pc} sb={sb}"
+                                        "{tag} lo={lo_plane} pc={pc} sb={sb}"
                                     );
                                 }
                                 pc += kcb;

@@ -165,11 +165,10 @@ impl RuntimeConfig {
 
 /// A B operand packed whole into panel slivers: the only B a
 /// [`crate::GemmPlan`] takes. [`crate::prepare_b`] (and
-/// [`crate::Egemm::prepare`]) pack raw f32 through the cache, splitting
-/// while they pack; [`crate::prepare_b_rows`] and
-/// [`crate::prepare_b_split`] pack a row range of raw f32 or of split
-/// planes past it. The handle pins its data: it stays valid even after
-/// cache eviction.
+/// [`crate::Egemm::prepare`]) pack raw f32 through the cache, and
+/// [`crate::prepare_b_rows`] packs a row range of raw f32 past it; both
+/// split B while they pack it. The handle pins its data: it stays valid
+/// even after cache eviction.
 #[derive(Clone)]
 pub struct PreparedOperand {
     pub(crate) packed: Arc<PackedB>,

@@ -16,7 +16,7 @@ use crate::analytic::{solve_tiling, AnalyticModel};
 use crate::config::TilingConfig;
 use crate::emulation::EmulationScheme;
 use crate::engine;
-use crate::engine::{EngineRuntime, GemmPlan, Operand, PreparedOperand};
+use crate::engine::{EngineRuntime, GemmPlan, PreparedOperand};
 use crate::kernel::build_kernel;
 pub use crate::kernel::KernelOpts;
 use crate::telemetry::{self, metrics, probe, GemmReport};
@@ -149,7 +149,7 @@ impl Egemm {
 
     /// A full-product plan under this instance's scheme, chunk depth and
     /// blocking.
-    pub(crate) fn plan<'a>(&self, a: Operand<'a>, b: &'a PreparedOperand) -> GemmPlan<'a> {
+    pub(crate) fn plan<'a>(&self, a: &'a Matrix<f32>, b: &'a PreparedOperand) -> GemmPlan<'a> {
         GemmPlan::new(a, b, self.scheme, TilingConfig::TC.k, self.opts.engine)
     }
 
@@ -191,7 +191,7 @@ impl Egemm {
         let window = self.trace_begin();
         let plan = GemmPlan {
             c,
-            ..self.plan(Operand::Raw(a), b)
+            ..self.plan(a, b)
         };
         let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(
@@ -227,7 +227,7 @@ impl Egemm {
         let pb = self.prepare(b);
         let plan = GemmPlan {
             c,
-            ..self.plan(Operand::Raw(a), &pb)
+            ..self.plan(a, &pb)
         };
         let d = engine::execute(&self.runtime, &plan);
         let report = self.trace_end(window, format!("gemm {}x{}x{}", shape.m, shape.n, shape.k));

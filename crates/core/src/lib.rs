@@ -51,6 +51,8 @@ pub mod memaccess;
 pub mod sass;
 pub mod split_matrix;
 pub mod splitk;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod syscall;
 pub mod telemetry;
 pub mod tensorize;
 
@@ -62,8 +64,7 @@ pub use emulation::{
 };
 pub use engine::{
     content_fingerprint, execute, jit_available, jit_exec_mappings, prepare_b, prepare_b_rows,
-    prepare_b_split, CacheStats, EngineConfig, EngineRuntime, GemmPlan, Operand, PreparedOperand,
-    RuntimeConfig, SchedStats,
+    CacheStats, EngineConfig, EngineRuntime, GemmPlan, PreparedOperand, RuntimeConfig, SchedStats,
 };
 pub use errbound::{crossover_k, dot_error_bound, dot_error_bound_with_c};
 pub use gemm::{Egemm, GemmOutput, KernelOpts};
@@ -71,4 +72,9 @@ pub use kernel::{build_kernel, plane_counts, wave_reuse_ab_bytes, BYTES_PER_128B
 pub use sass::{generate_sass, AllocationReport, SassKernel};
 pub use split_matrix::SplitMatrix;
 pub use splitk::{choose_slices, SplitKOutput};
+/// The raw-syscall shim, public only because `egemm-serve`'s reactor
+/// shares it.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[doc(hidden)]
+pub use syscall::syscall6;
 pub use telemetry::{render_prometheus, set_probe_rate, GemmReport, RequestTrace};

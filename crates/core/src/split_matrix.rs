@@ -2,10 +2,15 @@
 //!
 //! `EGEMM-TC conducts data split on CUDA Cores and computes the GEMM on
 //! Tensor Cores` (§3.2). [`SplitMatrix`] is the product of that split
-//! phase: per-element `(hi, lo)` binary16 planes of a binary32 matrix,
-//! plus cached exact binary32 expansions of both planes (what the Tensor
-//! Core datapath sees after its internal widening), so the functional
-//! executors don't re-convert inside the O(N³) loops.
+//! phase, materialized: per-element `(hi, lo)` binary16 planes of a
+//! binary32 matrix, plus cached exact binary32 expansions of both planes
+//! (what the Tensor Core datapath sees after its internal widening).
+//!
+//! The engine never reads one: it splits raw operands while it packs
+//! them. The planes serve readers that need them whole — the entrywise
+//! oracle [`crate::emulated_gemm_entrywise`], the tiled Tensor-Core
+//! simulator ([`crate::tensorize`]) and baselines that recombine planes
+//! themselves.
 
 use egemm_fp::{split_planes, Half, SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
@@ -41,7 +46,6 @@ impl SplitMatrix {
 
     /// [`SplitMatrix::split`] with an explicit split kernel.
     pub fn split_with(src: &Matrix<f32>, scheme: SplitScheme, kernel: SplitKernel) -> SplitMatrix {
-        let t_split = crate::telemetry::span_start();
         let rows = src.rows();
         let cols = src.cols();
         let n = rows * cols;
@@ -59,7 +63,6 @@ impl SplitMatrix {
             &mut hi_f32,
             &mut lo_f32,
         );
-        crate::telemetry::span_end(crate::telemetry::Phase::Split, t_split, n as u64);
         SplitMatrix {
             rows,
             cols,

@@ -19,7 +19,7 @@
 //! kernel only in summation grouping, with the same error envelope.
 
 use crate::config::TilingConfig;
-use crate::engine::{self, GemmPlan, Operand};
+use crate::engine::{self, GemmPlan};
 use crate::gemm::Egemm;
 use crate::kernel::build_kernel;
 use crate::telemetry::GemmReport;
@@ -96,7 +96,7 @@ impl Egemm {
             .zip(&prepared)
             .map(|(ks, pb)| GemmPlan {
                 k_range: Some(ks),
-                ..self.plan(Operand::Raw(a), pb)
+                ..self.plan(a, pb)
             })
             .collect();
         let partials = engine::execute_all(self.runtime(), &plans);

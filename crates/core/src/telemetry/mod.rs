@@ -96,51 +96,40 @@ pub fn set_enabled(on: bool) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Phase {
-    /// O(N²) operand split into hi/lo planes (detail: elements split).
-    Split = 0,
-    /// Per-tile pack of the A planes (detail: bytes packed).
-    PackA = 1,
-    /// Pack of one k panel of a split operand's B planes, before the
-    /// tile grid (detail: bytes packed).
-    PackB = 2,
     /// Microkernel compute over one macro-tile's packed panel (detail:
     /// tile index in the claim grid).
-    Tile = 3,
+    Tile = 0,
     /// Prepared-operand cache lookup (detail: 1 = hit, 0 = miss).
-    CacheLookup = 4,
+    CacheLookup = 1,
     /// Pool dispatch: publish job, run, wait for drain (detail: worker
     /// count).
-    Dispatch = 5,
+    Dispatch = 2,
     /// Worker time parked between claiming jobs (detail: dispatch
     /// epoch).
-    Park = 6,
+    Park = 3,
     /// One worker's whole participation in one call (detail: tiles
     /// claimed).
-    Worker = 7,
+    Worker = 4,
     /// Fused split+pack of a raw operand directly into panel slivers —
     /// per tile for A in the worker, per k panel for B before the tile
-    /// grid (detail: bytes packed). Replaces a Split followed by a
-    /// PackA/PackB on the fused path.
-    FusedSplitPack = 8,
+    /// grid (detail: bytes packed).
+    FusedSplitPack = 5,
     /// An idle worker's victim search ending in a successful steal of a
     /// contiguous tile range (detail: tiles transferred).
-    Steal = 9,
+    Steal = 6,
     /// One microkernel JIT compilation — IR lowering, register
     /// allocation, encoding, W^X publication, and verification against
     /// the interpreted kernel (detail: executable bytes published, 0
     /// when compilation failed).
-    JitCompile = 10,
+    JitCompile = 7,
 }
 
 impl Phase {
     /// Number of phases (array-aggregation bound).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 8;
 
     /// Every phase, in discriminant order.
     pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Split,
-        Phase::PackA,
-        Phase::PackB,
         Phase::Tile,
         Phase::CacheLookup,
         Phase::Dispatch,
@@ -154,9 +143,6 @@ impl Phase {
     /// Stable lowercase name used by every exporter.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::Split => "split",
-            Phase::PackA => "pack_a",
-            Phase::PackB => "pack_b",
             Phase::Tile => "tile",
             Phase::CacheLookup => "cache_lookup",
             Phase::Dispatch => "dispatch",
@@ -235,7 +221,7 @@ mod tests {
     fn disabled_spans_record_nothing() {
         // Whatever other tests do with the global flag, a zero start
         // token must never record.
-        span_end(Phase::Split, 0, 123);
+        span_end(Phase::Tile, 0, 123);
         let t = now_ns();
         assert!(now_ns() >= t, "epoch clock must be monotonic");
     }

@@ -161,7 +161,6 @@ fn probe_now(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_matrix::SplitMatrix;
 
     #[test]
     fn pick_stays_in_range() {
@@ -179,9 +178,7 @@ mod tests {
         let scheme = EmulationScheme::EgemmTc;
         let a = Matrix::<f32>::random_uniform(24, 40, 11);
         let b = Matrix::<f32>::random_uniform(40, 16, 12);
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let d = crate::emulation::emulated_gemm(&sa, &sb, None, scheme);
+        let d = crate::emulation::emulated_gemm(&a, &b, None, scheme);
         let before = metrics::counter("egemm_bound_violations_total").get();
         let probed = metrics::counter("egemm_numerical_health_probes_total").get();
         probe_now(scheme, &a, &b, None, &d);

@@ -22,8 +22,8 @@ pub struct GemmReport {
     pub phase_ns: [u64; Phase::COUNT],
     /// Span count per [`Phase`].
     pub phase_counts: [u64; Phase::COUNT],
-    /// Bytes written into packed panels (pack-A + pack-B +
-    /// fused-split-pack span details).
+    /// Bytes written into packed panels (the fused-split-pack span
+    /// details).
     pub bytes_packed: u64,
     /// Cache counter deltas over the call (`bytes` is the resident
     /// total after the call, not a delta).
@@ -105,9 +105,7 @@ impl GemmReport {
                 phase_ns[i] += ev.dur_ns;
                 phase_counts[i] += 1;
                 match ev.phase {
-                    Phase::PackA | Phase::PackB | Phase::FusedSplitPack => {
-                        bytes_packed += ev.detail
-                    }
+                    Phase::FusedSplitPack => bytes_packed += ev.detail,
                     Phase::Worker => {
                         tiles += ev.detail;
                         busy_ns += ev.dur_ns;

@@ -264,24 +264,30 @@ mod tests {
         }
     }
 
-    fn split_pair(m: usize, k: usize, n: usize, seed: u64) -> (SplitMatrix, SplitMatrix) {
+    /// Raw operands drawn from `seed` and their round splits, which the
+    /// tiled simulator reads.
+    fn split_pair(
+        m: usize,
+        k: usize,
+        n: usize,
+        seed: u64,
+    ) -> (Matrix<f32>, Matrix<f32>, SplitMatrix, SplitMatrix) {
         let a = Matrix::<f32>::random_uniform(m, k, seed);
         let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-        (
-            SplitMatrix::split(&a, SplitScheme::Round),
-            SplitMatrix::split(&b, SplitScheme::Round),
-        )
+        let sa = SplitMatrix::split(&a, SplitScheme::Round);
+        let sb = SplitMatrix::split(&b, SplitScheme::Round);
+        (a, b, sa, sb)
     }
 
     #[test]
     fn tiled_matches_flat_executor_bitwise() {
-        let (sa, sb) = split_pair(64, 32, 64, 1);
+        let (a, b, sa, sb) = split_pair(64, 32, 64, 1);
         let exec = TensorizedGemm {
             config: small_config(),
             frag_caching: true,
         };
         let (tiled, _) = exec.execute(&sa, &sb, None, EmulationScheme::EgemmTc);
-        let flat = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
+        let flat = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
         for (x, y) in tiled.as_slice().iter().zip(flat.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -289,7 +295,7 @@ mod tests {
 
     #[test]
     fn frag_caching_does_not_change_numerics() {
-        let (sa, sb) = split_pair(64, 48, 32, 2);
+        let (_, _, sa, sb) = split_pair(64, 48, 32, 2);
         let on = TensorizedGemm {
             config: small_config(),
             frag_caching: true,
@@ -305,7 +311,7 @@ mod tests {
 
     #[test]
     fn frag_caching_halves_operand_traffic() {
-        let (sa, sb) = split_pair(64, 64, 64, 3);
+        let (_, _, sa, sb) = split_pair(64, 64, 64, 3);
         let on = TensorizedGemm {
             config: small_config(),
             frag_caching: true,
@@ -331,7 +337,7 @@ mod tests {
 
     #[test]
     fn hmma_count_matches_closed_form() {
-        let (sa, sb) = split_pair(64, 32, 64, 4);
+        let (_, _, sa, sb) = split_pair(64, 32, 64, 4);
         let cfg = small_config();
         let exec = TensorizedGemm {
             config: cfg,
@@ -345,7 +351,7 @@ mod tests {
 
     #[test]
     fn gmem_traffic_matches_eq2() {
-        let (sa, sb) = split_pair(64, 64, 64, 5);
+        let (_, _, sa, sb) = split_pair(64, 64, 64, 5);
         let cfg = small_config();
         let exec = TensorizedGemm {
             config: cfg,
@@ -362,13 +368,13 @@ mod tests {
     fn ragged_shapes_match_flat_values() {
         // Non-multiples exercise the zero-padded edge tiles; compare by
         // value (padding may flip a -0 to +0).
-        let (sa, sb) = split_pair(50, 37, 29, 6);
+        let (a, b, sa, sb) = split_pair(50, 37, 29, 6);
         let exec = TensorizedGemm {
             config: small_config(),
             frag_caching: true,
         };
         let (tiled, _) = exec.execute(&sa, &sb, None, EmulationScheme::EgemmTc);
-        let flat = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
+        let flat = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
         assert_eq!(tiled.rows(), 50);
         assert_eq!(tiled.cols(), 29);
         for (x, y) in tiled.as_slice().iter().zip(flat.as_slice()) {
@@ -378,14 +384,14 @@ mod tests {
 
     #[test]
     fn with_c_accumulation() {
-        let (sa, sb) = split_pair(32, 16, 32, 7);
+        let (a, b, sa, sb) = split_pair(32, 16, 32, 7);
         let c = Matrix::<f32>::random_uniform(32, 32, 99);
         let exec = TensorizedGemm {
             config: small_config(),
             frag_caching: true,
         };
         let (tiled, _) = exec.execute(&sa, &sb, Some(&c), EmulationScheme::EgemmTc);
-        let flat = emulated_gemm(&sa, &sb, Some(&c), EmulationScheme::EgemmTc);
+        let flat = emulated_gemm(&a, &b, Some(&c), EmulationScheme::EgemmTc);
         for (x, y) in tiled.as_slice().iter().zip(flat.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -402,7 +408,7 @@ mod tests {
             frag_caching: true,
         };
         let (tiled, _) = exec.execute(&sa, &sb, None, EmulationScheme::Markidis);
-        let flat = emulated_gemm(&sa, &sb, None, EmulationScheme::Markidis);
+        let flat = emulated_gemm(&a, &b, None, EmulationScheme::Markidis);
         for (x, y) in tiled.as_slice().iter().zip(flat.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

@@ -1,18 +1,16 @@
 //! Raw `epoll` / `eventfd` syscalls for the event-loop frontend.
 //!
 //! The workspace has a zero-external-dependency policy, so there is no
-//! `libc` crate to lean on; the four syscalls the reactor needs are
-//! issued directly with `asm!` on x86-64 Linux (the platform this repo
-//! targets and tests on; see the `cfg` gate in `reactor/mod.rs` — other
-//! platforms get a stub frontend that reports `Unsupported`).
+//! `libc` crate to lean on; the four syscalls the reactor needs go
+//! through `egemm`'s raw-syscall shim on x86-64 Linux (the platform this
+//! repo targets and tests on; see the `cfg` gate in `reactor/mod.rs` —
+//! other platforms get a stub frontend that reports `Unsupported`).
 //!
 //! Everything here mirrors the kernel ABI, not glibc: numbers from
-//! `arch/x86/entry/syscalls/syscall_64.tbl`, the packed 12-byte
-//! `epoll_event` layout x86-64 uses, and the negative-errno return
-//! convention (glibc's `-1`/`errno` split happens in userspace).
+//! `arch/x86/entry/syscalls/syscall_64.tbl` and the packed 12-byte
+//! `epoll_event` layout x86-64 uses.
 
-#![allow(clippy::missing_safety_doc)]
-
+use egemm::syscall6;
 use std::io;
 
 // x86-64 syscall numbers.
@@ -49,39 +47,11 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-/// Issue a raw 4-argument syscall. The kernel returns a negative errno
-/// on failure; callers go through [`check`].
-unsafe fn syscall4(n: i64, a1: i64, a2: i64, a3: i64, a4: i64) -> i64 {
-    let ret: i64;
-    std::arch::asm!(
-        "syscall",
-        inlateout("rax") n => ret,
-        in("rdi") a1,
-        in("rsi") a2,
-        in("rdx") a3,
-        in("r10") a4,
-        // The kernel clobbers rcx (return address) and r11 (rflags).
-        lateout("rcx") _,
-        lateout("r11") _,
-        options(nostack),
-    );
-    ret
-}
-
-/// Convert a kernel return value into `io::Result`.
-fn check(ret: i64) -> io::Result<i64> {
-    if ret < 0 {
-        Err(io::Error::from_raw_os_error((-ret) as i32))
-    } else {
-        Ok(ret)
-    }
-}
-
 /// `epoll_create1(EPOLL_CLOEXEC)` — a new epoll instance fd.
 pub fn epoll_create() -> io::Result<i32> {
     // SAFETY: epoll_create1 takes one flags word and no pointers; it
     // touches no memory of this process.
-    check(unsafe { syscall4(SYS_EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0) }).map(|fd| fd as i32)
+    unsafe { syscall6(SYS_EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) }.map(|fd| fd as i32)
 }
 
 /// `epoll_ctl(epfd, op, fd, event)` — add/modify/remove one fd's
@@ -90,15 +60,17 @@ pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, events: u32, data: u64) -> io::Res
     let ev = EpollEvent { events, data };
     // SAFETY: the kernel only reads the one 12-byte `epoll_event` the
     // pointer names, and `ev` lives on this frame until the call returns.
-    check(unsafe {
-        syscall4(
+    unsafe {
+        syscall6(
             SYS_EPOLL_CTL,
             epfd as i64,
             op as i64,
             fd as i64,
             std::ptr::addr_of!(ev) as i64,
+            0,
+            0,
         )
-    })
+    }
     .map(|_| ())
 }
 
@@ -110,15 +82,17 @@ pub fn epoll_wait(epfd: i32, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Res
         // SAFETY: the kernel writes at most `buf.len()` events through
         // the pointer, and `buf` is exclusively borrowed for the call.
         let ret = unsafe {
-            syscall4(
+            syscall6(
                 SYS_EPOLL_WAIT,
                 epfd as i64,
                 buf.as_mut_ptr() as i64,
                 buf.len() as i64,
                 timeout_ms as i64,
+                0,
+                0,
             )
         };
-        match check(ret) {
+        match ret {
             Ok(n) => return Ok(n as usize),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -131,8 +105,7 @@ pub fn epoll_wait(epfd: i32, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Res
 pub fn eventfd() -> io::Result<i32> {
     // SAFETY: eventfd2 takes an initial count and flags, no pointers; it
     // touches no memory of this process.
-    check(unsafe { syscall4(SYS_EVENTFD2, 0, EFD_NONBLOCK | EFD_CLOEXEC, 0, 0) })
-        .map(|fd| fd as i32)
+    unsafe { syscall6(SYS_EVENTFD2, 0, EFD_NONBLOCK | EFD_CLOEXEC, 0, 0, 0, 0) }.map(|fd| fd as i32)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use egemm::emulation::{emulated_gemm_entrywise, EmulationScheme};
 use egemm::engine::{
-    execute, prepare_b_split, EngineConfig, EngineRuntime, GemmPlan, Operand, RuntimeConfig,
+    execute, prepare_b_rows, EngineConfig, EngineRuntime, GemmPlan, RuntimeConfig,
 };
 use egemm::split_matrix::SplitMatrix;
 use egemm::{jit_available, jit_exec_mappings, TilingConfig};
@@ -51,8 +51,8 @@ fn jit_disabled_process_never_maps_executable_pages() {
             nc: 32,
             kc: 16,
         };
-        let pb = prepare_b_split(&rt, &sb, 0..k, tk, cfg);
-        let plan = GemmPlan::new(Operand::Split(&sa), &pb, scheme, tk, cfg);
+        let pb = prepare_b_rows(&rt, &b, 0..k, scheme.split_scheme(), tk, cfg);
+        let plan = GemmPlan::new(&a, &pb, scheme, tk, cfg);
         let d = execute(&rt, &plan);
         for i in 0..m {
             for j in 0..n {

@@ -9,9 +9,9 @@
 //! non-multiples of every tile size, m << n and m >> n.
 
 use egemm::{
-    emulated_gemm_entrywise, emulated_gemm_rows, execute, prepare_b, prepare_b_rows,
-    prepare_b_split, Egemm, EmulationScheme, EngineConfig, EngineRuntime, GemmPlan, KernelOpts,
-    Operand, PreparedOperand, RuntimeConfig, SplitMatrix, TilingConfig,
+    emulated_gemm_entrywise, emulated_gemm_rows, execute, prepare_b, prepare_b_rows, Egemm,
+    EmulationScheme, EngineConfig, EngineRuntime, GemmPlan, KernelOpts, PreparedOperand,
+    RuntimeConfig, SplitMatrix, TilingConfig,
 };
 use egemm_matrix::Matrix;
 use egemm_tcsim::DeviceSpec;
@@ -79,42 +79,33 @@ fn run(threads: usize, plan: GemmPlan<'_>) -> Matrix<f32> {
     execute(pool(threads), &plan)
 }
 
-/// Rows `rows` of the split `sb`, prepared for `tk`/`cfg` on the shared
-/// runtime of `threads` workers.
-fn split_b(
+/// Rows `rows` of the raw `b`, prepared for `scheme`/`tk`/`cfg` past
+/// the cache on the shared runtime of `threads` workers.
+fn rows_b(
     threads: usize,
-    sb: &SplitMatrix,
+    b: &Matrix<f32>,
     rows: Range<usize>,
-    tk: usize,
-    cfg: EngineConfig,
-) -> PreparedOperand {
-    prepare_b_split(pool(threads), sb, rows, tk, cfg)
-}
-
-/// A plan over a split A and a B prepared from split planes.
-fn split_plan<'a>(
-    sa: &'a SplitMatrix,
-    pb: &'a PreparedOperand,
     scheme: EmulationScheme,
     tk: usize,
     cfg: EngineConfig,
-) -> GemmPlan<'a> {
-    GemmPlan::new(Operand::Split(sa), pb, scheme, tk, cfg)
+) -> PreparedOperand {
+    prepare_b_rows(pool(threads), b, rows, scheme.split_scheme(), tk, cfg)
 }
 
-fn split_pair(
+/// Raw `m x k` and `k x n` operands drawn from `seed`, and their splits
+/// under `scheme` for the replay and the oracle.
+fn operands(
     m: usize,
     k: usize,
     n: usize,
     scheme: EmulationScheme,
     seed: u64,
-) -> (SplitMatrix, SplitMatrix) {
+) -> (Matrix<f32>, Matrix<f32>, SplitMatrix, SplitMatrix) {
     let a = Matrix::<f32>::random_uniform(m, k, seed);
     let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-    (
-        SplitMatrix::split(&a, scheme.split_scheme()),
-        SplitMatrix::split(&b, scheme.split_scheme()),
-    )
+    let sa = SplitMatrix::split(&a, scheme.split_scheme());
+    let sb = SplitMatrix::split(&b, scheme.split_scheme());
+    (a, b, sa, sb)
 }
 
 proptest! {
@@ -138,12 +129,12 @@ proptest! {
     ) {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
-        let (sa, sb) = split_pair(m, k, n, scheme, seed);
+        let (a, b, sa, sb) = operands(m, k, n, scheme, seed);
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
         let cfg = EngineConfig { mc, nc, kc };
-        let pb = split_b(threads, &sb, 0..k, tk, cfg);
-        let d = run(threads, GemmPlan { c: c_opt, ..split_plan(&sa, &pb, scheme, tk, cfg) });
+        let pb = rows_b(threads, &b, 0..k, scheme, tk, cfg);
+        let d = run(threads, GemmPlan { c: c_opt, ..GemmPlan::new(&a, &pb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0..k);
         prop_assert_eq!(bits(&d), bits(&want), "{:?} tk={}", scheme, tk);
     }
@@ -160,11 +151,11 @@ proptest! {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
         let (m, n) = (5usize, 7usize);
-        let (sa, sb) = split_pair(m, k, n, scheme, seed);
+        let (a, b, sa, sb) = operands(m, k, n, scheme, seed);
         let k_lo = (cut_num * k / 8).min(k - 1);
         let cfg = EngineConfig { mc: 3, nc: 5, kc: 9 };
-        let pb = split_b(2, &sb, k_lo..k, tk, cfg);
-        let d = run(2, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &pb, scheme, tk, cfg) });
+        let pb = rows_b(2, &b, k_lo..k, scheme, tk, cfg);
+        let d = run(2, GemmPlan { k_range: Some(k_lo..k), ..GemmPlan::new(&a, &pb, scheme, tk, cfg) });
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k);
         prop_assert_eq!(bits(&d), bits(&want));
     }
@@ -203,7 +194,7 @@ proptest! {
         let pb = prepare_b(pool(threads), &b, scheme.split_scheme(), tk, cfg);
         let raw = GemmPlan {
             c: c_opt,
-            ..GemmPlan::new(Operand::Raw(&a), &pb, scheme, tk, cfg)
+            ..GemmPlan::new(&a, &pb, scheme, tk, cfg)
         };
 
         // Full product.
@@ -411,8 +402,8 @@ proptest! {
     /// Work-stealing pool sizes 2/4/8 under deliberately tiny blocking
     /// (many tiles per worker, so idle workers must steal, and many B
     /// panels per prepare, so the pool packs them in parallel) bit-equal
-    /// the scalar replay across the split-operand, fused, cached
-    /// prepared-B, and split-K paths.
+    /// the scalar replay across the uncached and cached prepared-B and
+    /// split-K paths.
     #[test]
     fn pool_sizes_bit_identical_under_tiny_blocking(
         m in 1usize..32,
@@ -424,33 +415,25 @@ proptest! {
     ) {
         let scheme = SCHEMES[scheme_idx];
         let tk = 8usize;
-        let a = Matrix::<f32>::random_uniform(m, k, seed);
-        let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
+        let (a, b, sa, sb) = operands(m, k, n, scheme, seed);
         let k_lo = (cut_num * k / 8).min(k - 1);
         let want = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k));
         let want_range = bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k));
 
         for threads in [2usize, 4, 8] {
             let cfg = EngineConfig { mc: 5, nc: 9, kc: 7 };
-            let pb_split = split_b(threads, &sb, 0..k, tk, cfg);
-            let split = bits(&run(threads, split_plan(&sa, &pb_split, scheme, tk, cfg)));
-            prop_assert_eq!(&split, &want, "split operands diverged (threads={})", threads);
-
-            let split_scheme = scheme.split_scheme();
-            let pb_raw = prepare_b_rows(pool(threads), &b, 0..k, split_scheme, tk, cfg);
-            let raw = GemmPlan::new(Operand::Raw(&a), &pb_raw, scheme, tk, cfg);
+            let pb_raw = rows_b(threads, &b, 0..k, scheme, tk, cfg);
+            let raw = GemmPlan::new(&a, &pb_raw, scheme, tk, cfg);
             let fused = bits(&run(threads, raw.clone()));
             prop_assert_eq!(&fused, &want, "fused diverged (threads={})", threads);
 
             let rt = EngineRuntime::new(RuntimeConfig { threads, cache_bytes: 0 });
-            let pb = prepare_b(&rt, &b, split_scheme, tk, cfg);
-            let prepared = GemmPlan::new(Operand::Raw(&a), &pb, scheme, tk, cfg);
+            let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
+            let prepared = GemmPlan::new(&a, &pb, scheme, tk, cfg);
             let prepared = bits(&execute(&rt, &prepared));
             prop_assert_eq!(&prepared, &want, "prepared-B diverged (threads={})", threads);
 
-            let pb_slice = prepare_b_rows(pool(threads), &b, k_lo..k, split_scheme, tk, cfg);
+            let pb_slice = rows_b(threads, &b, k_lo..k, scheme, tk, cfg);
             let slice = GemmPlan { k_range: Some(k_lo..k), b: &pb_slice, ..raw };
             let ranged = bits(&run(threads, slice));
             prop_assert_eq!(&ranged, &want_range, "split-K diverged (threads={})", threads);
@@ -545,15 +528,15 @@ fn adversarial_shapes_bit_identical() {
     ];
     for scheme in SCHEMES {
         for (m, k, n) in shapes {
-            let (sa, sb) = split_pair(m, k, n, scheme, 0xC0FFEE);
+            let (a, b, sa, sb) = operands(m, k, n, scheme, 0xC0FFEE);
             for tk in [4usize, 8, 16] {
                 let cfg = EngineConfig {
                     mc: 5,
                     nc: 9,
                     kc: 12,
                 };
-                let pb = split_b(2, &sb, 0..k, tk, cfg);
-                let d = run(2, split_plan(&sa, &pb, scheme, tk, cfg));
+                let pb = rows_b(2, &b, 0..k, scheme, tk, cfg);
+                let d = run(2, GemmPlan::new(&a, &pb, scheme, tk, cfg));
                 let replay = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
                 for i in 0..m {
                     for j in 0..n {
@@ -596,20 +579,20 @@ fn gemm_with_c_accumulation_regression() {
 #[test]
 fn row_sampling_validates_upfront() {
     let scheme = EmulationScheme::EgemmTc;
-    let (sa, sb) = split_pair(6, 8, 4, scheme, 9);
+    let (a, b, _, _) = operands(6, 8, 4, scheme, 9);
     // Valid ascending sample works and bit-matches the full product.
-    let full = egemm::emulated_gemm(&sa, &sb, None, scheme);
-    let sampled = emulated_gemm_rows(&sa, &sb, &[1, 4, 5], scheme);
+    let full = egemm::emulated_gemm(&a, &b, None, scheme);
+    let sampled = emulated_gemm_rows(&a, &b, &[1, 4, 5], scheme);
     for (ri, &r) in [1usize, 4, 5].iter().enumerate() {
         for j in 0..4 {
             assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
         }
     }
     // Out-of-range and unsorted inputs fail fast with clear messages.
-    let oob = std::panic::catch_unwind(|| emulated_gemm_rows(&sa, &sb, &[6], scheme));
+    let oob = std::panic::catch_unwind(|| emulated_gemm_rows(&a, &b, &[6], scheme));
     let msg = *oob.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains("out of range"), "{msg}");
-    let dup = std::panic::catch_unwind(|| emulated_gemm_rows(&sa, &sb, &[2, 2], scheme));
+    let dup = std::panic::catch_unwind(|| emulated_gemm_rows(&a, &b, &[2, 2], scheme));
     let msg = *dup.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains("strictly ascending"), "{msg}");
 }
@@ -636,11 +619,11 @@ proptest! {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
         let threads = [1usize, 4][pool_idx];
-        let (sa, sb) = split_pair(m, k, n, scheme, seed);
+        let (a, b, sa, sb) = operands(m, k, n, scheme, seed);
         let cfg = EngineConfig { mc: 8, nc: 32, kc: 16 };
 
-        let pb = split_b(threads, &sb, 0..k, tk, cfg);
-        let d = run(threads, split_plan(&sa, &pb, scheme, tk, cfg));
+        let pb = rows_b(threads, &b, 0..k, scheme, tk, cfg);
+        let d = run(threads, GemmPlan::new(&a, &pb, scheme, tk, cfg));
         prop_assert_eq!(
             bits(&d), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, 0..k)),
             "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
@@ -649,8 +632,8 @@ proptest! {
         // Split-K slice: kernels bake the panel depth, so an offset
         // range exercises short first/last panels under the JIT too.
         let k_lo = (cut_num * k / 8).min(k - 1);
-        let pb_r = split_b(threads, &sb, k_lo..k, tk, cfg);
-        let ranged = run(threads, GemmPlan { k_range: Some(k_lo..k), ..split_plan(&sa, &pb_r, scheme, tk, cfg) });
+        let pb_r = rows_b(threads, &b, k_lo..k, scheme, tk, cfg);
+        let ranged = run(threads, GemmPlan { k_range: Some(k_lo..k), ..GemmPlan::new(&a, &pb_r, scheme, tk, cfg) });
         prop_assert_eq!(
             bits(&ranged), bits(&entrywise_tk(&sa, &sb, None, scheme, tk, k_lo..k)),
             "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
@@ -668,10 +651,10 @@ fn edge_sweep(rt: &EngineRuntime, tk: usize, k: usize, kc: usize) {
     let scheme = EmulationScheme::MarkidisFourTerm;
     for n in 1usize..=33 {
         let m = 4 + (n % 4) + 1;
-        let (sa, sb) = split_pair(m, k, n, scheme, n as u64);
+        let (a, b, sa, sb) = operands(m, k, n, scheme, n as u64);
         let cfg = EngineConfig { mc: 8, nc: 64, kc };
-        let pb = prepare_b_split(rt, &sb, 0..k, tk, cfg);
-        let d = execute(rt, &split_plan(&sa, &pb, scheme, tk, cfg));
+        let pb = prepare_b_rows(rt, &b, 0..k, scheme.split_scheme(), tk, cfg);
+        let d = execute(rt, &GemmPlan::new(&a, &pb, scheme, tk, cfg));
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
         assert_eq!(bits(&d), bits(&want), "edge sweep n={n} m={m} tk={tk}");
     }
@@ -710,7 +693,7 @@ fn jit_cache_compiles_each_key_exactly_once() {
     // without a single new compilation.
     let scheme = EmulationScheme::EgemmTc;
     let tk = 8usize;
-    let (sa, sb) = split_pair(23, 29, 31, scheme, 91);
+    let (a, b, _, _) = operands(23, 29, 31, scheme, 91);
     let rt = EngineRuntime::new(RuntimeConfig {
         threads: 2,
         ..Default::default()
@@ -720,10 +703,10 @@ fn jit_cache_compiles_each_key_exactly_once() {
         nc: 32,
         kc: 16,
     };
-    let pb = prepare_b_split(&rt, &sb, 0..29, tk, cfg);
-    let d1 = execute(&rt, &split_plan(&sa, &pb, scheme, tk, cfg));
+    let pb = prepare_b_rows(&rt, &b, 0..29, scheme.split_scheme(), tk, cfg);
+    let d1 = execute(&rt, &GemmPlan::new(&a, &pb, scheme, tk, cfg));
     let after1 = rt.cache_stats();
-    let d2 = execute(&rt, &split_plan(&sa, &pb, scheme, tk, cfg));
+    let d2 = execute(&rt, &GemmPlan::new(&a, &pb, scheme, tk, cfg));
     let after2 = rt.cache_stats();
     assert_eq!(
         after1.jit_compiles, after2.jit_compiles,
@@ -795,8 +778,8 @@ fn special_values_keep_the_output_contract() {
     // not NaN has the oracle's bits, and the output is NaN exactly
     // where the oracle is NaN (a NaN's sign and payload are
     // unspecified). All four schemes, ragged shapes over several k
-    // panels, C absent and present, split/split and raw/prepared
-    // operands; about 11k outputs in all.
+    // panels, C absent and present, a raw A over a B prepared past the
+    // cache and over a cached one; about 11k outputs in all.
     let tk = 8usize; // the oracle's fixed chunk depth
     let cfg = EngineConfig {
         mc: 8,
@@ -817,11 +800,11 @@ fn special_values_keep_the_output_contract() {
             let sa = SplitMatrix::split(&a, scheme.split_scheme());
             let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
-            let pb_split = prepare_b_split(&rt, &sb, 0..k, tk, cfg);
+            let pb_rows = prepare_b_rows(&rt, &b, 0..k, scheme.split_scheme(), tk, cfg);
             for c_opt in [None, Some(&c)] {
-                let split = split_plan(&sa, &pb_split, scheme, tk, cfg);
-                let raw = GemmPlan::new(Operand::Raw(&a), &pb, scheme, tk, cfg);
-                for (form, plan) in [("split/split", split), ("raw/prepared", raw)] {
+                let uncached = GemmPlan::new(&a, &pb_rows, scheme, tk, cfg);
+                let cached = GemmPlan::new(&a, &pb, scheme, tk, cfg);
+                for (form, plan) in [("uncached B", uncached), ("cached B", cached)] {
                     let d = execute(&rt, &GemmPlan { c: c_opt, ..plan });
                     for i in 0..m {
                         for j in 0..n {

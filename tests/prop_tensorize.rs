@@ -42,7 +42,7 @@ proptest! {
         let sb = SplitMatrix::split(&b, egemm_fp::SplitScheme::Round);
         let exec = TensorizedGemm { config: cfg, frag_caching: true };
         let (tiled, trace) = exec.execute(&sa, &sb, None, EmulationScheme::EgemmTc);
-        let flat = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
+        let flat = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
         for (x, y) in tiled.as_slice().iter().zip(flat.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }

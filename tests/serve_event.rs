@@ -30,7 +30,7 @@ use egemm_serve::{EventServer, GemmRequest, ServeError, Server, ServerConfig};
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// An engine on a private runtime with a pinned pool size.
 fn engine(threads: usize) -> Egemm {
@@ -512,8 +512,19 @@ fn shutdown_under_load_flushes_every_pipelined_reply() {
         })
         .collect();
 
-    // Let the requests land in flight, then drain under load.
-    std::thread::sleep(Duration::from_millis(30));
+    // Wait until the reactor has submitted every pipelined request, then
+    // drain under load. A fixed sleep could close a connection whose
+    // client thread started late and was still writing its frames.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().submitted < conns * depth {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of {} requests submitted after 10 s",
+            server.stats().submitted,
+            conns * depth
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     evt.shutdown();
 
     for h in clients {

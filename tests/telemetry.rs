@@ -157,8 +157,7 @@ proptest! {
 
 /// A batched call over one shared B must show the sharing in its
 /// attached report: the cache delta records exactly one fused pack for
-/// B (every other lookup hits) and no split spans — the fused pipeline
-/// stages no split planes — at both pool sizes. This is the
+/// B (every other lookup hits) at both pool sizes. This is the
 /// telemetry-side witness of the amortization the serving tier's
 /// bucketing exists to exploit.
 #[test]
@@ -181,11 +180,6 @@ fn batched_report_shows_shared_b_prepared_once() {
             report.cache.packs, 1,
             "shared B must pack once ({threads} thread(s)): {:?}",
             report.cache
-        );
-        assert_eq!(
-            report.phase_count(Phase::Split),
-            0,
-            "fused pipeline must not stage splits ({threads} thread(s))"
         );
         assert_eq!(
             report.cache.hits,
@@ -271,7 +265,7 @@ fn ring_overflow_drops_oldest_without_growing() {
     let total = RING_CAPACITY + 257;
     for i in 0..total {
         let t = telemetry::span_start();
-        telemetry::span_end(Phase::Split, t, i as u64);
+        telemetry::span_end(Phase::Tile, t, i as u64);
     }
     telemetry::set_enabled(false);
 
