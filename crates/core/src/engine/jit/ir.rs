@@ -16,10 +16,13 @@
 //!
 //! Virtual registers are plain indices; [`super::regalloc`] maps them
 //! onto physical ymm/zmm registers and [`super::x86`] encodes the
-//! result. Arithmetic always covers all `MR` rows and the full vector
-//! width — packed operands are zero-padded, so padded lanes compute
-//! zeros that the masked epilogue never stores, bit-identically to the
-//! edge handling of `micro::interpret`.
+//! result. A kernel runs `rows.div_ceil(MR)` row blocks: one under AVX,
+//! up to two adjacent ones under AVX-512, whose A slivers lie
+//! `kcb x MR` apart in the worker's packed block. Arithmetic always
+//! covers every row of those blocks and the full vector width — packed
+//! operands are zero-padded, so padded lanes compute zeros that the
+//! masked epilogue never stores, bit-identically to the edge handling
+//! of `micro::interpret`.
 
 use super::super::pack::{MR, NR};
 
@@ -30,8 +33,9 @@ pub(crate) enum Isa {
     /// halves per accumulator row). Requires AVX.
     Avx,
     /// 16-lane zmm vectors over a *pair* of adjacent packed strips
-    /// (2 x `NR` columns per call), so all eight accumulator chains
-    /// stay independent at full width. Requires AVX-512F.
+    /// (2 x `NR` columns per call) and up to two adjacent row blocks:
+    /// an 8 x 32 tile of sixteen independent accumulator chains.
+    /// Requires AVX-512F.
     Avx512,
 }
 
@@ -51,6 +55,24 @@ impl Isa {
             Isa::Avx512 => 2,
         }
     }
+
+    /// Most `MR`-row blocks one kernel call runs: two under AVX-512,
+    /// whose 16 accumulators fit its 32 registers, one under AVX.
+    pub(crate) fn blocks(self) -> usize {
+        match self {
+            Isa::Avx => 1,
+            Isa::Avx512 => 2,
+        }
+    }
+
+    /// Vector registers the encoder can name: VEX reaches ymm0-15,
+    /// EVEX zmm0-31.
+    pub(crate) fn regs(self) -> usize {
+        match self {
+            Isa::Avx => 16,
+            Isa::Avx512 => 32,
+        }
+    }
 }
 
 /// Everything a kernel is specialized on. Two calls with equal specs
@@ -64,10 +86,17 @@ pub(crate) struct KernelSpec {
     pub tk: usize,
     /// Panel depth this kernel advances through.
     pub kcb: usize,
-    /// Valid output rows, `1..=MR`.
+    /// Valid output rows, `1..=isa.blocks() * MR`.
     pub rows: usize,
     /// Valid output columns, `1..=NR` (Avx) or `NR+1..=2*NR` (Avx512).
     pub cols: usize,
+}
+
+impl KernelSpec {
+    /// Row blocks this kernel runs: `rows.div_ceil(MR)`.
+    pub(crate) fn blocks(&self) -> usize {
+        self.rows.div_ceil(MR)
+    }
 }
 
 /// A virtual vector register.
@@ -203,10 +232,11 @@ fn mode_of(spec: &KernelSpec, row: usize, vec: usize) -> MaskMode {
 
 /// Lower a spec to IR. The accumulation order is the contract here:
 /// per chunk, terms in issue order; per term, ascending `kk`; per
-/// step, rows ascending with vector position 0 before 1 — the
-/// portable microkernel's order (lane streams are independent, so only
-/// the per-element order matters, and that is per (term, kk) one
-/// fused multiply-add).
+/// step, the two B vectors, then rows ascending over every row block,
+/// each row's broadcast followed by its FMAs at vector position 0 and
+/// 1 — per element the portable microkernel's order (lane streams are
+/// independent, so only the per-element order matters, and that is
+/// per (term, kk) one fused multiply-add).
 pub(crate) fn lower(spec: &KernelSpec) -> Program {
     let mut next: VReg = 0;
     let mut fresh = || {
@@ -214,7 +244,9 @@ pub(crate) fn lower(spec: &KernelSpec) -> Program {
         next += 1;
         r
     };
-    let acc: Vec<[VReg; 2]> = (0..MR).map(|_| [fresh(), fresh()]).collect();
+    let acc: Vec<[VReg; 2]> = (0..spec.blocks() * MR)
+        .map(|_| [fresh(), fresh()])
+        .collect();
 
     // At most one vector position is partial: cols <= lanes leaves
     // position 1 empty; lanes < cols < 2*lanes leaves position 0 full.
@@ -262,11 +294,12 @@ pub(crate) fn lower(spec: &KernelSpec) -> Program {
                     off: b_off(spec, kk, 1),
                 });
                 for (r, a) in acc.iter().enumerate() {
+                    let (blk, r) = (r / MR, r % MR);
                     let ar = fresh();
                     ops.push(Op::BroadcastA {
                         dst: ar,
                         plane: pa,
-                        off: (kk * MR * 4 + r * 4) as i32,
+                        off: ((blk * spec.kcb + kk) * MR * 4 + r * 4) as i32,
                     });
                     for (v, &av) in a.iter().enumerate() {
                         ops.push(Op::Fma {
@@ -378,13 +411,70 @@ mod tests {
     #[test]
     fn avx512_pairs_strips() {
         let p = lower(&spec(Isa::Avx512, 23));
-        assert_eq!(p.mask_lanes, Some(7)); // lanes 16..23 in strip 1
-                                           // Strip-1 B offsets sit a whole kcb x NR sliver away.
+        // Lanes 16..23 in strip 1.
+        assert_eq!(p.mask_lanes, Some(7));
+        // Strip-1 B offsets sit a whole kcb x NR sliver away.
         let far = p
             .body
             .iter()
             .any(|o| matches!(o, Op::LoadB { off, .. } if *off >= (20 * NR * 4) as i32));
         assert!(far, "strip-1 loads must address the adjacent sliver");
+    }
+
+    #[test]
+    fn two_row_blocks_share_each_b_load() {
+        let p = lower(&KernelSpec {
+            rows: 8,
+            ..spec(Isa::Avx512, 32)
+        });
+        let kcb = 20;
+        // Per (term, kk) step: 2 B loads, then per row of both blocks
+        // one broadcast and its two FMAs.
+        let step = 2 + 8 * 3;
+        assert_eq!(p.body.len(), 2 * 8 * step);
+        for ops in p.body.chunks(step) {
+            assert!(ops[..2].iter().all(|o| matches!(o, Op::LoadB { .. })));
+            let bcasts: Vec<i32> = ops
+                .iter()
+                .filter_map(|o| match o {
+                    Op::BroadcastA { off, .. } => Some(*off),
+                    _ => None,
+                })
+                .collect();
+            let fmas = ops.iter().filter(|o| matches!(o, Op::Fma { .. })).count();
+            assert_eq!((bcasts.len(), fmas), (8, 16));
+            // Block 1's rows read the same k step of the next sliver.
+            for r in 0..MR {
+                assert_eq!(bcasts[MR + r] - bcasts[r], (kcb * MR * 4) as i32);
+            }
+        }
+        // Sixteen accumulators, each loaded and stored once.
+        assert_eq!(p.prologue.len(), 16);
+        assert_eq!(p.epilogue.len(), 16);
+    }
+
+    #[test]
+    fn rows_past_a_second_block_edge_are_skipped() {
+        let p = lower(&KernelSpec {
+            rows: 6,
+            ..spec(Isa::Avx512, 32)
+        });
+        for op in &p.prologue {
+            if let Op::LoadAcc { row, mode, .. } = *op {
+                assert_eq!(mode == MaskMode::Skip, row >= 6, "row {row}");
+            }
+        }
+        assert!(p
+            .epilogue
+            .iter()
+            .all(|o| matches!(o, Op::StoreAcc { row, .. } if *row < 6)));
+        assert_eq!(p.epilogue.len(), 6 * 2);
+        // A lone block lowers to one block of accumulators.
+        let p = lower(&KernelSpec {
+            rows: 4,
+            ..spec(Isa::Avx512, 32)
+        });
+        assert_eq!(p.prologue.len(), MR * 2);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `MR x NR` kernel with runtime branches over the scheme's term list,
 //! the chunk grid, and the tile's edge extents. This module compiles a
 //! dedicated kernel per *shape class* — `(ISA, term planes, tk, panel
-//! depth, valid rows, valid cols)` — through a small pipeline:
+//! depth, valid rows, valid cols)`, where the valid rows also fix how
+//! many row blocks a call runs — through a small pipeline:
 //!
 //! ```text
 //! KernelSpec  --ir::lower-->  virtual-register ops
@@ -16,10 +17,12 @@
 //! The k loop is fully unrolled over the scheme's terms within each
 //! `tk` chunk (no per-iteration branching), ragged edge tiles get
 //! masked load/store forms instead of the scalar tail, and on
-//! AVX-512F machines adjacent packed B strips are fused into 32-lane
-//! dual-strip kernels. Compiled kernels live in a per-runtime
-//! [`KernelCache`] next to the packed-operand cache, compiled exactly
-//! once per key.
+//! AVX-512F machines a kernel covers two adjacent packed B strips and
+//! up to two adjacent A row blocks: an 8 x 32 register tile whose 16
+//! zmm accumulators live in zmm16-31, so each pair of B loads feeds 16
+//! FMAs and each B sliver pair streams from L2 once per 8 output rows.
+//! Compiled kernels live in a per-runtime [`KernelCache`] next to the
+//! packed-operand cache, compiled exactly once per key.
 //!
 //! **Each product is one fused multiply-add, and fusing is exact.** The
 //! interpreted kernel updates an accumulator with a separate binary32
@@ -120,7 +123,7 @@ impl KernelKey {
         if tk == 0 || tk > 64 || kcb == 0 || kcb > u16::MAX as usize {
             return None;
         }
-        if rows == 0 || rows > MR || cols == 0 || cols > isa.strips() * NR {
+        if rows == 0 || rows > isa.blocks() * MR || cols == 0 || cols > isa.strips() * NR {
             return None;
         }
         let mut code = 0u8;
@@ -318,10 +321,11 @@ impl KernelMemo {
 /// `f` must have been compiled for exactly this call's shape class
 /// (same terms/tk/kcb/rows/cols as the [`KernelKey`] it was cached
 /// under), the plane slices must hold the packed slivers that key's
-/// kernel expects (`kcb x MR` per used A plane, `strips x kcb x NR`
-/// per used B plane), and `out`/`n` must describe a region where
-/// `rows x cols` elements at the row stride `n` are valid for
-/// read/write with no concurrent access by other threads.
+/// kernel expects (`rows.div_ceil(MR)` consecutive `kcb x MR` slivers
+/// per used A plane, `strips x kcb x NR` per used B plane), and
+/// `out`/`n` must describe a region where `rows x cols` elements at
+/// the row stride `n` (up to 8 rows) are valid for read/write with no
+/// concurrent access by other threads.
 #[inline]
 pub(crate) unsafe fn call(
     f: KernelFn,
@@ -401,8 +405,8 @@ const PLANE_SPECIALS: [u16; 8] = [
 /// the smallest binary32 subnormal.
 const C_SPECIALS: [u32; 4] = [0xffc0_4567, 0x7f80_0000, 0xff80_0000, 0x0000_0001];
 
-/// The operand planes and the `MR x n` output buffer of one
-/// verification replay.
+/// The operand planes and the `blocks·MR x n` output buffer of one
+/// verification replay, `blocks` being the ISA's row-block count.
 #[derive(Clone)]
 struct Tile {
     a_hi: Vec<f32>,
@@ -413,15 +417,18 @@ struct Tile {
 }
 
 impl Tile {
-    /// Finite binary16 planes and arbitrary binary32 C.
+    /// Finite binary16 planes and arbitrary binary32 C. A kernel of
+    /// fewer blocks than the ISA runs must leave the rows past its own
+    /// untouched, which the whole-buffer comparison checks.
     fn finite(spec: &ir::KernelSpec, n: usize, seed: &mut u64) -> Tile {
+        let a_len = spec.isa.blocks() * spec.kcb * MR;
         let b_len = spec.isa.strips() * spec.kcb * NR;
         Tile {
-            a_hi: fill_half(seed, spec.kcb * MR),
-            a_lo: fill_half(seed, spec.kcb * MR),
+            a_hi: fill_half(seed, a_len),
+            a_lo: fill_half(seed, a_len),
             b_hi: fill_half(seed, b_len),
             b_lo: fill_half(seed, b_len),
-            out: fill(seed, MR * n),
+            out: fill(seed, spec.isa.blocks() * MR * n),
         }
     }
 
@@ -429,8 +436,10 @@ impl Tile {
     /// step in all four planes, so the A and B copies meet in one
     /// product (65504^2, 2^-48, Inf * x). NaN and Inf poison a whole
     /// output row and column, so they take fixed rows and columns
-    /// `0..3`, which leaves the rest of a full tile finite. Each
-    /// [`C_SPECIALS`] entry lands on a valid output.
+    /// `0..3`, which leaves the rest of a full tile finite. The finite
+    /// ones land on any valid row, so a second row block's
+    /// displacements meet them too. Each [`C_SPECIALS`] entry lands on
+    /// a valid output.
     fn with_specials(&self, spec: &ir::KernelSpec, n: usize, seed: &mut u64) -> Tile {
         let mut t = self.clone();
         let mut draw = |bound: usize| lcg(seed) as usize % bound;
@@ -438,12 +447,13 @@ impl Tile {
             let v = Half::from_bits(h).to_f32();
             let k = draw(spec.kcb);
             let (r, c) = if v.is_finite() {
-                (draw(MR), draw(spec.isa.strips() * NR))
+                (draw(spec.rows), draw(spec.isa.strips() * NR))
             } else {
                 (j, j)
             };
-            t.a_hi[k * MR + r] = v;
-            t.a_lo[k * MR + r] = v;
+            let a = (r / MR * spec.kcb + k) * MR + r % MR;
+            t.a_hi[a] = v;
+            t.a_lo[a] = v;
             let b = (c / NR * spec.kcb + k) * NR + c % NR;
             t.b_hi[b] = v;
             t.b_lo[b] = v;
@@ -475,9 +485,10 @@ impl Tile {
             lo: &self.b_lo,
         };
         let (rows, cols, kcb, tk) = (spec.rows, spec.cols, spec.kcb, spec.tk);
-        // SAFETY: the kernel was emitted for exactly this spec; the
-        // planes hold `strips` packed slivers; `got` and `want` are
-        // MR x n buffers with rows <= MR and cols < n.
+        // SAFETY: the kernel was emitted for exactly this spec; the A
+        // planes hold `isa.blocks()` packed slivers and the B planes
+        // `strips`; `got` and `want` are `isa.blocks()·MR x n` buffers
+        // with rows <= isa.blocks()·MR and cols < n.
         unsafe {
             call(entry, a, b, got.as_mut_ptr(), n);
             micro::interpret(want.as_mut_ptr(), n, rows, cols, a, b, kcb, tk, &spec.terms);
@@ -509,6 +520,13 @@ fn verify(spec: &ir::KernelSpec, entry: KernelFn) -> bool {
 mod tests {
     use super::*;
 
+    impl KernelCache {
+        /// Every key this cache has looked up, compiled or poisoned.
+        pub(crate) fn keys(&self) -> Vec<KernelKey> {
+            lock_unpoisoned(&self.kernels).keys().copied().collect()
+        }
+    }
+
     const TERM_SETS: [&[(bool, bool)]; 4] = [
         &[(false, false)],
         &[(false, false), (true, false), (false, true)],
@@ -538,7 +556,9 @@ mod tests {
             };
             for terms in TERM_SETS {
                 for &(tk, kcb) in &[(8usize, 24usize), (8, 5), (8, 8), (4, 19), (16, 40)] {
-                    for rows in 1..=MR {
+                    // Every row residue of one block and, under AVX-512,
+                    // of two.
+                    for rows in 1..=isa.blocks() * MR {
                         for &cols in &cols_cases {
                             let key = KernelKey::new(isa, terms, tk, kcb, rows, cols)
                                 .expect("in-range key");
@@ -568,6 +588,16 @@ mod tests {
         assert!(KernelKey::new(Isa::Avx, &terms, 0, 8, 4, 16).is_none());
         assert!(KernelKey::new(Isa::Avx, &terms, 8, 8, 4, 17).is_none());
         assert!(KernelKey::new(Isa::Avx512, &terms, 8, 8, 4, 33).is_none());
+        // Two row blocks under AVX-512, one under AVX.
+        assert_eq!(
+            KernelKey::new(Isa::Avx512, &terms, 8, 8, 8, 32)
+                .unwrap()
+                .spec()
+                .rows,
+            8
+        );
+        assert!(KernelKey::new(Isa::Avx512, &terms, 8, 8, 9, 32).is_none());
+        assert!(KernelKey::new(Isa::Avx, &terms, 8, 8, 5, 16).is_none());
         assert!(KernelKey::new(Isa::Avx, &terms, 8, 1 << 17, 4, 16).is_none());
         assert!(KernelKey::new(Isa::Avx, &[], 8, 8, 4, 16).is_none());
     }

@@ -9,16 +9,19 @@
 //! prologue/body/ragged/epilogue order, and any assignment with no
 //! overlapping ranges sharing a register is a valid allocation.
 //!
-//! Sixteen physical registers cover the worst case with room to spare:
-//! 8 accumulators + 1 lane mask + 2 B vectors + 1 broadcast = 12
-//! simultaneously live (an FMA accumulates in place: no temporary).
+//! The physical registers are the ones the ISA's encoding can name
+//! ([`Isa::regs`]), and they cover the worst case of each ISA:
+//! - AVX, ymm0-15: 8 accumulators + 1 lane mask + 2 B vectors + 1
+//!   broadcast = 12 simultaneously live (an FMA accumulates in place:
+//!   no temporary).
+//! - AVX-512, zmm0-31: 16 accumulators over two row blocks + 2 B
+//!   vectors + 1 broadcast = 19 (the lane mask lives in `k1`).
+//!   Registers are handed out from the top, so the accumulators, which
+//!   [`super::ir::lower`] defines first, take the upper bank (zmm16-31
+//!   with two row blocks, zmm24-31 with one) and the temporaries the
+//!   three registers below them.
 
-use super::ir::{Op, Program, VReg};
-
-/// Physical vector registers available (ymm0-15 / zmm0-15; the encoder
-/// stays out of the EVEX upper bank to keep one register model for
-/// both ISAs).
-pub(crate) const PHYS_REGS: usize = 16;
+use super::ir::{Isa, Op, Program, VReg};
 
 /// Virtual-to-physical assignment: `map[vreg] = ymm/zmm index`.
 pub(crate) struct Allocation {
@@ -44,58 +47,62 @@ fn defs_uses(op: &Op) -> (Option<VReg>, [Option<VReg>; 3]) {
     }
 }
 
-/// Allocate `prog`'s virtual registers onto [`PHYS_REGS`] physical
-/// ones. `None` if the program ever needs more registers than exist
-/// (cannot happen for specs produced by [`super::ir::lower`], but the
-/// caller treats it as "fall back to the interpreted kernel" rather
+/// Allocate `prog`'s virtual registers onto its ISA's [`Isa::regs`]
+/// physical ones. `None` if the program ever needs more registers than
+/// exist (cannot happen for specs produced by [`super::ir::lower`], but
+/// the caller treats it as "fall back to the interpreted kernel" rather
 /// than trusting that).
 pub(crate) fn allocate(prog: &Program) -> Option<Allocation> {
     let n = prog.vregs as usize;
-    let stream: Vec<&Op> = prog
-        .prologue
-        .iter()
-        .chain(&prog.body)
-        .chain(&prog.ragged)
-        .chain(&prog.epilogue)
-        .collect();
+    let sections = [&prog.prologue, &prog.body, &prog.ragged, &prog.epilogue];
+    let stream = || sections.iter().flat_map(|ops| ops.iter());
 
-    const UNSEEN: u32 = u32::MAX;
-    let mut first = vec![UNSEEN; n];
     let mut last = vec![0u32; n];
-    for (pos, op) in stream.iter().enumerate() {
-        let pos = pos as u32;
+    for (pos, op) in stream().enumerate() {
         let (def, uses) = defs_uses(op);
-        for v in def.iter().chain(uses.iter().flatten()) {
-            let v = *v as usize;
-            if first[v] == UNSEEN {
-                first[v] = pos;
-            }
-            last[v] = pos;
+        for v in def.into_iter().chain(uses.into_iter().flatten()) {
+            last[v as usize] = pos as u32;
         }
     }
 
     let mut map = vec![u8::MAX; n];
-    let mut free: Vec<u8> = (0..PHYS_REGS as u8).rev().collect();
-    // Active ranges ordered by endpoint would be asymptotically nicer;
-    // with <= 12 live values a scan per op is already negligible next
-    // to encoding.
-    let mut active: Vec<(u32, VReg)> = Vec::new(); // (last use, vreg)
-    for (pos, op) in stream.iter().enumerate() {
+    // `pop` takes from the end: the lowest register first under AVX,
+    // the highest first under AVX-512.
+    let regs = prog.spec.isa.regs() as u8;
+    let mut free: Vec<u8> = match prog.spec.isa {
+        Isa::Avx => (0..regs).rev().collect(),
+        Isa::Avx512 => (0..regs).collect(),
+    };
+    // Ranges in expiry order: a counting sort by endpoint, ties in vreg
+    // order. Scanning the live set at every op, or a comparison sort,
+    // cost more than lowering and encoding together once two row blocks
+    // kept 19 values live.
+    let mut slot = vec![0usize; sections.iter().map(|ops| ops.len()).sum::<usize>() + 1];
+    for &end in &last {
+        slot[end as usize + 1] += 1;
+    }
+    for i in 1..slot.len() {
+        slot[i] += slot[i - 1];
+    }
+    let mut by_end = vec![0 as VReg; n];
+    for (v, &end) in last.iter().enumerate() {
+        by_end[slot[end as usize]] = v as VReg;
+        slot[end as usize] += 1;
+    }
+    let mut expired = by_end.iter().peekable();
+    for (pos, op) in stream().enumerate() {
         let pos = pos as u32;
-        // Expire ranges that ended strictly before this op.
-        active.retain(|&(end, v)| {
-            if end < pos {
+        // Expire ranges that ended strictly before this op (a vreg no
+        // op names holds no register).
+        while let Some(&v) = expired.next_if(|&&v| last[v as usize] < pos) {
+            if map[v as usize] != u8::MAX {
                 free.push(map[v as usize]);
-                false
-            } else {
-                true
             }
-        });
+        }
         let (def, _) = defs_uses(op);
         if let Some(v) = def {
             if map[v as usize] == u8::MAX {
                 map[v as usize] = free.pop()?;
-                active.push((last[v as usize], v));
             }
         }
     }
@@ -104,30 +111,30 @@ pub(crate) fn allocate(prog: &Program) -> Option<Allocation> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::ir::{lower, Isa, KernelSpec};
+    use super::super::ir::{lower, KernelSpec};
     use super::*;
 
     impl Allocation {
         /// `vreg v` in physical register `v`, for encoder golden tests.
         pub(crate) fn identity() -> Allocation {
             Allocation {
-                map: (0..PHYS_REGS as u8).collect(),
+                map: (0..Isa::Avx512.regs() as u8).collect(),
             }
         }
     }
 
-    fn alloc_for(isa: Isa, nterms: usize, cols: usize) -> (Program, Allocation) {
+    fn alloc_for(isa: Isa, nterms: usize, rows: usize, cols: usize) -> (Program, Allocation) {
         let spec = KernelSpec {
             isa,
             terms: vec![(false, false), (true, false), (false, true), (true, true)][..nterms]
                 .to_vec(),
             tk: 8,
             kcb: 20,
-            rows: 4,
+            rows,
             cols,
         };
         let prog = lower(&spec);
-        let a = allocate(&prog).expect("kernel IR must fit 16 registers");
+        let a = allocate(&prog).expect("kernel IR must fit the ISA's registers");
         (prog, a)
     }
 
@@ -135,8 +142,14 @@ mod tests {
     /// checked by replaying ranges against the final assignment.
     #[test]
     fn assignment_has_no_live_conflicts() {
-        for (isa, cols) in [(Isa::Avx, 16), (Isa::Avx, 11), (Isa::Avx512, 23)] {
-            let (prog, a) = alloc_for(isa, 4, cols);
+        for (isa, rows, cols) in [
+            (Isa::Avx, 4, 16),
+            (Isa::Avx, 4, 11),
+            (Isa::Avx512, 4, 23),
+            (Isa::Avx512, 8, 32),
+            (Isa::Avx512, 6, 23),
+        ] {
+            let (prog, a) = alloc_for(isa, 4, rows, cols);
             let stream: Vec<&Op> = prog
                 .prologue
                 .iter()
@@ -172,7 +185,7 @@ mod tests {
     /// Accumulators keep one register across the whole program.
     #[test]
     fn accumulators_fit_with_temps() {
-        let (prog, a) = alloc_for(Isa::Avx, 4, 13);
+        let (prog, a) = alloc_for(Isa::Avx, 4, 4, 13);
         // vregs 0..8 are the accumulators (allocated first in lower()),
         // all distinct.
         let mut seen = std::collections::HashSet::new();
@@ -180,5 +193,30 @@ mod tests {
             assert!(seen.insert(a.phys(v)), "accumulators must not collide");
         }
         assert!(prog.vregs > 8);
+    }
+
+    /// Two row blocks under AVX-512: sixteen distinct accumulators in
+    /// zmm16-31, and no temporary ever in one of their registers.
+    #[test]
+    fn two_block_accumulators_take_the_upper_bank() {
+        let (prog, a) = alloc_for(Isa::Avx512, 4, 8, 32);
+        let accs: std::collections::HashSet<u8> = (0..16u16).map(|v| a.phys(v)).collect();
+        assert_eq!(accs.len(), 16, "accumulators must not collide");
+        assert!(accs.iter().all(|&r| r >= 16), "accumulators {accs:?}");
+        for v in 16..prog.vregs {
+            assert!(
+                !accs.contains(&a.phys(v)),
+                "temporary {v} in an accumulator"
+            );
+        }
+    }
+
+    /// VEX cannot name ymm16-31: an AVX program stays in ymm0-15.
+    #[test]
+    fn avx_programs_stay_in_the_low_bank() {
+        for cols in [16, 11, 1] {
+            let (prog, a) = alloc_for(Isa::Avx, 4, 4, cols);
+            assert!((0..prog.vregs).all(|v| a.phys(v) < 16), "cols {cols}");
+        }
     }
 }

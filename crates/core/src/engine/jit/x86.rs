@@ -10,15 +10,22 @@
 //! ```text
 //! r8  a_hi    r9  a_lo     r10 b_hi    r11 b_lo   (advance per chunk)
 //! rax C row 0 origin       rcx n*4     rsi 3*n*4  rdx chunk counter
+//! rdi C row 4 origin (two-block kernels, once the arguments are read)
 //! ```
 //!
-//! C rows address as `[rax]`, `[rax+rcx]`, `[rax+rcx*2]`, `[rax+rsi]`.
-//! AVX kernels fetch their single lane mask from a RIP-relative
-//! literal pool appended after the code; AVX-512 kernels build theirs
-//! in `k1` with `kmovw`. Each product is one `vfmadd231ps`, which
+//! C rows address as `[rax]`, `[rax+rcx]`, `[rax+rcx*2]`, `[rax+rsi]`,
+//! and rows 4-7 of a two-block kernel the same way from `rdi`. Block
+//! 1's A slivers lie `kcb x MR` past block 0's, so its broadcasts reach
+//! them through the same plane pointers by displacement. AVX-512
+//! kernels name zmm0-31: the EVEX prefix carries bit 4 of the ModRM.reg
+//! register in R', of the vvvv register in V', and of a register r/m
+//! operand in X. AVX kernels fetch their single lane mask from a
+//! RIP-relative literal pool appended after the code; AVX-512 kernels
+//! build theirs in `k1` with `kmovw`. Each product is one `vfmadd231ps`, which
 //! rounds like the interpreter's multiply and add because every
 //! multiplicand is a widened binary16 (the argument is in [`super`]).
 
+use super::super::pack::MR;
 use super::ir::{Isa, MaskMode, Op, Plane, Program};
 use super::regalloc::Allocation;
 
@@ -150,10 +157,12 @@ impl Asm {
         }
     }
 
-    /// High (extension) bits of an r/m operand: (X, B).
+    /// High (extension) bits of an r/m operand: (X, B). A vector
+    /// register r/m carries its bit 3 in B and its bit 4 in X, which
+    /// only EVEX can set.
     fn rm_ext(rm: Rm) -> (u8, u8) {
         match rm {
-            Rm::Reg(r) => (0, r >> 3),
+            Rm::Reg(r) => ((r >> 4) & 1, (r >> 3) & 1),
             Rm::Mem(Mem::Rip { .. }) => (0, 0),
             Rm::Mem(Mem::Bd { base, .. }) => (0, base >> 3),
             Rm::Mem(Mem::Bid { base, index, .. }) => (index >> 3, base >> 3),
@@ -165,24 +174,34 @@ impl Asm {
     #[allow(clippy::too_many_arguments)]
     fn vex(&mut self, map: u8, pp: u8, w: u8, l: u8, op: u8, reg: u8, vvvv: u8, rm: Rm) {
         let (x, b) = Asm::rm_ext(rm);
-        self.u8(0xC4);
-        self.u8(((!(reg >> 3) & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | map);
-        self.u8((w << 7) | ((!vvvv & 0xF) << 3) | (l << 2) | pp);
-        self.u8(op);
+        debug_assert!(reg < 16 && vvvv < 16, "VEX names registers 0-15 only");
+        debug_assert!(!matches!(rm, Rm::Reg(r) if r >= 16));
+        self.code.extend_from_slice(&[
+            0xC4,
+            ((!(reg >> 3) & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | map,
+            (w << 7) | ((!vvvv & 0xF) << 3) | (l << 2) | pp,
+            op,
+        ]);
         self.modrm(reg, rm, false);
     }
 
     /// EVEX instruction, always 512-bit here. `aaa` selects the k mask
     /// (0 = none), `z` the zeroing form. Memory operands use the
     /// plain disp32 form so no compressed-disp8 scaling applies.
+    /// Registers run 0-31: R' (P0 bit 4) and V' (P2 bit 3) hold bit 4
+    /// of `reg` and `vvvv`, inverted like the other extension bits.
     #[allow(clippy::too_many_arguments)]
     fn evex(&mut self, map: u8, pp: u8, w: u8, op: u8, reg: u8, vvvv: u8, rm: Rm, aaa: u8, z: u8) {
         let (x, b) = Asm::rm_ext(rm);
-        self.u8(0x62);
-        self.u8(((!(reg >> 3) & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | 0x10 | map);
-        self.u8((w << 7) | ((!vvvv & 0xF) << 3) | 0x04 | pp);
-        self.u8((z << 7) | 0x40 | 0x08 | aaa); // L'L = 10 (512-bit), V' clear
-        self.u8(op);
+        let (r, r_hi, v_hi) = ((reg >> 3) & 1, (reg >> 4) & 1, (vvvv >> 4) & 1);
+        self.code.extend_from_slice(&[
+            0x62,
+            ((!r & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | ((!r_hi & 1) << 4) | map,
+            (w << 7) | ((!vvvv & 0xF) << 3) | 0x04 | pp,
+            // L'L = 10: 512-bit.
+            (z << 7) | 0x40 | ((!v_hi & 1) << 3) | aaa,
+            op,
+        ]);
         self.modrm(reg, rm, true);
     }
 
@@ -216,6 +235,10 @@ impl Asm {
     }
 }
 
+/// `lea rdi, [rax+rcx*4]`: REX.W 8D /r, ModRM 00 111 100, SIB 10 001
+/// 000.
+const LEA_RDI_ROW4: [u8; 4] = [0x48, 0x8D, 0x3C, 0x88];
+
 fn plane_base(p: Plane) -> u8 {
     match p {
         Plane::AHi => R8,
@@ -226,29 +249,30 @@ fn plane_base(p: Plane) -> u8 {
 }
 
 /// C memory operand for `row` at byte offset `disp` from the row
-/// origin.
+/// origin: rows 0-3 from `rax`, rows 4-7 from `rdi`.
 fn row_mem(row: u8, disp: i32) -> Mem {
-    match row {
-        0 => Mem::Bd { base: RAX, disp },
+    debug_assert!((row as usize) < 2 * MR, "at most two row blocks");
+    let base = if (row as usize) < MR { RAX } else { RDI };
+    match row as usize % MR {
+        0 => Mem::Bd { base, disp },
         1 => Mem::Bid {
-            base: RAX,
+            base,
             index: RCX,
             scale: 1,
             disp,
         },
         2 => Mem::Bid {
-            base: RAX,
+            base,
             index: RCX,
             scale: 2,
             disp,
         },
-        3 => Mem::Bid {
-            base: RAX,
+        _ => Mem::Bid {
+            base,
             index: RSI,
             scale: 1,
             disp,
         },
-        _ => unreachable!("MR = 4"),
     }
 }
 
@@ -376,6 +400,10 @@ pub(crate) fn emit(prog: &Program, alloc: &Allocation) -> Vec<u8> {
     a.mov_load(RCX, RDI, ARG_N);
     a.code.extend_from_slice(&[0x48, 0xC1, 0xE1, 0x02]); // shl rcx, 2
     a.code.extend_from_slice(&[0x48, 0x8D, 0x34, 0x49]); // lea rsi, [rcx+rcx*2]
+    if prog.spec.blocks() > 1 {
+        // The argument pointer is dead: rdi becomes C's row 4 origin.
+        a.code.extend_from_slice(&LEA_RDI_ROW4);
+    }
 
     for op in &prog.prologue {
         emit_op(&mut a, isa, alloc, op);
@@ -422,22 +450,27 @@ pub(crate) fn emit(prog: &Program, alloc: &Allocation) -> Vec<u8> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::ir::{lower, Isa, KernelSpec};
+    use super::super::ir::{lower, Isa, KernelSpec, VReg};
     use super::super::regalloc::allocate;
     use super::*;
 
-    fn emit_for(isa: Isa, cols: usize, kcb: usize) -> Vec<u8> {
+    fn emit_for(isa: Isa, rows: usize, cols: usize, kcb: usize) -> Vec<u8> {
+        let (prog, alloc) = program(isa, rows, cols, kcb);
+        emit(&prog, &alloc)
+    }
+
+    fn program(isa: Isa, rows: usize, cols: usize, kcb: usize) -> (Program, Allocation) {
         let spec = KernelSpec {
             isa,
             terms: vec![(false, false), (true, true)],
             tk: 8,
             kcb,
-            rows: 4,
+            rows,
             cols,
         };
         let prog = lower(&spec);
         let alloc = allocate(&prog).unwrap();
-        emit(&prog, &alloc)
+        (prog, alloc)
     }
 
     /// Encode one op on a fresh assembler, `vreg v` in register `v`.
@@ -603,21 +636,304 @@ mod tests {
                 &[0x62, 0x52, 0x3D, 0x48, 0xB8, 0xF2],
                 "vfmadd231ps zmm14, zmm8, zmm10",
             ),
+            // The upper bank: R' (P0 bit 4), V' (P2 bit 3) and, for a
+            // register r/m, X (P0 bit 6) carry bit 4 of their register,
+            // inverted.
+            (
+                Avx512,
+                Op::Fma {
+                    acc: 16,
+                    a: 1,
+                    b: 2,
+                },
+                &[0x62, 0xE2, 0x75, 0x48, 0xB8, 0xC2],
+                "vfmadd231ps zmm16, zmm1, zmm2",
+            ),
+            (
+                Avx512,
+                Op::Fma {
+                    acc: 0,
+                    a: 17,
+                    b: 2,
+                },
+                &[0x62, 0xF2, 0x75, 0x40, 0xB8, 0xC2],
+                "vfmadd231ps zmm0, zmm17, zmm2",
+            ),
+            (
+                Avx512,
+                Op::Fma {
+                    acc: 0,
+                    a: 1,
+                    b: 18,
+                },
+                &[0x62, 0xB2, 0x75, 0x48, 0xB8, 0xC2],
+                "vfmadd231ps zmm0, zmm1, zmm18",
+            ),
+            (
+                Avx512,
+                Op::Fma {
+                    acc: 31,
+                    a: 29,
+                    b: 27,
+                },
+                &[0x62, 0x02, 0x15, 0x40, 0xB8, 0xFB],
+                "vfmadd231ps zmm31, zmm29, zmm27",
+            ),
+            // Rows 4-7 address C from the second base, rdi.
+            (
+                Avx512,
+                acc(31, 4, 0, Full, None),
+                &[0x62, 0x61, 0x7C, 0x48, 0x10, 0xBF, 0, 0, 0, 0],
+                "vmovups zmm31, [rdi+0x0]",
+            ),
+            (
+                Avx512,
+                st(17, 7, 1, Full, None),
+                &[0x62, 0xE1, 0x7C, 0x48, 0x11, 0x8C, 0x37, 0x40, 0, 0, 0],
+                "vmovups [rdi+rsi+0x40], zmm17",
+            ),
+            (
+                Avx512,
+                acc(20, 5, 1, Masked, None),
+                &[0x62, 0xE1, 0x7C, 0xC9, 0x10, 0xA4, 0x0F, 0x40, 0, 0, 0],
+                "vmovups zmm20{k1}{z}, [rdi+rcx+0x40]",
+            ),
+            (
+                Avx512,
+                st(26, 6, 1, Masked, None),
+                &[0x62, 0x61, 0x7C, 0x49, 0x11, 0x94, 0x4F, 0x40, 0, 0, 0],
+                "vmovups [rdi+rcx*2+0x40]{k1}, zmm26",
+            ),
+            // Block 1 of a kcb = 256 panel: 256 x MR x 4 bytes on.
+            (
+                Avx512,
+                Op::BroadcastA {
+                    dst: 19,
+                    plane: Plane::AHi,
+                    off: 0x100C,
+                },
+                &[0x62, 0xC2, 0x7D, 0x48, 0x18, 0x98, 0x0C, 0x10, 0, 0],
+                "vbroadcastss zmm19, [r8+0x100c]",
+            ),
+            (
+                Avx512,
+                acc(21, 4, 0, Skip, None),
+                &[0x62, 0xA1, 0x55, 0x40, 0xEF, 0xED],
+                "vpxord zmm21, zmm21, zmm21",
+            ),
         ];
         for (isa, op, want, asm) in rows {
             assert_eq!(encode(isa, op), want, "{asm}");
         }
         // The AVX-512 edge mask: `mov eax, 0x7f; kmovw k1, eax` for a
         // 23-column kernel (7 valid lanes in strip 1), first in the code.
-        let code = emit_for(Isa::Avx512, 23, 24);
+        let code = emit_for(Isa::Avx512, 4, 23, 24);
         let kmovw = [0xB8, 0x7F, 0, 0, 0, 0xC4, 0xE1, 0x78, 0x92, 0xC8];
         assert_eq!(code[..10], kmovw, "mov eax, 0x7f; kmovw k1, eax");
+        // Two-block kernels set up C's row 4 origin right after rsi; a
+        // one-block kernel never touches rdi past the argument loads.
+        let lea_rsi = [0x48, 0x8D, 0x34, 0x49];
+        let pos = |code: &[u8]| code.windows(4).position(|w| w == lea_rsi).unwrap();
+        let code = emit_for(Isa::Avx512, 6, 23, 24);
+        let at = pos(&code) + 4;
+        assert_eq!(
+            code[at..at + 4],
+            [0x48, 0x8D, 0x3C, 0x88],
+            "lea rdi, [rax+rcx*4]"
+        );
+        let code = emit_for(Isa::Avx512, 4, 32, 24);
+        let at = pos(&code) + 4;
+        assert_ne!(code[at..at + 4], LEA_RDI_ROW4, "one block needs no rdi");
+    }
+
+    /// Disassemble `code` with `objdump`, one line per instruction
+    /// (`None` when `objdump` cannot be started).
+    fn objdump(code: &[u8], name: &str) -> Option<Vec<String>> {
+        let path =
+            std::env::temp_dir().join(format!("egemm-kernel-{}-{name}.bin", std::process::id()));
+        std::fs::write(&path, code).unwrap();
+        let out = std::process::Command::new("objdump")
+            .args(["-D", "-b", "binary", "-m", "i386:x86-64", "-M", "intel"])
+            .arg(&path)
+            .output();
+        std::fs::remove_file(&path).unwrap();
+        let out = out.ok()?;
+        assert!(out.status.success(), "objdump failed on {name}");
+        // `addr:\tbytes\tinstruction`; a long instruction's extra bytes
+        // continue on a line with no third field.
+        let text = String::from_utf8(out.stdout).unwrap();
+        Some(
+            text.lines()
+                .filter_map(|l| Some(l.split('\t').nth(2)?.trim().to_string()))
+                .collect(),
+        )
+    }
+
+    /// An objdump instruction in the form [`expected`] builds: operand
+    /// sizes dropped and each memory operand as
+    /// `[base+index*scale+0xdisp]`, a RIP-relative one as `[rip+target]`
+    /// (objdump's resolved address).
+    fn canonical(insn: &str) -> String {
+        let (insn, target) = match insn.split_once('#') {
+            Some((i, t)) => (i.trim(), Some(t.trim())),
+            None => (insn, None),
+        };
+        let (mnem, ops) = insn.split_once(' ').unwrap_or((insn, ""));
+        let ops: Vec<String> = ops
+            .trim()
+            .split(',')
+            .map(|o| {
+                let o = o.split_once(" PTR ").map_or(o, |(_, m)| m);
+                let Some((pre, rest)) = o.split_once('[') else {
+                    return o.to_string();
+                };
+                let (inner, post) = rest.split_once(']').unwrap();
+                let mut regs = Vec::new();
+                let mut disp = 0i64;
+                for t in inner.split('+') {
+                    match t.strip_prefix("0x") {
+                        Some(h) => disp = i64::from_str_radix(h, 16).unwrap(),
+                        None => regs.push(t),
+                    }
+                }
+                if regs == ["rip"] {
+                    disp = i64::from_str_radix(&target.unwrap()[2..], 16).unwrap();
+                }
+                format!("{pre}[{}+{disp:#x}]{post}", regs.join("+"))
+            })
+            .collect();
+        format!("{mnem} {}", ops.join(","))
+    }
+
+    /// The instruction `op` must decode as under `alloc`, written
+    /// independently of the encoder's addressing helpers. `pool` is
+    /// the literal pool's offset.
+    fn expected(isa: Isa, alloc: &Allocation, op: &Op, pool: usize) -> String {
+        let avx = isa == Isa::Avx;
+        let v = |r: VReg| format!("{}mm{}", if avx { 'y' } else { 'z' }, alloc.phys(r));
+        let c_row = |row: u8, vec: u8| {
+            let base = if row < 4 { "rax" } else { "rdi" };
+            let index = ["", "+rcx*1", "+rcx*2", "+rsi*1"][row as usize % 4];
+            let disp = vec as usize * isa.lanes() * 4;
+            format!("[{base}{index}+{disp:#x}]")
+        };
+        let plane = |p, off: i32| {
+            let base = match p {
+                Plane::AHi => "r8",
+                Plane::ALo => "r9",
+                Plane::BHi => "r10",
+                Plane::BLo => "r11",
+            };
+            format!("[{base}+{off:#x}]")
+        };
+        match *op {
+            Op::LoadAcc {
+                dst,
+                row,
+                vec,
+                mode,
+                mask,
+            } => {
+                let (d, mem) = (v(dst), c_row(row, vec));
+                match mode {
+                    MaskMode::Skip if avx => format!("vxorps {d},{d},{d}"),
+                    MaskMode::Skip => format!("vpxord {d},{d},{d}"),
+                    MaskMode::Full => format!("vmovups {d},{mem}"),
+                    MaskMode::Masked if avx => format!("vmaskmovps {d},{},{mem}", v(mask.unwrap())),
+                    MaskMode::Masked => format!("vmovups {d}{{k1}}{{z}},{mem}"),
+                }
+            }
+            Op::LoadMask { dst } => format!("vmovups {},[rip+{pool:#x}]", v(dst)),
+            Op::LoadB { dst, plane: p, off } => format!("vmovups {},{}", v(dst), plane(p, off)),
+            Op::BroadcastA { dst, plane: p, off } => {
+                format!("vbroadcastss {},{}", v(dst), plane(p, off))
+            }
+            Op::Fma { acc, a, b } => format!("vfmadd231ps {},{},{}", v(acc), v(a), v(b)),
+            Op::StoreAcc {
+                src,
+                row,
+                vec,
+                mode,
+                mask,
+            } => {
+                let (s, mem) = (v(src), c_row(row, vec));
+                match mode {
+                    MaskMode::Full => format!("vmovups {mem},{s}"),
+                    MaskMode::Masked if avx => format!("vmaskmovps {mem},{},{s}", v(mask.unwrap())),
+                    MaskMode::Masked => format!("vmovups {mem}{{k1}},{s}"),
+                    MaskMode::Skip => unreachable!("skipped stores are not lowered"),
+                }
+            }
+        }
+    }
+
+    /// Whole kernels decoded by an independent disassembler: no
+    /// instruction is `(bad)`, and the vector instructions, in order,
+    /// are the IR's ops with the allocation's registers. A wrong R', V'
+    /// or X bit names another register here, and a wrong prefix field
+    /// another instruction. The test prints a notice and passes where
+    /// `objdump` is not installed; CI checks that it is.
+    #[test]
+    fn emitted_kernels_decode_as_allocated() {
+        let kernels = [
+            (Isa::Avx512, 8, 32, "avx512-8x32"),
+            (Isa::Avx512, 6, 23, "avx512-6x23"),
+            (Isa::Avx512, 4, 32, "avx512-4x32"),
+            (Isa::Avx, 4, 11, "avx-4x11"),
+        ];
+        for (isa, rows, cols, name) in kernels {
+            // kcb = 20, tk = 8: a looped body and a ragged tail.
+            let (prog, alloc) = program(isa, rows, cols, 20);
+            let code = emit(&prog, &alloc);
+            // The AVX mask pool after `ret` is data, not code.
+            let pool = code.len() - 32 * usize::from(isa == Isa::Avx && prog.mask_lanes.is_some());
+            let Some(insns) = objdump(&code[..pool], name) else {
+                eprintln!("skipped emitted_kernels_decode_as_allocated: objdump not on PATH");
+                return;
+            };
+            assert!(
+                !insns.iter().any(|i| i.contains("(bad)")),
+                "{name}: {insns:#?}"
+            );
+            assert_eq!(insns.last().map(String::as_str), Some("ret"), "{name}");
+            let lea = insns
+                .iter()
+                .any(|i| canonical(i) == "lea rdi,[rax+rcx*4+0x0]");
+            assert_eq!(lea, rows > MR, "{name}: second C base");
+            let got: Vec<String> = insns
+                .iter()
+                .filter(|i| i.starts_with('v') && *i != "vzeroupper")
+                .map(|i| canonical(i))
+                .collect();
+            let body = if prog.full_chunks > 0 {
+                &prog.body[..]
+            } else {
+                &[]
+            };
+            let want: Vec<String> = prog
+                .prologue
+                .iter()
+                .chain(body)
+                .chain(&prog.ragged)
+                .chain(&prog.epilogue)
+                .map(|op| expected(isa, &alloc, op, pool))
+                .collect();
+            assert_eq!(got.len(), want.len(), "{name}: vector instruction count");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "{name}: vector instruction {i}");
+            }
+        }
     }
 
     #[test]
     fn emits_complete_function() {
-        for (isa, cols) in [(Isa::Avx, 16), (Isa::Avx, 9), (Isa::Avx512, 23)] {
-            let code = emit_for(isa, cols, 24);
+        for (isa, rows, cols) in [
+            (Isa::Avx, 4, 16),
+            (Isa::Avx, 4, 9),
+            (Isa::Avx512, 4, 23),
+            (Isa::Avx512, 8, 32),
+        ] {
+            let code = emit_for(isa, rows, cols, 24);
             // vzeroupper; ret present (before any literal pool).
             let tail = code.windows(4).any(|w| w == [0xC5, 0xF8, 0x77, 0xC3]);
             assert!(tail, "missing vzeroupper; ret ({isa:?})");
@@ -627,7 +943,7 @@ mod tests {
 
     #[test]
     fn loop_backedge_targets_body_top() {
-        let code = emit_for(Isa::Avx, 16, 24);
+        let code = emit_for(Isa::Avx, 4, 16, 24);
         // Find "dec edx; jnz rel32" and check the displacement lands
         // inside the code, before the branch.
         let pos = code
@@ -641,7 +957,7 @@ mod tests {
 
     #[test]
     fn short_panel_emits_no_loop() {
-        let code = emit_for(Isa::Avx, 16, 5);
+        let code = emit_for(Isa::Avx, 4, 16, 5);
         assert!(
             !code.windows(2).any(|w| w == [0xFF, 0xCA]),
             "kcb < tk must lower to straight-line code"
@@ -650,7 +966,7 @@ mod tests {
 
     #[test]
     fn rip_fixup_points_into_pool() {
-        let code = emit_for(Isa::Avx, 11, 8);
+        let code = emit_for(Isa::Avx, 4, 11, 8);
         // The pool holds one 32-byte mask: 3 valid lanes (cols 8..11).
         let pool = &code[code.len() - 32..];
         let words: Vec<u32> = pool

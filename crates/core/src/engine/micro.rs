@@ -5,13 +5,17 @@
 //! panel is consumed in `tk`-sized chunks (the panel start is aligned to
 //! the global chunk grid by the caller), each chunk issues the scheme's
 //! terms in order, and each term accumulates its `tk` products
-//! sequentially with a separate binary32 multiply and add. The 32
-//! accumulators live in registers for the whole panel; C is loaded before
-//! the first panel of a tile pass and stored after each, so the value
-//! stream per output element is bit-identical to the scalar oracle.
+//! sequentially with a separate binary32 multiply and add. The 4 x 16
+//! accumulator tile (eight ymm registers in the AVX instance) stays in
+//! registers for the whole panel; C is loaded before each panel and
+//! stored after it, so the value stream per output element is
+//! bit-identical to the scalar oracle.
+//! [`interpret`] walks a kernel call's tile through it one row block
+//! and one strip at a time: a compiled kernel covers up to two row
+//! blocks and two strips (8 x 32) per call, and the interpreter
+//! replaces any of them.
 
 use super::pack::{MR, NR};
-use super::sliver;
 
 /// Per-plane packed operand views for one row block / column strip.
 #[derive(Clone, Copy)]
@@ -32,21 +36,23 @@ impl<'a> PlanePair<'a> {
 }
 
 /// Advance one output tile through one k panel with the portable
-/// kernel: each of the `cols.div_ceil(NR)` strips of `b` in turn is
-/// loaded from `out`, run through [`microkernel`] and stored back. Only
-/// the `rows x cols` valid lanes are read and written; padded lanes
-/// load zeros and are never stored. Access goes through the raw
-/// pointer, so concurrent workers read and write disjoint tiles of one
-/// output buffer without manufacturing aliasing `&mut` slices. The
-/// worker runs this for every tile no compiled kernel covers, and
-/// verify-on-compile replays it as the oracle, so each compiled kernel
-/// is checked against exactly the code that replaces it.
+/// kernel: for each of the `rows.div_ceil(MR)` row blocks of `a`, each
+/// of the `cols.div_ceil(NR)` strips of `b` in turn is loaded from
+/// `out`, run through [`microkernel`] and stored back. Only the
+/// `rows x cols` valid lanes are read and written; padded lanes load
+/// zeros and are never stored. Access goes through the raw pointer, so
+/// concurrent workers read and write disjoint tiles of one output
+/// buffer without manufacturing aliasing `&mut` slices. The worker runs
+/// this for every tile no compiled kernel covers, and verify-on-compile
+/// replays it as the oracle, so each compiled kernel is checked against
+/// exactly the code that replaces it.
 ///
 /// # Safety
 /// `out` must be valid for reads and writes of `rows x cols` elements
 /// at row stride `n`, with no other thread accessing them during the
-/// call. `rows <= MR`, and both planes of `b` must hold
-/// `cols.div_ceil(NR)` packed slivers of `kcb x NR`.
+/// call. `rows <= 2 * MR`; both planes of `a` must hold
+/// `rows.div_ceil(MR)` packed slivers of `kcb x MR`, and both planes of
+/// `b` `cols.div_ceil(NR)` packed slivers of `kcb x NR`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn interpret(
     out: *mut f32,
@@ -59,26 +65,41 @@ pub(crate) unsafe fn interpret(
     tk: usize,
     terms: &[(bool, bool)],
 ) {
-    for s in 0..cols.div_ceil(NR) {
-        let cols_s = NR.min(cols - s * NR);
-        let b_s = PlanePair {
-            hi: sliver(b.hi, s, kcb * NR),
-            lo: sliver(b.lo, s, kcb * NR),
+    debug_assert!(rows <= 2 * MR);
+    for blk in 0..rows.div_ceil(MR) {
+        let rows_b = MR.min(rows - blk * MR);
+        let a_b = PlanePair {
+            hi: sliver(a.hi, blk, kcb * MR),
+            lo: sliver(a.lo, blk, kcb * MR),
         };
-        let strip = out.add(s * NR);
-        let mut acc = [[0.0f32; NR]; MR];
-        for (r, lanes) in acc.iter_mut().enumerate().take(rows) {
-            for (c, lane) in lanes.iter_mut().enumerate().take(cols_s) {
-                *lane = *strip.add(r * n + c);
+        let block = out.add(blk * MR * n);
+        for s in 0..cols.div_ceil(NR) {
+            let cols_s = NR.min(cols - s * NR);
+            let b_s = PlanePair {
+                hi: sliver(b.hi, s, kcb * NR),
+                lo: sliver(b.lo, s, kcb * NR),
+            };
+            let strip = block.add(s * NR);
+            let mut acc = [[0.0f32; NR]; MR];
+            for (r, lanes) in acc.iter_mut().enumerate().take(rows_b) {
+                for (c, lane) in lanes.iter_mut().enumerate().take(cols_s) {
+                    *lane = *strip.add(r * n + c);
+                }
             }
-        }
-        microkernel(&mut acc, a, b_s, kcb, tk, terms);
-        for (r, lanes) in acc.iter().enumerate().take(rows) {
-            for (c, &lane) in lanes.iter().enumerate().take(cols_s) {
-                *strip.add(r * n + c) = lane;
+            microkernel(&mut acc, a_b, b_s, kcb, tk, terms);
+            for (r, lanes) in acc.iter().enumerate().take(rows_b) {
+                for (c, &lane) in lanes.iter().enumerate().take(cols_s) {
+                    *strip.add(r * n + c) = lane;
+                }
             }
         }
     }
+}
+
+/// The `idx`-th packed sliver of `len` elements.
+#[inline]
+fn sliver(buf: &[f32], idx: usize, len: usize) -> &[f32] {
+    &buf[idx * len..(idx + 1) * len]
 }
 
 /// Advance `acc` through one k panel of depth `kcb`.
@@ -177,30 +198,40 @@ mod tests {
 
     #[test]
     fn acc_roundtrip_edges() {
-        // A 2 x 19 tile at (1, 2) of a 4 x 24 buffer: one full strip and
-        // a 3-lane ragged one. A zero-depth panel stores back exactly
-        // what it loaded; a one-step panel of ones adds 1 to the valid
-        // lanes. Every element outside the tile stays untouched.
-        let (n, rows, cols) = (24, 2, 19);
-        let out: Vec<f32> = (0..4 * n).map(|x| x as f32).collect();
+        // A 2 x 19 tile at (1, 2) of a 4 x 24 buffer, and a 6 x 19 one
+        // at (1, 2) of a 9 x 24 buffer, whose rows span both A slivers:
+        // one full strip and a 3-lane ragged one, one full row block and
+        // a 2-row ragged one. A zero-depth panel stores back exactly
+        // what it loaded; a one-step panel adds 1 to the valid lanes of
+        // block 0 and 2 to those of block 1. Every element outside the
+        // tile stays untouched.
         let ones = [1.0f32; 2 * NR];
-        let a = PlanePair {
-            hi: &ones[..MR],
-            lo: &ones[..MR],
-        };
+        let (a_hi, a_lo) = ([1.0f32, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0], [0.0; 2 * MR]);
         let b = PlanePair {
             hi: &ones,
             lo: &ones,
         };
-        for kcb in [0, 1] {
-            let mut got = out.clone();
-            let tile = got[n + 2..].as_mut_ptr();
-            // SAFETY: rows 1..3 and columns 2..21 lie inside the buffer.
-            unsafe { interpret(tile, n, rows, cols, a, b, kcb, 1, &[(false, false)]) };
-            for (i, (&g, &o)) in got.iter().zip(&out).enumerate() {
-                let inside = (1..1 + rows).contains(&(i / n)) && (2..2 + cols).contains(&(i % n));
-                let want = if inside { o + kcb as f32 } else { o };
-                assert_eq!(g, want, "element {i}, kcb {kcb}");
+        let (n, cols) = (24, 19);
+        for (rows, buf_rows) in [(2usize, 4usize), (6, 9)] {
+            let out: Vec<f32> = (0..buf_rows * n).map(|x| x as f32).collect();
+            for kcb in [0, 1] {
+                // Block `blk`'s one-step sliver is `a_hi[blk * MR..]`.
+                let a = PlanePair {
+                    hi: &a_hi[..rows.div_ceil(MR) * kcb * MR],
+                    lo: &a_lo[..rows.div_ceil(MR) * kcb * MR],
+                };
+                let mut got = out.clone();
+                let tile = got[n + 2..].as_mut_ptr();
+                // SAFETY: rows 1..1 + rows and columns 2..21 lie inside
+                // the buffer.
+                unsafe { interpret(tile, n, rows, cols, a, b, kcb, 1, &[(false, false)]) };
+                for (i, (&g, &o)) in got.iter().zip(&out).enumerate() {
+                    let (r, c) = (i / n, i % n);
+                    let inside = (1..1 + rows).contains(&r) && (2..2 + cols).contains(&c);
+                    let step = if r <= MR { 1.0 } else { 2.0 };
+                    let want = if inside { o + kcb as f32 * step } else { o };
+                    assert_eq!(g, want, "element {i}, {rows} rows, kcb {kcb}");
+                }
             }
         }
     }

@@ -2,10 +2,13 @@
 //!
 //! A BLIS-style engine: the output is cut into `mc x nc` macro-tiles, each
 //! tile walks the reduction in `kc`-deep panels whose hi/lo operand
-//! planes are packed into contiguous, cache-resident slivers, and an
-//! `MR x NR` register-tiled microkernel keeps 32 accumulators in
-//! registers for a whole panel. Workers claim macro-tiles from the 2D
-//! grid through a locality-aware work-stealing scheduler (`sched`): each
+//! planes are packed into contiguous, cache-resident slivers, and a
+//! register-tiled microkernel keeps its accumulator tile in registers
+//! for a whole panel: `MR x NR` (4 x 16, eight ymm accumulators) under
+//! AVX and the interpreter, two row blocks by two strips (8 x 32,
+//! sixteen zmm accumulators) in the AVX-512 JIT's kernels. Workers
+//! claim macro-tiles from the 2D grid through a locality-aware
+//! work-stealing scheduler (`sched`): each
 //! worker owns a contiguous column-major run (all row tiles of a jc
 //! column block before the next block, so the B panel it just touched
 //! stays hot) and idle workers steal half-ranges from the most-loaded
@@ -453,15 +456,19 @@ fn worker(
             let mut sb = 0;
             while sb < strips {
                 // On AVX-512 machines with the JIT active, adjacent B
-                // strips fuse into one 32-lane dual-strip kernel — the
-                // packed strips are contiguous in memory, so the fused
-                // sliver is just twice as long. `take` only widens the
-                // view; if the kernel ends up interpreted after all,
-                // `micro::interpret` walks the strips one by one.
-                let take = match jit_active.map(jit::KernelCache::isa) {
-                    Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => 2,
-                    _ => 1,
+                // strips and adjacent A row blocks fuse into one 8 x 32
+                // kernel call — packed strips and packed row blocks are
+                // each contiguous in memory, so a fused sliver is just
+                // twice as long. `isa` only widens the views; if the
+                // kernel ends up interpreted after all,
+                // `micro::interpret` walks the blocks and strips one by
+                // one. Everywhere else (no JIT, an AVX-only host, a lone
+                // last strip) a call covers one block and one strip.
+                let isa = match jit_active.map(jit::KernelCache::isa) {
+                    Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => jit::Isa::Avx512,
+                    _ => jit::Isa::Avx,
                 };
+                let take = isa.strips();
                 // Prepared slivers are bit-identical to what a per-tile
                 // pack of the same B rows would produce: jc is NR-aligned (nc is
                 // clamped to an NR multiple) and B holds exactly the
@@ -475,28 +482,30 @@ fn worker(
                 };
                 let j0 = jc + sb * NR;
                 let cols = (take * NR).min(ncb - sb * NR);
-                for rb in 0..row_blocks {
+                let mut rb = 0;
+                while rb < row_blocks {
+                    // Two blocks while two remain; a lone last block
+                    // runs the one-block kernel of the same ISA.
+                    let blocks = isa.blocks().min(row_blocks - rb);
+                    let a_span = rb * kcb * MR..(rb + blocks) * kcb * MR;
                     let a_pair = PlanePair {
-                        hi: sliver(&a_hi, rb, kcb * MR),
-                        lo: sliver(&a_lo, rb, kcb * MR),
+                        hi: &a_hi[a_span.clone()],
+                        lo: &a_lo[a_span],
                     };
                     let i0 = ic + rb * MR;
-                    let rows = MR.min(mcb - rb * MR);
+                    let rows = (blocks * MR).min(mcb - rb * MR);
                     let kernel = jit_active.and_then(|cache| {
-                        let isa = if take == 2 {
-                            jit::Isa::Avx512
-                        } else {
-                            jit::Isa::Avx
-                        };
                         let key = jit::KernelKey::new(isa, terms, tk, kcb, rows, cols)?;
                         jit_memo.get(cache, key)
                     });
                     // SAFETY: a compiled kernel was verified for exactly
                     // this (terms, tk, kcb, rows, cols), and the
-                    // interpreter walks the same `cols.div_ceil(NR)`
-                    // strips; the pairs hold `take` packed slivers; every
-                    // plan owns its own m_out x n output buffer, the
-                    // region (i0, j0, rows, cols) is in bounds of it, and
+                    // interpreter walks the same `rows.div_ceil(MR)`
+                    // blocks and `cols.div_ceil(NR)` strips; the A pair
+                    // holds `blocks` packed slivers and the B pair
+                    // `take`; every plan owns its own m_out x n output
+                    // buffer, the region (i0, j0, rows, cols) of up to
+                    // 8 rows is in bounds of it (rows stop at mcb), and
                     // each global tile is claimed once, so regions
                     // written concurrently never overlap.
                     unsafe {
@@ -508,6 +517,7 @@ fn worker(
                             ),
                         }
                     }
+                    rb += blocks;
                 }
                 sb += take;
             }
@@ -516,12 +526,6 @@ fn worker(
         }
     }
     telemetry::span_end(telemetry::Phase::Worker, t_worker, tiles_claimed);
-}
-
-/// The `idx`-th packed sliver of `len` elements.
-#[inline]
-fn sliver(buf: &[f32], idx: usize, len: usize) -> &[f32] {
-    &buf[idx * len..(idx + 1) * len]
 }
 
 #[cfg(test)]
@@ -666,6 +670,31 @@ mod tests {
                 assert_bits_eq(&d, &want, &format!("{scheme:?} tk={tk}"));
             }
         }
+    }
+
+    /// On an AVX-512 host with the JIT on, a tile of four row blocks
+    /// runs as two 8-row kernel calls: the only key a 16 x 64 x 32
+    /// product asks for has 8 rows, and it compiles and verifies.
+    #[test]
+    fn avx512_workers_run_two_row_blocks_per_call() {
+        let rt = EngineRuntime::new(RuntimeConfig {
+            threads: 1,
+            ..Default::default()
+        });
+        let Some(cache) = rt.jit_cache().filter(|c| c.isa() == Some(jit::Isa::Avx512)) else {
+            eprintln!("skipped: no AVX-512 JIT on this host or under EGEMM_JIT=0");
+            return;
+        };
+        let (scheme, tk, cfg) = (EmulationScheme::EgemmTc, 8, EngineConfig::default());
+        let (m, k, n) = (16, 64, 32);
+        let (a, b, sa, sb) = operands(m, k, n, scheme, 25);
+        let pb = prepare_b_rows(&rt, &b, 0..k, scheme.split_scheme(), tk, cfg);
+        let d = execute(&rt, &GemmPlan::new(&a, &pb, scheme, tk, cfg));
+        let key = jit::KernelKey::new(jit::Isa::Avx512, scheme.terms(), tk, k, 2 * MR, n);
+        let key = key.expect("an 8-row AVX-512 key is in range");
+        assert_eq!(cache.keys(), vec![key], "the tile's kernel keys");
+        assert!(cache.get(key).is_some(), "the 8-row kernel was poisoned");
+        assert_bits_eq(&d, &replay(&sa, &sb, None, scheme, tk, 0..k), "8-row tiles");
     }
 
     #[test]

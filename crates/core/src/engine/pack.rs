@@ -29,8 +29,11 @@ pub(crate) const MR: usize = 4;
 /// 8-lane accumulators live in the AVX kernels (the JIT's, and the
 /// compiler's AVX instance of the portable kernel) — enough parallel
 /// chains to cover FP latency on two issue ports — while leaving
-/// headroom for the operand loads and broadcasts. AVX-512 kernels fuse
-/// two strips into a 4 x 32 tile of eight zmm accumulators.
+/// headroom for the operand loads and broadcasts in 16 ymm registers.
+/// AVX-512 kernels fuse two strips and two row blocks into an 8 x 32
+/// tile of sixteen zmm accumulators, held in zmm16-31: twice the chains
+/// the two FMA ports need, 16 FMAs per pair of B loads, and each B
+/// sliver pair streamed once per 8 output rows.
 pub(crate) const NR: usize = 16;
 
 /// Fused split+pack of A: read raw f32 rows and emit both packed planes

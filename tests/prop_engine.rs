@@ -645,14 +645,17 @@ proptest! {
 /// over every column residue a tile can end with, on `rt`, and check
 /// each output against the scalar replay: widths 1..=16 cover all
 /// single-strip (AVX) edge masks, 17..=32 all dual-strip (AVX-512)
-/// masks, 33 a dual-strip pair plus a lone ragged strip. Row residues
-/// cycle 1..=4 alongside.
+/// masks, 33 a dual-strip pair plus a lone ragged strip. Row counts
+/// cycle 1..=12 alongside, in 12-row tiles: on AVX-512 hosts a tile
+/// runs a pair of row blocks (5..=8 rows) and then a lone block
+/// (1..=4 rows), and the dual-strip widths meet every row residue of
+/// both.
 fn edge_sweep(rt: &EngineRuntime, tk: usize, k: usize, kc: usize) {
     let scheme = EmulationScheme::MarkidisFourTerm;
     for n in 1usize..=33 {
-        let m = 4 + (n % 4) + 1;
+        let m = (n - 1) % 12 + 1;
         let (a, b, sa, sb) = operands(m, k, n, scheme, n as u64);
-        let cfg = EngineConfig { mc: 8, nc: 64, kc };
+        let cfg = EngineConfig { mc: 12, nc: 64, kc };
         let pb = prepare_b_rows(rt, &b, 0..k, scheme.split_scheme(), tk, cfg);
         let d = execute(rt, &GemmPlan::new(&a, &pb, scheme, tk, cfg));
         let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0..k);
@@ -671,9 +674,10 @@ fn jit_edge_masks_bit_identical() {
 fn interpreted_fallback_under_active_jit_bit_identical() {
     // tk = 72 is past the deepest chunk the JIT specializes (64), so
     // every tile falls back to the interpreter even with the JIT on:
-    // on AVX-512 hosts that includes interpreted dual-strip pairs and
-    // their lone last strip. k = 150 over kc = 144 leaves a ragged
-    // last panel. A private runtime keeps the compile count its own.
+    // on AVX-512 hosts that includes interpreted dual-strip pairs over
+    // two row blocks, their lone last block and their lone last strip.
+    // k = 150 over kc = 144 leaves a ragged last panel. A private
+    // runtime keeps the compile count its own.
     let rt = EngineRuntime::new(RuntimeConfig {
         threads: 1,
         ..Default::default()
@@ -779,7 +783,9 @@ fn special_values_keep_the_output_contract() {
     // where the oracle is NaN (a NaN's sign and payload are
     // unspecified). All four schemes, ragged shapes over several k
     // panels, C absent and present, a raw A over a B prepared past the
-    // cache and over a cached one; about 11k outputs in all.
+    // cache and over a cached one; about 14k outputs in all. Under
+    // 8-row tiles the last shape ends in a lone 3-row block, which
+    // AVX-512 hosts run apart from the pairs of row blocks.
     let tk = 8usize; // the oracle's fixed chunk depth
     let cfg = EngineConfig {
         mc: 8,
@@ -792,7 +798,12 @@ fn special_values_keep_the_output_contract() {
     });
     let (mut nan, mut inf, mut compared) = (0usize, 0usize, 0usize);
     for scheme in SCHEMES {
-        for (m, k, n) in [(13usize, 29usize, 17usize), (5, 40, 37), (30, 7, 9)] {
+        for (m, k, n) in [
+            (13usize, 29usize, 17usize),
+            (5, 40, 37),
+            (30, 7, 9),
+            (11, 13, 20),
+        ] {
             let seed = (m * 1000 + n) as u64;
             let a = with_specials(m, k, seed);
             let b = with_specials(k, n, seed + 1);
