@@ -115,11 +115,18 @@ impl fmt::Display for CacheStats {
 
 /// 128-bit content fingerprint of a binary32 buffer.
 ///
-/// Two independent 64-bit multiply-rotate-xor lanes over the raw bit
-/// patterns (wyhash-style absorption), finalized with distinct
-/// avalanche mixes. ~4 bytes/cycle — negligible against the split it
-/// guards — and any single-bit change to any element flips both lanes,
-/// so a mutated operand always misses.
+/// The raw bit patterns are absorbed as 8-byte words (two elements, the
+/// last odd element zero-extended) into eight independent
+/// multiply-xor-rotate lanes, word `w` into lane `w % 8`, with a
+/// prefetch 4 KiB ahead on x86-64. Every prepare hashes its B, hit or
+/// miss, so on a cached B the hash is most of the prepare's cost: eight
+/// overlapping multiply chains keep up with the rate memory streams a
+/// large B in, which one or two chains' multiply latency cannot. The
+/// lanes start from distinct seeds mixed with the length and fold
+/// through two chains of bijective mixes into the two words. Each
+/// absorb and each fold step is a bijection of the word or lane it
+/// takes in, so a change to any single element changes its lane and
+/// through it both words of the key: a mutated operand always misses.
 ///
 /// Public (as [`crate::engine::content_fingerprint`]) so layers above
 /// the cache — the serving tier's shared-B bucketing in particular —
@@ -127,20 +134,37 @@ impl fmt::Display for CacheStats {
 pub fn fingerprint(data: &[f32]) -> (u64, u64) {
     const M1: u64 = 0x9E37_79B9_7F4A_7C15;
     const M2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    let mut h1: u64 = data.len() as u64 ^ M1;
-    let mut h2: u64 = (data.len() as u64).wrapping_mul(M2) ^ M2;
-    let mut chunks = data.chunks_exact(4);
-    for c in chunks.by_ref() {
-        let w1 = (c[0].to_bits() as u64) | ((c[1].to_bits() as u64) << 32);
-        let w2 = (c[2].to_bits() as u64) | ((c[3].to_bits() as u64) << 32);
-        h1 = (h1 ^ w1).wrapping_mul(M1).rotate_left(29) ^ w2;
-        h2 = (h2 ^ w2).wrapping_mul(M2).rotate_left(31) ^ w1;
+    /// 4 KiB ahead of the chunk being absorbed.
+    const PREFETCH_AHEAD: usize = 1024;
+    let absorb = |h: u64, w: u64| (h ^ w).wrapping_mul(M1).rotate_left(31);
+    let len = data.len() as u64;
+    let mut lanes: [u64; 8] =
+        std::array::from_fn(|i| (len ^ M2.wrapping_mul(i as u64 + 1)).wrapping_mul(M1));
+    let (chunks, tail) = data.as_chunks::<16>();
+    for chunk in chunks {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE is part of the x86-64 baseline, and a prefetch
+        // never faults; `wrapping_add` keeps the address computation
+        // defined past the end of `data`.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(chunk.as_ptr().wrapping_add(PREFETCH_AHEAD).cast());
+        }
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let w = u64::from(chunk[2 * i].to_bits()) | u64::from(chunk[2 * i + 1].to_bits()) << 32;
+            *lane = absorb(*lane, w);
+        }
     }
-    for &x in chunks.remainder() {
-        h1 = (h1 ^ x.to_bits() as u64).wrapping_mul(M1).rotate_left(29);
-        h2 = (h2 ^ x.to_bits() as u64).wrapping_mul(M2).rotate_left(31);
+    for (lane, pair) in lanes.iter_mut().zip(tail.chunks(2)) {
+        let hi = pair.get(1).map_or(0, |x| x.to_bits());
+        *lane = absorb(*lane, u64::from(pair[0].to_bits()) | u64::from(hi) << 32);
     }
-    (fmix64(h1), fmix64(h2 ^ h1.rotate_left(17)))
+    let (mut h1, mut h2) = (len ^ M1, len.rotate_left(32) ^ M2);
+    for (i, &lane) in lanes.iter().enumerate() {
+        h1 = fmix64(h1 ^ lane);
+        h2 = fmix64(h2.wrapping_add(lane.rotate_left(8 * i as u32 + 1)));
+    }
+    (h1, h2)
 }
 
 /// MurmurHash3 finalizer: full avalanche over 64 bits.
@@ -406,17 +430,53 @@ mod tests {
 
     #[test]
     fn fingerprint_sensitive_to_every_element() {
-        let base = vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let h0 = fingerprint(&base);
-        for i in 0..base.len() {
-            let mut m = base.clone();
-            m[i] = f32::from_bits(m[i].to_bits() ^ 1); // single-ULP flip
-            assert_ne!(fingerprint(&m), h0, "insensitive to element {i}");
+        // Lengths 0..=48 cover every lane, up to three words per lane,
+        // and every tail length, odd ones included.
+        let words: Vec<f32> = (0u32..48)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9) ^ 0x3F80_0000))
+            .collect();
+        for len in 0..=words.len() {
+            let base = &words[..len];
+            let h0 = fingerprint(base);
+            // Deterministic, and independent of where the data lives.
+            let moved = base.to_vec();
+            assert_eq!(fingerprint(&moved), h0, "len {len}");
+            if len > 0 {
+                assert_ne!(
+                    fingerprint(&base[..len - 1]),
+                    h0,
+                    "len {len} vs {}",
+                    len - 1
+                );
+            }
+            // Bits 0 (mantissa), 22 (its top, the NaN quiet bit) and 31
+            // (sign) of every element: each flip changes both words.
+            for i in 0..len {
+                for bit in [0, 22, 31] {
+                    let mut m = base.to_vec();
+                    m[i] = f32::from_bits(m[i].to_bits() ^ 1 << bit);
+                    let h = fingerprint(&m);
+                    assert!(
+                        h.0 != h0.0 && h.1 != h0.1,
+                        "len {len}: bit {bit} of element {i} left a word unchanged"
+                    );
+                }
+            }
         }
-        // Length is part of the absorption.
-        assert_ne!(fingerprint(&base[..6]), h0);
-        // And it is deterministic.
-        assert_eq!(fingerprint(&base), h0);
+        // Swapping two 8-byte words that go to different lanes changes
+        // the key: the lanes are not interchangeable. At 16 elements each
+        // lane holds one word, so a swap exchanges two whole lanes.
+        for len in [16, 48] {
+            let h0 = fingerprint(&words[..len]);
+            for a in 0..len / 2 {
+                for b in (a + 1..len / 2).filter(|b| (b - a) % 8 != 0) {
+                    let mut m = words[..len].to_vec();
+                    m.swap(2 * a, 2 * b);
+                    m.swap(2 * a + 1, 2 * b + 1);
+                    assert_ne!(fingerprint(&m), h0, "len {len}: words {a} and {b} swapped");
+                }
+            }
+        }
     }
 
     #[test]

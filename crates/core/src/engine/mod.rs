@@ -76,12 +76,15 @@ use std::ops::Range;
 /// count.
 ///
 /// Defaults target a generic x86 cache hierarchy: a `kc x NR` B sliver
-/// (2 planes x 8 KiB) lives in L1 across a row block, the packed A block
-/// (2 planes x `mc x kc` = 128 KiB) in L2, and the B panel in outer
-/// cache. All sizes are clamped to legal values at run time (`kc` to a
-/// multiple of the chunk depth `tk`, `mc`/`nc` to at least one register
-/// tile), so any configuration computes correct — and bit-identical —
-/// results; only throughput varies.
+/// (16 KiB per plane at the default `kc` of 256, 32 KiB for both) lives
+/// in L1 across a row block, the packed A block (2 planes x `mc x kc` =
+/// 128 KiB) in L2, and the B panel in outer cache. The AVX-512 kernels
+/// read a strip pair's sliver, 64 KiB for both planes, which exceeds a
+/// 48 KiB L1d, so they stream it from L2. All sizes are clamped to
+/// legal values at run time (`kc` to a multiple of the chunk depth
+/// `tk`, `mc`/`nc` to at least one register tile), so any configuration
+/// computes correct — and bit-identical — results; only throughput
+/// varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Output rows per macro-tile.

@@ -18,7 +18,8 @@
 //! copy of A.
 
 use crate::telemetry::{self, Phase};
-use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
+use egemm_fp::simd_split::LINE;
+use egemm_fp::{split_planes_f32_strided, split_strips_f32, SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 use std::ops::Range;
 
@@ -88,15 +89,16 @@ pub(crate) fn pack_a_fused(
 
 /// Fused split+pack of B: read raw f32 rows and emit both packed planes
 /// directly in the B panel layout above, overwriting every element of
-/// the `ceil(ncb/NR) * kcb * NR` it covers.
+/// the `ceil(ncb/NR) * kcb * NR` it covers. Both planes must start on a
+/// 64-byte boundary, as [`PackedB`]'s do, so that each strip row is one
+/// cache line.
 ///
-/// The panel goes in blocks of up to NR rows: for each block and strip,
-/// the block's row segments are gathered into an NR x NR stack tile
-/// (lanes past the ragged last strip's width zeroed) and split with one
-/// call straight into the strip's rows `[kk0, kk0 + rows)`, which are
-/// contiguous in both planes. So B is read a block of rows at a time,
-/// and one split call covers up to NR x NR elements. A split of +0.0 is
-/// +0.0 in both planes, so the padding matches [`pack_b`]'s zeros.
+/// The panel goes in blocks of up to NR rows: one [`split_strips_f32`]
+/// call splits a block's row segments straight into rows `[kk0, kk0 +
+/// rows)` of every strip, with streaming stores (lanes past the ragged
+/// last strip's width are +0.0, [`pack_b`]'s zeros). So B is read a
+/// block of rows at a time, and no line of either plane is read before
+/// it is written.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_fused(
     src: &[f32],
@@ -110,29 +112,21 @@ pub(crate) fn pack_b_fused(
     hi: &mut [f32],
     lo: &mut [f32],
 ) {
-    let strips = ncb.div_ceil(NR);
-    let mut tile = [0f32; NR * NR];
+    const _: () = assert!(NR == LINE, "a strip row is one split line");
     let mut kk0 = 0;
     while kk0 < kcb {
         let rows = NR.min(kcb - kk0);
-        for sb in 0..strips {
-            let jbase = j0 + sb * NR;
-            let cols = NR.min(ncb - sb * NR);
-            for (r, dst) in tile.chunks_exact_mut(NR).take(rows).enumerate() {
-                let row = (p0 + kk0 + r) * n + jbase;
-                dst[..cols].copy_from_slice(&src[row..row + cols]);
-                dst[cols..].fill(0.0);
-            }
-            let off = sb * kcb * NR + kk0 * NR;
-            let len = rows * NR;
-            split_planes_f32(
-                kernel,
-                scheme,
-                &tile[..len],
-                &mut hi[off..off + len],
-                &mut lo[off..off + len],
-            );
-        }
+        split_strips_f32(
+            kernel,
+            scheme,
+            &src[(p0 + kk0) * n + j0..],
+            n,
+            rows,
+            ncb,
+            &mut hi[kk0 * NR..],
+            &mut lo[kk0 * NR..],
+            kcb * NR,
+        );
         kk0 += rows;
     }
 }
@@ -213,7 +207,9 @@ impl Panel<'_> {
 /// column range of one k panel. Panels are stored at the stride
 /// of a *full* panel (`strips * kc * NR`) so panel offsets don't depend
 /// on the ragged depth of the final panel, which ends exactly at the
-/// plane's length, [`plane_len`]`(k, n)`.
+/// plane's length, [`plane_len`]`(k, n)`. Each plane starts on a 64-byte
+/// boundary and every offset above is a multiple of NR = 16 floats, so
+/// every panel, strip and strip row starts on a cache line.
 ///
 /// A macro-tile whose column origin `jc` is NR-aligned reads its slivers
 /// at global strip `jc/NR + sb`, panel `(pc - k_lo)/kc` of a B packed from
@@ -226,8 +222,8 @@ pub(crate) struct PackedB {
     kc: usize,
     strips: usize,
     panel_stride: usize,
-    hi: Vec<f32>,
-    lo: Vec<f32>,
+    hi: Plane,
+    lo: Plane,
 }
 
 /// Elements in each plane of a packed `k x n` B: `ceil(n/NR)` strips of
@@ -236,15 +232,58 @@ fn plane_len(k: usize, n: usize) -> usize {
     n.div_ceil(NR) * NR * k
 }
 
+/// Floats a plane's buffer holds beyond its length, so that a 64-byte
+/// boundary falls within its first 16 elements: a `Vec<f32>` is at
+/// least 4-byte aligned.
+const ALIGN_PAD: usize = 64 / 4 - 1;
+
+/// One packed plane: `len` floats of `buf` from `off`, the first index
+/// whose address is a multiple of 64.
+struct Plane {
+    buf: Vec<f32>,
+    off: usize,
+    len: usize,
+}
+
+impl Plane {
+    /// A plane of `len` floats in `reuse` (at least `len + ALIGN_PAD`
+    /// long, cut to that with its spare capacity released, so that a
+    /// pack pins only its planes and their pads) or in a fresh zeroed
+    /// buffer. The offset is taken after the cut, which may move
+    /// the buffer.
+    fn new(len: usize, reuse: Option<Vec<f32>>) -> Plane {
+        let buf = match reuse {
+            Some(mut buf) => {
+                buf.resize(len + ALIGN_PAD, 0.0);
+                buf.shrink_to_fit();
+                buf
+            }
+            None => vec![0f32; len + ALIGN_PAD],
+        };
+        let off = buf.as_ptr().align_offset(64);
+        assert!(off <= ALIGN_PAD, "no 64-byte boundary in the pad");
+        Plane { buf, off, len }
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        &self.buf[self.off..self.off + self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
 impl PackedB {
     /// The planes of a `k x n` operand at panel depth `kc` (>= 1, already
     /// clamped to the chunk grid by the caller), to be filled by packing
     /// every panel [`PackedB::panels`] yields.
     ///
-    /// `reuse` lends the planes of a pack nobody reads any more; they are
-    /// sized to [`plane_len`] and every element is overwritten by the
-    /// panels, so their old contents cannot reach the output. Without
-    /// them both planes are fresh zeroed allocations.
+    /// `reuse` lends the buffers of a pack nobody reads any more, at
+    /// least as long as this one's; every element of the planes cut from
+    /// them is overwritten by the panels, so their old contents cannot
+    /// reach the output. Without them both planes are fresh zeroed
+    /// allocations.
     pub(crate) fn new(
         k: usize,
         n: usize,
@@ -254,25 +293,22 @@ impl PackedB {
         assert!(kc >= 1, "panel depth must be positive");
         let strips = n.div_ceil(NR);
         let len = plane_len(k, n);
-        let (hi, lo) = match reuse {
-            Some((hi, lo)) => (fit(hi, len), fit(lo, len)),
-            None => (vec![0f32; len], vec![0f32; len]),
-        };
+        let (hi, lo) = reuse.unzip();
         PackedB {
             n,
             k,
             kc,
             strips,
             panel_stride: strips * kc * NR,
-            hi,
-            lo,
+            hi: Plane::new(len, hi),
+            lo: Plane::new(len, lo),
         }
     }
 
     /// How many panels [`PackedB::panels`] yields: none when `n` or `k`
     /// is 0.
     pub(crate) fn panel_count(&self) -> usize {
-        self.hi.len().div_ceil(self.panel_stride.max(1))
+        self.hi.len.div_ceil(self.panel_stride.max(1))
     }
 
     /// Panel `p` packs rows `[p·kc, p·kc + kcb)` of `rows` into the
@@ -291,8 +327,9 @@ impl PackedB {
         );
         let (k, kc, stride) = (self.k, self.kc, self.panel_stride.max(1));
         self.hi
+            .as_mut_slice()
             .chunks_mut(stride)
-            .zip(self.lo.chunks_mut(stride))
+            .zip(self.lo.as_mut_slice().chunks_mut(stride))
             .enumerate()
             .map(move |(p, (hi, lo))| Panel {
                 rows: rows.sub(p * kc, kc.min(k - p * kc)),
@@ -317,9 +354,10 @@ impl PackedB {
         self.n
     }
 
-    /// Resident bytes of both packed planes.
+    /// Resident bytes of both packed planes (each plane's 60-byte
+    /// alignment pad is not counted).
     pub(crate) fn bytes(&self) -> usize {
-        4 * (self.hi.len() + self.lo.len())
+        4 * (self.hi.len + self.lo.len)
     }
 
     /// What [`PackedB::bytes`] will read for a `k x n` operand, known
@@ -328,9 +366,10 @@ impl PackedB {
         2 * 4 * plane_len(k, n)
     }
 
-    /// Both planes, for [`PackedB::new`] to lend to another operand.
+    /// Both planes' buffers, for [`PackedB::new`] to lend to another
+    /// operand.
     pub(crate) fn into_planes(self) -> (Vec<f32>, Vec<f32>) {
-        (self.hi, self.lo)
+        (self.hi.buf, self.lo.buf)
     }
 
     /// The `kcb x NR` sliver of global strip `strip` in panel `panel`
@@ -355,17 +394,8 @@ impl PackedB {
         debug_assert!(strip + take <= self.strips && kcb <= self.kc);
         let plane = if lo_plane { &self.lo } else { &self.hi };
         let base = panel * self.panel_stride + strip * kcb * NR;
-        &plane[base..base + take * kcb * NR]
+        &plane.as_slice()[base..base + take * kcb * NR]
     }
-}
-
-/// `plane` sized to `len` elements with its spare capacity released, so
-/// that [`PackedB::bytes`] stays the memory the pack pins. The cache
-/// lends only planes at least `len` long, which this cuts in place.
-fn fit(mut plane: Vec<f32>, len: usize) -> Vec<f32> {
-    plane.resize(len, 0.0);
-    plane.shrink_to_fit();
-    plane
 }
 
 #[cfg(test)]
@@ -427,6 +457,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A 64-byte-aligned plane of `len` copies of `x`.
+    fn filled(len: usize, x: f32) -> Plane {
+        let mut plane = Plane::new(len, None);
+        plane.as_mut_slice().fill(x);
+        plane
     }
 
     /// `rows` packed whole at depth `kc` on the calling thread.
@@ -580,8 +617,8 @@ mod tests {
                 let mut want_lo = vec![-1.0f32; strips * kcb * NR];
                 pack_b(split.plane(false), n, j0, ncb, p0, kcb, &mut want_hi);
                 pack_b(split.plane(true), n, j0, ncb, p0, kcb, &mut want_lo);
-                let mut hi = vec![-1.0f32; strips * kcb * NR];
-                let mut lo = vec![-1.0f32; strips * kcb * NR];
+                let len = strips * kcb * NR;
+                let (mut hi, mut lo) = (filled(len, -1.0), filled(len, -1.0));
                 pack_b_fused(
                     src.as_slice(),
                     n,
@@ -591,12 +628,12 @@ mod tests {
                     kcb,
                     scheme,
                     kernel,
-                    &mut hi,
-                    &mut lo,
+                    hi.as_mut_slice(),
+                    lo.as_mut_slice(),
                 );
                 assert_eq!(
-                    (hi, lo),
-                    (want_hi, want_lo),
+                    (hi.as_slice(), lo.as_slice()),
+                    (&want_hi[..], &want_lo[..]),
                     "scheme={scheme:?} kernel={kernel:?}"
                 );
             }
@@ -653,6 +690,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn planes_start_every_panel_and_strip_row_on_a_cache_line() {
+        // Fresh planes; lent planes of the exact length; lent planes
+        // longer than needed; and lent planes with spare capacity, which
+        // `Plane::new` shrinks by a reallocation that may move them.
+        let (k, n, kc) = (85usize, 37usize, 40usize);
+        let len = plane_len(k, n);
+        let lent = |extra: usize, spare: usize| {
+            let mut lo = Vec::with_capacity(len + ALIGN_PAD + extra + spare);
+            lo.resize(len + ALIGN_PAD + extra, f32::NAN);
+            Some((lo.clone(), lo))
+        };
+        let src = Matrix::<f32>::random_uniform(k, n, 3);
+        for reuse in [None, lent(0, 0), lent(3 * NR + 1, 0), lent(1, 1 << 16)] {
+            let tag = format!("lent {:?}", reuse.as_ref().map(|(_, lo)| lo.capacity()));
+            let mut packed = PackedB::new(k, n, kc, reuse);
+            assert_eq!(packed.bytes(), PackedB::bytes_for(k, n), "{tag}");
+            let mut panels = 0;
+            for panel in packed.panels(BRows::raw(&src, 0..k), SplitScheme::Round) {
+                for plane in [&*panel.hi, &*panel.lo] {
+                    assert!(
+                        plane
+                            .chunks(NR)
+                            .all(|row| (row.as_ptr() as usize).is_multiple_of(64)),
+                        "{tag}: panel {panels} has a strip row off a cache line"
+                    );
+                }
+                panel.pack();
+                panels += 1;
+            }
+            assert_eq!(panels, k.div_ceil(kc), "{tag}");
+        }
+    }
+
     /// The bit patterns of `xs`, so a NaN left over from a reused buffer
     /// fails the comparison.
     fn bits(xs: &[f32]) -> Vec<u32> {
@@ -667,10 +738,37 @@ mod tests {
         // 27..66 start off a kc multiple (panels 40 + 32 deep, and one
         // 39 deep). Views of two of those row ranges are packed in one
         // claim list on pools of 1, 2, 4 and 8 workers, into reused
-        // planes longer than needed and filled with NaN.
+        // planes longer than needed and filled with NaN. Every fifth
+        // element of B is a special value, so NaN payloads, infinities,
+        // the binary16 overflow edge, subnormals and -0.0 cross the
+        // streaming stores of every pool width.
         let (k, n, kc) = (85usize, 37usize, 40usize);
         let strips = n.div_ceil(NR);
-        let src = Matrix::<f32>::random_uniform(k, n, 85);
+        let mut src = Matrix::<f32>::random_uniform(k, n, 85);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65504.0,
+            65519.9,
+            65520.0,
+            -65520.0,
+            f32::MIN_POSITIVE / 8.0,
+            2f32.powi(-25),
+            -0.0,
+            1.0 + 2f32.powi(-11),
+        ];
+        for (x, &special) in src
+            .as_mut_slice()
+            .iter_mut()
+            .step_by(5)
+            .zip(specials.iter().cycle())
+        {
+            *x = special;
+        }
         let pools = [1usize, 2, 4, 8].map(|threads| {
             EngineRuntime::new(RuntimeConfig {
                 threads,
@@ -728,7 +826,7 @@ mod tests {
                 // second strip), the middle panel, NaN-filled output.
                 let (j0, ncb, p0, kcb) = (3usize, 30usize, kc, kc);
                 let tile_len = ncb.div_ceil(NR) * kcb * NR;
-                let (mut hi, mut lo) = (vec![f32::NAN; tile_len], vec![f32::NAN; tile_len]);
+                let (mut hi, mut lo) = (filled(tile_len, f32::NAN), filled(tile_len, f32::NAN));
                 pack_b_fused(
                     src.as_slice(),
                     n,
@@ -738,10 +836,10 @@ mod tests {
                     kcb,
                     scheme,
                     kernel,
-                    &mut hi,
-                    &mut lo,
+                    hi.as_mut_slice(),
+                    lo.as_mut_slice(),
                 );
-                for (lo_plane, got) in [(false, &hi), (true, &lo)] {
+                for (lo_plane, got) in [(false, hi.as_slice()), (true, lo.as_slice())] {
                     let mut want = vec![-1.0f32; tile_len];
                     pack_b(split.plane(lo_plane), n, j0, ncb, p0, kcb, &mut want);
                     assert_eq!(bits(got), bits(&want), "{tag} tile lo={lo_plane}");

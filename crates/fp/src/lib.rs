@@ -45,6 +45,7 @@ pub use formats::PrecisionFormat;
 pub use half::Half;
 pub use simd_split::{
     simd_split_available, split_planes, split_planes_f32, split_planes_f32_scalar,
-    split_planes_f32_strided, split_planes_f32_strided_scalar, split_planes_scalar, SplitKernel,
+    split_planes_f32_strided, split_planes_f32_strided_scalar, split_planes_scalar,
+    split_strips_f32, split_strips_f32_scalar, SplitKernel,
 };
 pub use split::{round_split, truncate_split, Split, SplitScheme};

@@ -12,6 +12,9 @@
 //! `vcvtph2ps` the same exact widening, and a compare-and-mask replaces
 //! the `is_finite` branch of the scalar residual computation.
 //!
+//! [`split_strips_f32`] writes the engine's packed B strips directly,
+//! with streaming (non-temporal) stores and a closing store fence.
+//!
 //! **Bit identity is a hard contract**: for every input — normals,
 //! subnormals, ±0, ±inf, NaNs, values on rounding ties, values past the
 //! binary16 overflow threshold — the SIMD path must produce the same
@@ -186,6 +189,128 @@ pub fn split_planes_f32_strided_scalar(
     }
 }
 
+/// Lanes in one strip row of [`split_strips_f32`]: 16 binary32 values,
+/// one 64-byte cache line.
+pub const LINE: usize = 16;
+
+/// Split a `rows x width` block of row-major `src` (row stride
+/// `stride`) straight into strips of whole cache lines in both widened
+/// planes: strip `s` holds columns `[LINE·s, LINE·s + LINE)`, and its
+/// row `r` is the line at element `s·strip_stride + LINE·r` of `hi_f32`
+/// and `lo_f32`. Lanes past `width` in a ragged last strip are +0.0 (the
+/// split of +0.0); nothing else in the planes is touched.
+///
+/// The SIMD path writes every line with non-temporal stores, the hi line
+/// and then the lo line, so planes much larger than the cache are never
+/// read from memory only to be overwritten. It ends with a store fence,
+/// so the lines are ordered before any later store of the caller, such
+/// as the one that hands the planes to another thread. Both planes must
+/// start on a 64-byte boundary and `strip_stride` must be a multiple of
+/// `LINE` (asserted on every path), so that every line is one cache
+/// line.
+///
+/// Bit-identical to [`split_planes_f32_scalar`] over each row segment,
+/// regardless of `kernel` or CPU features.
+#[allow(clippy::too_many_arguments)]
+pub fn split_strips_f32(
+    kernel: SplitKernel,
+    scheme: SplitScheme,
+    src: &[f32],
+    stride: usize,
+    rows: usize,
+    width: usize,
+    hi_f32: &mut [f32],
+    lo_f32: &mut [f32],
+    strip_stride: usize,
+) {
+    let strips = width.div_ceil(LINE);
+    if rows == 0 || strips == 0 {
+        return;
+    }
+    // Checked: the streaming path addresses both sides by raw pointer.
+    let src_end = (rows - 1)
+        .checked_mul(stride)
+        .and_then(|o| o.checked_add(width));
+    assert!(
+        src_end.is_some_and(|e| e <= src.len()),
+        "src too short for {rows} rows of {width}"
+    );
+    assert_eq!(strip_stride % LINE, 0, "strips not whole lines apart");
+    let end = (strips - 1)
+        .checked_mul(strip_stride)
+        .and_then(|o| o.checked_add(rows.checked_mul(LINE)?));
+    for plane in [&*hi_f32, &*lo_f32] {
+        assert!(
+            end.is_some_and(|e| e <= plane.len()),
+            "plane too short for {strips} strips"
+        );
+        assert_eq!(plane.as_ptr() as usize % 64, 0, "plane not 64-byte aligned");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if kernel == SplitKernel::Auto && simd_split_available() {
+        // SAFETY: AVX2 + F16C support just verified. The asserts above
+        // put every row segment inside `src` and every line inside both
+        // planes, 64-byte aligned as the streaming stores require; the
+        // callee's closing `sfence` orders those stores before this
+        // thread's later ones, so the planes then read as ordinary
+        // memory to whichever thread the caller hands them.
+        unsafe {
+            x86::split_strips_f16c(
+                scheme,
+                src,
+                stride,
+                rows,
+                width,
+                hi_f32,
+                lo_f32,
+                strip_stride,
+            )
+        };
+        return;
+    }
+    let _ = kernel;
+    split_strips_f32_scalar(
+        scheme,
+        src,
+        stride,
+        rows,
+        width,
+        hi_f32,
+        lo_f32,
+        strip_stride,
+    );
+}
+
+/// Scalar reference for [`split_strips_f32`]: one
+/// [`split_planes_f32_scalar`] call per line, with ordinary stores and
+/// no alignment requirement.
+#[allow(clippy::too_many_arguments)]
+pub fn split_strips_f32_scalar(
+    scheme: SplitScheme,
+    src: &[f32],
+    stride: usize,
+    rows: usize,
+    width: usize,
+    hi_f32: &mut [f32],
+    lo_f32: &mut [f32],
+    strip_stride: usize,
+) {
+    for s in 0..width.div_ceil(LINE) {
+        let cols = LINE.min(width - s * LINE);
+        for r in 0..rows {
+            let seg = &src[r * stride + s * LINE..][..cols];
+            let line = s * strip_stride + r * LINE;
+            let (hi, lo) = (
+                &mut hi_f32[line..line + LINE],
+                &mut lo_f32[line..line + LINE],
+            );
+            split_planes_f32_scalar(scheme, seg, &mut hi[..cols], &mut lo[..cols]);
+            hi[cols..].fill(0.0);
+            lo[cols..].fill(0.0);
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
@@ -293,16 +418,22 @@ mod x86 {
         );
     }
 
+    /// The widened `(hi, lo)` of 8 lanes: [`split_lanes`]' pipeline
+    /// without the binary16 encodings.
+    #[target_feature(enable = "avx2,f16c")]
+    #[inline]
+    fn split8<const IMM: i32>(x: __m256) -> (__m256, __m256) {
+        let h = _mm256_cvtph_ps(_mm256_cvtps_ph::<IMM>(x));
+        let magnitude = _mm256_andnot_ps(_mm256_set1_ps(-0.0), h);
+        let finite = _mm256_cmp_ps::<_CMP_LE_OQ>(magnitude, _mm256_set1_ps(65504.0));
+        let residual = _mm256_and_ps(_mm256_sub_ps(x, h), finite);
+        (h, _mm256_cvtph_ps(_mm256_cvtps_ph::<IMM>(residual)))
+    }
+
     #[target_feature(enable = "avx2,f16c")]
     unsafe fn f32_lanes<const IMM: i32>(xs: &[f32], hi_f32: &mut [f32], lo_f32: &mut [f32]) {
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let f16_max = _mm256_set1_ps(65504.0);
         for i in (0..xs.len() / 8).map(|b| b * 8) {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let h = _mm256_cvtph_ps(_mm256_cvtps_ph::<IMM>(x));
-            let finite = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_andnot_ps(sign_mask, h), f16_max);
-            let residual = _mm256_and_ps(_mm256_sub_ps(x, h), finite);
-            let l = _mm256_cvtph_ps(_mm256_cvtps_ph::<IMM>(residual));
+            let (h, l) = split8::<IMM>(_mm256_loadu_ps(xs.as_ptr().add(i)));
             _mm256_storeu_ps(hi_f32.as_mut_ptr().add(i), h);
             _mm256_storeu_ps(lo_f32.as_mut_ptr().add(i), l);
         }
@@ -352,16 +483,10 @@ mod x86 {
         lo_f32: &mut [f32],
         stride: usize,
     ) {
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let f16_max = _mm256_set1_ps(65504.0);
         let mut hbuf = [0f32; 8];
         let mut lbuf = [0f32; 8];
         for i in (0..xs.len() / 8).map(|b| b * 8) {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let h = _mm256_cvtph_ps(_mm256_cvtps_ph::<IMM>(x));
-            let finite = _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_andnot_ps(sign_mask, h), f16_max);
-            let residual = _mm256_and_ps(_mm256_sub_ps(x, h), finite);
-            let l = _mm256_cvtph_ps(_mm256_cvtps_ph::<IMM>(residual));
+            let (h, l) = split8::<IMM>(_mm256_loadu_ps(xs.as_ptr().add(i)));
             _mm256_storeu_ps(hbuf.as_mut_ptr(), h);
             _mm256_storeu_ps(lbuf.as_mut_ptr(), l);
             for (j, (&hv, &lv)) in hbuf.iter().zip(lbuf.iter()).enumerate() {
@@ -369,6 +494,67 @@ mod x86 {
                 lo_f32[(i + j) * stride] = lv;
             }
         }
+    }
+
+    /// Strip split with streaming stores. Each row segment is loaded as
+    /// two 8-lane halves (a ragged last strip's through a zeroed stack
+    /// row, whose lanes past the segment stay +0.0) and split by
+    /// [`split8`], and its hi line then its lo line are each written by
+    /// two back-to-back `vmovntps`, so a write-combining buffer fills a
+    /// whole line and sends it without reading the old one. The closing
+    /// `sfence` orders those weakly-ordered stores before every later
+    /// store of this thread, such as the unlock or pool hand-off that
+    /// publishes the planes to other threads.
+    ///
+    /// # Safety
+    /// Caller must verify AVX2 and F16C support and uphold
+    /// [`split_strips_f32`]'s asserts: every row segment inside `src`,
+    /// every line inside both planes, both planes 64-byte aligned and
+    /// `strip_stride` a multiple of `LINE` (the streaming stores fault
+    /// on a misaligned address).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,f16c")]
+    pub(super) unsafe fn split_strips_f16c(
+        scheme: SplitScheme,
+        src: &[f32],
+        stride: usize,
+        rows: usize,
+        width: usize,
+        hi_f32: &mut [f32],
+        lo_f32: &mut [f32],
+        strip_stride: usize,
+    ) {
+        let mut row = [0f32; LINE];
+        for s in 0..width.div_ceil(LINE) {
+            let cols = LINE.min(width - s * LINE);
+            for r in 0..rows {
+                let seg = src.as_ptr().add(r * stride + s * LINE);
+                let x = if cols == LINE {
+                    seg
+                } else {
+                    std::ptr::copy_nonoverlapping(seg, row.as_mut_ptr(), cols);
+                    row.as_ptr()
+                };
+                let (x0, x1) = (_mm256_loadu_ps(x), _mm256_loadu_ps(x.add(8)));
+                let ((h0, l0), (h1, l1)) = match scheme {
+                    SplitScheme::Round => (
+                        split8::<{ _MM_FROUND_TO_NEAREST_INT }>(x0),
+                        split8::<{ _MM_FROUND_TO_NEAREST_INT }>(x1),
+                    ),
+                    SplitScheme::Truncate => (
+                        split8::<{ _MM_FROUND_TO_ZERO }>(x0),
+                        split8::<{ _MM_FROUND_TO_ZERO }>(x1),
+                    ),
+                };
+                let line = s * strip_stride + r * LINE;
+                let (hi, lo) = (hi_f32.as_mut_ptr().add(line), lo_f32.as_mut_ptr().add(line));
+                _mm256_stream_ps(hi, h0);
+                _mm256_stream_ps(hi.add(8), h1);
+                _mm256_stream_ps(lo, l0);
+                _mm256_stream_ps(lo.add(8), l1);
+            }
+        }
+        _mm_sfence();
     }
 }
 
@@ -626,6 +812,152 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A NaN-filled `len`-float window of `buf` that starts on a 64-byte
+    /// boundary.
+    fn aligned(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+        *buf = vec![f32::NAN; len + LINE - 1];
+        let off = buf.as_ptr().align_offset(64);
+        &mut buf[off..off + len]
+    }
+
+    /// Split a `rows x width` block of `src` (row stride `stride`) with
+    /// both kernels into NaN-filled planes whose strips lie a gap line
+    /// apart, and check every line against [`split_planes_f32_scalar`]
+    /// over its row segment padded with +0.0, and every gap untouched.
+    fn assert_strips_match(
+        scheme: SplitScheme,
+        src: &[f32],
+        stride: usize,
+        rows: usize,
+        width: usize,
+    ) {
+        let strips = width.div_ceil(LINE);
+        let strip_stride = (rows + 1) * LINE;
+        for kernel in [SplitKernel::Auto, SplitKernel::Scalar] {
+            let (mut hb, mut lb) = (Vec::new(), Vec::new());
+            let hi = aligned(&mut hb, strips * strip_stride);
+            let lo = aligned(&mut lb, strips * strip_stride);
+            split_strips_f32(
+                kernel,
+                scheme,
+                src,
+                stride,
+                rows,
+                width,
+                hi,
+                lo,
+                strip_stride,
+            );
+            for s in 0..strips {
+                let cols = LINE.min(width - s * LINE);
+                for r in 0..rows {
+                    let seg = &src[r * stride + s * LINE..][..cols];
+                    let (mut want_hi, mut want_lo) = ([0f32; LINE], [0f32; LINE]);
+                    split_planes_f32_scalar(
+                        scheme,
+                        seg,
+                        &mut want_hi[..cols],
+                        &mut want_lo[..cols],
+                    );
+                    let line = s * strip_stride + r * LINE;
+                    for (plane, want) in [(&*hi, want_hi), (&*lo, want_lo)] {
+                        assert_eq!(
+                            bits(&plane[line..line + LINE]),
+                            bits(&want),
+                            "{scheme:?} {kernel:?} width {width} strip {s} row {r}: {:08x?}",
+                            bits(seg)
+                        );
+                    }
+                }
+                let gap = s * strip_stride + rows * LINE..(s + 1) * strip_stride;
+                assert!(
+                    hi[gap.clone()].iter().chain(&lo[gap]).all(|x| x.is_nan()),
+                    "{scheme:?} {kernel:?} width {width}: gap after strip {s} written"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn strip_split_bit_identical_on_adversarial_inputs() {
+        // Every adversarial input passes through a full strip: rows of
+        // three strips back to back, 3032 of them (not a multiple of
+        // 16), then the 26 left over as one row with a ragged strip.
+        let xs = adversarial_inputs();
+        let width = 3 * LINE;
+        let rows = xs.len() / width;
+        let rest = &xs[rows * width..];
+        assert!(!rows.is_multiple_of(LINE) && !rest.len().is_multiple_of(LINE));
+        for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
+            assert_strips_match(scheme, &xs, width, rows, width);
+            assert_strips_match(scheme, rest, rest.len(), 1, rest.len());
+        }
+    }
+
+    #[test]
+    fn strip_split_every_ragged_width_and_depth() {
+        // Widths 1..=33 give every ragged last strip alone and after one
+        // or two full ones; depths 1, 5, 16, 17 and 23 rows at a row
+        // stride 3 wider than the block. The inputs start at the last
+        // 40 binary16 NaNs, then the specials, then random words.
+        let base = adversarial_inputs();
+        let src = &base[(1 << 16) - 40..];
+        for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
+            for width in 1..=2 * LINE + 1 {
+                for rows in [1usize, 5, 16, 17, 23] {
+                    assert_strips_match(scheme, src, width + 3, rows, width);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "src too short")]
+    fn strip_split_rejects_a_stride_that_overflows() {
+        // (rows - 1) * stride wraps to 0 in unchecked arithmetic, which
+        // would pass a naive bound and send the streaming path past src.
+        let xs = [1.0f32; LINE];
+        let (mut hb, mut lb) = (Vec::new(), Vec::new());
+        let hi = aligned(&mut hb, 3 * LINE);
+        let lo = aligned(&mut lb, 3 * LINE);
+        let stride = usize::MAX / 2 + 1;
+        split_strips_f32(
+            SplitKernel::Auto,
+            SplitScheme::Round,
+            &xs,
+            stride,
+            3,
+            LINE,
+            hi,
+            lo,
+            3 * LINE,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "plane not 64-byte aligned")]
+    fn misaligned_strip_plane_rejected() {
+        let xs = [1.0f32; LINE];
+        let (mut hb, mut lb) = (Vec::new(), Vec::new());
+        let hi = aligned(&mut hb, 2 * LINE);
+        let lo = aligned(&mut lb, 2 * LINE);
+        split_strips_f32(
+            SplitKernel::Auto,
+            SplitScheme::Round,
+            &xs,
+            LINE,
+            1,
+            LINE,
+            &mut hi[1..],
+            lo,
+            LINE,
+        );
     }
 
     #[test]
