@@ -248,13 +248,8 @@ impl PanelCache {
 
     /// Look up the entry for `key`, counting a hit if the slot already
     /// existed (including slots whose panels are still being packed by
-    /// a racing caller). With retention disabled (`capacity_bytes == 0`)
-    /// every lookup is a miss on a fresh detached entry.
+    /// a racing caller).
     fn entry_for_key(&self, key: CacheKey) -> Arc<CacheEntry> {
-        if self.capacity_bytes == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(Mutex::new(None));
-        }
         let t_lookup = telemetry::span_start();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let (entry, inserted) = {
@@ -287,20 +282,31 @@ impl PanelCache {
         entry
     }
 
-    /// Return the packed panels for `key`, running `pack_fn` (charged
-    /// to the `packs` counter) only if none exist yet or the stored
-    /// geometry disagrees with `kc`. The entry's mutex is held across
-    /// the pack so concurrent callers pack exactly once.
+    /// Return the packed panels for the key `key` computes, running
+    /// `pack_fn` (charged to the `packs` counter) only if none exist yet
+    /// or the stored geometry disagrees with `kc`. The entry's mutex is
+    /// held across the pack so concurrent callers pack exactly once.
     ///
     /// Before packing, LRU slots are evicted to make room for the new
     /// pack, and `pack_fn` receives the planes of the first victim it
     /// may overwrite (see the module doc), or `None`.
+    ///
+    /// With retention disabled (`capacity_bytes == 0`) every lookup is
+    /// a miss that packs into fresh planes, and `key` is never called:
+    /// a content fingerprint is a full pass over the operand, and
+    /// nothing would read it.
     pub(crate) fn get_or_pack(
         &self,
-        key: CacheKey,
+        key: impl FnOnce() -> CacheKey,
         kc: usize,
         pack_fn: impl FnOnce(Option<(Vec<f32>, Vec<f32>)>) -> PackedB,
     ) -> Arc<PackedB> {
+        if self.capacity_bytes == 0 {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.packs.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(pack_fn(None));
+        }
+        let key = key();
         let entry = self.entry_for_key(key);
         let t_lookup = telemetry::span_start();
         let mut guard = lock_unpoisoned(&entry);
@@ -319,9 +325,7 @@ impl PanelCache {
         let new_bytes = packed.bytes();
         *guard = Some(packed.clone());
         drop(guard);
-        if self.capacity_bytes > 0 {
-            self.recharge(key, old_bytes, new_bytes);
-        }
+        self.recharge(key, old_bytes, new_bytes);
         packed
     }
 
@@ -336,9 +340,6 @@ impl PanelCache {
         old_bytes: usize,
         new_bytes: usize,
     ) -> Option<(Vec<f32>, Vec<f32>)> {
-        if self.capacity_bytes == 0 {
-            return None;
-        }
         let victims = self.evict_over_bound(
             &mut lock_unpoisoned(&self.map),
             keep,
@@ -483,8 +484,8 @@ mod tests {
     fn hit_miss_and_split_counting() {
         let cache = PanelCache::new(usize::MAX);
         let (mat, key) = operand(8, 16, 1);
-        let p1 = cache.get_or_pack(key, 8, |_| pack(&mat));
-        let p2 = cache.get_or_pack(key, 8, |_| panic!("second lookup must not pack"));
+        let p1 = cache.get_or_pack(|| key, 8, |_| pack(&mat));
+        let p2 = cache.get_or_pack(|| key, 8, |_| panic!("second lookup must not pack"));
         assert!(Arc::ptr_eq(&p1, &p2));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.packs), (1, 1, 1));
@@ -493,10 +494,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_retention() {
+        // Nothing is kept, so nothing reads a key: the (fingerprinting)
+        // key closure is never called, and every call misses and packs.
         let cache = PanelCache::new(0);
-        let (mat, key) = operand(4, 4, 2);
+        let mat = Matrix::<f32>::random_uniform(4, 4, 2);
         for _ in 0..3 {
-            cache.get_or_pack(key, 8, |_| pack(&mat));
+            cache.get_or_pack(|| panic!("the key must not be computed"), 8, |_| pack(&mat));
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.packs, s.bytes), (0, 3, 3, 0));
@@ -511,18 +514,18 @@ mod tests {
         let (m1, k1) = operand(8, 16, 3);
         let (m2, k2) = operand(8, 16, 4);
         let (m3, k3) = operand(8, 16, 5);
-        cache.get_or_pack(k1, 8, |_| pack(&m1));
-        cache.get_or_pack(k2, 8, |_| pack(&m2));
+        cache.get_or_pack(|| k1, 8, |_| pack(&m1));
+        cache.get_or_pack(|| k2, 8, |_| pack(&m2));
         // Touch k1 so k2 is the LRU victim.
-        cache.get_or_pack(k1, 8, |_| panic!("k1 should be resident"));
-        cache.get_or_pack(k3, 8, |_| pack(&m3));
+        cache.get_or_pack(|| k1, 8, |_| panic!("k1 should be resident"));
+        cache.get_or_pack(|| k3, 8, |_| pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= 2500, "resident {} over bound", s.bytes);
         // k1 survived, k2 was evicted.
-        cache.get_or_pack(k1, 8, |_| panic!("k1 evicted unexpectedly"));
+        cache.get_or_pack(|| k1, 8, |_| panic!("k1 evicted unexpectedly"));
         let before = cache.stats().packs;
-        cache.get_or_pack(k2, 8, |_| pack(&m2));
+        cache.get_or_pack(|| k2, 8, |_| pack(&m2));
         assert_eq!(cache.stats().packs, before + 1, "k2 should re-pack");
     }
 
@@ -534,13 +537,13 @@ mod tests {
         let cache = PanelCache::new(usize::MAX);
         let (mat, key) = operand(8, 16, 11);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_pack(key, 8, |_| panic!("pack failure"));
+            cache.get_or_pack(|| key, 8, |_| panic!("pack failure"));
         }));
         assert!(poisoned.is_err());
-        let packed = cache.get_or_pack(key, 8, |_| pack(&mat));
+        let packed = cache.get_or_pack(|| key, 8, |_| pack(&mat));
         assert_eq!(packed.kc(), 8);
         // And a further lookup hits the now-resident pack.
-        let again = cache.get_or_pack(key, 8, |_| panic!("must be resident"));
+        let again = cache.get_or_pack(|| key, 8, |_| panic!("must be resident"));
         assert!(Arc::ptr_eq(&packed, &again));
     }
 
@@ -551,21 +554,21 @@ mod tests {
         // exactly to the surviving allocations.
         let cache = PanelCache::new(3000);
         let (m1, k1) = operand(8, 16, 21);
-        let p1 = cache.get_or_pack(k1, 8, |_| pack(&m1));
+        let p1 = cache.get_or_pack(|| k1, 8, |_| pack(&m1));
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(p1.bytes(), 2 * 4 * 8 * 16);
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // A hit reuses the allocation: resident bytes unchanged.
-        let p1b = cache.get_or_pack(k1, 8, |_| panic!("must be resident"));
+        let p1b = cache.get_or_pack(|| k1, 8, |_| panic!("must be resident"));
         assert!(Arc::ptr_eq(&p1, &p1b));
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // Two more entries (1024 B each) push past the 3000-byte bound;
         // after the eviction the counter matches the surviving
         // allocations exactly.
         let (m2, k2) = operand(8, 16, 22);
-        let p2 = cache.get_or_pack(k2, 8, |_| pack(&m2));
+        let p2 = cache.get_or_pack(|| k2, 8, |_| pack(&m2));
         let (m3, k3) = operand(8, 16, 23);
-        let p3 = cache.get_or_pack(k3, 8, |_| pack(&m3));
+        let p3 = cache.get_or_pack(|| k3, 8, |_| pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.bytes, (p2.bytes() + p3.bytes()) as u64);

@@ -327,6 +327,10 @@ pub(crate) fn execute_all(rt: &EngineRuntime, plans: &[GemmPlan<'_>]) -> Vec<Mat
     // all row tiles of one jc column block before advancing — the B
     // slivers of that block stay hot across the whole run.
     let sched = TileScheduler::new(n_tiles, threads);
+    // A worker's A scratch holds the largest block it packs: at most
+    // `mc` of the output's rows, at most `kc` of the longest k range.
+    let k_max = checked.iter().map(|(_, _, ks)| ks.len()).max().unwrap_or(0);
+    let a_cap = mc.min(m_out).div_ceil(MR) * MR * kc.min(k_max);
     let jobs: Vec<PlanJob> = outs
         .iter_mut()
         .zip(checked)
@@ -341,6 +345,7 @@ pub(crate) fn execute_all(rt: &EngineRuntime, plans: &[GemmPlan<'_>]) -> Vec<Mat
         mc,
         nc,
         kc,
+        a_cap,
         tiles_m,
         per_plan,
     };
@@ -355,6 +360,8 @@ struct WorkerCtx {
     mc: usize,
     nc: usize,
     kc: usize,
+    /// Floats in each plane of a worker's A scratch.
+    a_cap: usize,
     tiles_m: usize,
     /// Tiles per plan (`tiles_m x tiles_n`).
     per_plan: usize,
@@ -381,10 +388,9 @@ fn worker(
     // fused pack emits both planes (the split computes them together);
     // the microkernel reads only the ones the scheme's terms name. B
     // slivers are read straight from each plan's prepared operand.
-    let a_cap = ctx.mc.div_ceil(MR) * MR * ctx.kc;
-    let mut a_hi = vec![0f32; a_cap];
-    let mut a_lo = vec![0f32; a_cap];
-    let mut rowbuf: Vec<usize> = Vec::with_capacity(ctx.mc);
+    let mut a_hi = vec![0f32; ctx.a_cap];
+    let mut a_lo = vec![0f32; ctx.a_cap];
+    let mut rowbuf: Vec<usize> = Vec::with_capacity(ctx.mc.min(ctx.m_out));
     let counters = rt.sched_counters();
     // JIT dispatch state: the runtime's compiled-kernel cache (absent
     // when `EGEMM_JIT=0` or the machine has no backend) plus a

@@ -251,6 +251,12 @@ impl Plane {
     /// pack pins only its planes and their pads) or in a fresh zeroed
     /// buffer. The offset is taken after the cut, which may move
     /// the buffer.
+    ///
+    /// A fresh buffer's whole 2 MiB extents are advised huge pages
+    /// before the pack first writes them: a large zeroed allocation is
+    /// fresh memory the allocator has not written, so its pages are
+    /// mapped on that first write. A lent buffer kept the advice it got
+    /// when it was fresh.
     fn new(len: usize, reuse: Option<Vec<f32>>) -> Plane {
         let buf = match reuse {
             Some(mut buf) => {
@@ -258,7 +264,11 @@ impl Plane {
                 buf.shrink_to_fit();
                 buf
             }
-            None => vec![0f32; len + ALIGN_PAD],
+            None => {
+                let buf = vec![0f32; len + ALIGN_PAD];
+                advise_huge_pages(&buf);
+                buf
+            }
         };
         let off = buf.as_ptr().align_offset(64);
         assert!(off <= ALIGN_PAD, "no 64-byte boundary in the pad");
@@ -273,6 +283,55 @@ impl Plane {
         &mut self.buf[self.off..self.off + self.len]
     }
 }
+
+/// Bytes of an x86-64 transparent huge page.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole [`HUGE_PAGE`]-aligned extents within the `len` bytes at
+/// `addr`, as one start address and length, or `None` when no whole
+/// extent fits.
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_os = "linux")),
+    allow(dead_code)
+)]
+fn huge_interior(addr: usize, len: usize) -> Option<(usize, usize)> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
+    (end > start).then(|| (start, end - start))
+}
+
+/// Advise the kernel to back the whole 2 MiB extents of `buf` with
+/// transparent huge pages (`madvise(MADV_HUGEPAGE)`), so that writing
+/// them first faults 2 MiB at a time instead of 4 KiB. A buffer with no
+/// whole extent makes no syscall. The advice is a hint, so an error
+/// (`EINVAL` where the kernel has no THP) is ignored.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn advise_huge_pages(buf: &[f32]) {
+    const SYS_MADVISE: i64 = 28;
+    const MADV_HUGEPAGE: i64 = 14;
+    if let Some((start, len)) = huge_interior(buf.as_ptr() as usize, std::mem::size_of_val(buf)) {
+        // SAFETY: the range lies inside `buf`, memory this process
+        // owns. MADV_HUGEPAGE only marks the mappings that cover it as
+        // eligible for huge pages: it reads and writes no memory of the
+        // process, keeps every byte's value, and unmaps and
+        // reprotects nothing.
+        let _ = unsafe {
+            crate::syscall6(
+                SYS_MADVISE,
+                start as i64,
+                len as i64,
+                MADV_HUGEPAGE,
+                0,
+                0,
+                0,
+            )
+        };
+    }
+}
+
+/// No huge-page advice off x86-64 Linux: the planes fault as they do.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+fn advise_huge_pages(_buf: &[f32]) {}
 
 impl PackedB {
     /// The planes of a `k x n` operand at panel depth `kc` (>= 1, already
@@ -392,9 +451,17 @@ impl PackedB {
         take: usize,
     ) -> &[f32] {
         debug_assert!(strip + take <= self.strips && kcb <= self.kc);
-        let plane = if lo_plane { &self.lo } else { &self.hi };
         let base = panel * self.panel_stride + strip * kcb * NR;
-        &plane.as_slice()[base..base + take * kcb * NR]
+        &self.plane(lo_plane)[base..base + take * kcb * NR]
+    }
+
+    /// The whole lo plane, or the whole hi plane.
+    fn plane(&self, lo_plane: bool) -> &[f32] {
+        if lo_plane {
+            self.lo.as_slice()
+        } else {
+            self.hi.as_slice()
+        }
     }
 }
 
@@ -730,21 +797,10 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    #[test]
-    fn blocked_pack_bit_identical_at_real_depths() {
-        // k = 85 over kc = 40: panels of depth 40, 40 and 5, so panels
-        // span two full 16-row blocks and a ragged one (40 mod 16 = 8).
-        // n = 37 leaves the last strip 5 lanes wide. Rows 13..85 and
-        // 27..66 start off a kc multiple (panels 40 + 32 deep, and one
-        // 39 deep). Views of two of those row ranges are packed in one
-        // claim list on pools of 1, 2, 4 and 8 workers, into reused
-        // planes longer than needed and filled with NaN. Every fifth
-        // element of B is a special value, so NaN payloads, infinities,
-        // the binary16 overflow edge, subnormals and -0.0 cross the
-        // streaming stores of every pool width.
-        let (k, n, kc) = (85usize, 37usize, 40usize);
-        let strips = n.div_ceil(NR);
-        let mut src = Matrix::<f32>::random_uniform(k, n, 85);
+    /// `src` with every fifth element replaced by a special value: NaN
+    /// payloads, infinities, the binary16 overflow edge, subnormals and
+    /// -0.0, in turn.
+    fn with_specials(mut src: Matrix<f32>) -> Matrix<f32> {
         let specials = [
             f32::NAN,
             -f32::NAN,
@@ -769,6 +825,182 @@ mod tests {
         {
             *x = special;
         }
+        src
+    }
+
+    /// Prepare two 1024 x 1024 Bs with special values, whose 4 MiB
+    /// planes each hold a whole 2 MiB extent, on a 1-worker runtime
+    /// whose cache holds one such pack: the first packs into fresh
+    /// planes, the second into the same planes, lent by the eviction of
+    /// the first. `check` sees each B's tag, source, scheme and pack.
+    fn prepare_fresh_then_lent(check: impl Fn(&str, &Matrix<f32>, SplitScheme, &PackedB)) {
+        let (k, n, kc) = (1024usize, 1024usize, 256usize);
+        let rt = EngineRuntime::new(RuntimeConfig {
+            threads: 1,
+            cache_bytes: PackedB::bytes_for(k, n),
+        });
+        let mut first = None;
+        for (tag, seed, scheme) in [
+            ("fresh", 91, SplitScheme::Round),
+            ("lent", 92, SplitScheme::Truncate),
+        ] {
+            let src = with_specials(Matrix::<f32>::random_uniform(k, n, seed));
+            let prepared = rt.prepare_b(&src, scheme, kc);
+            let planes = [false, true].map(|lo| prepared.packed.plane(lo).as_ptr());
+            assert_eq!(
+                *first.get_or_insert(planes),
+                planes,
+                "{tag}: the second pack must reuse the first's planes"
+            );
+            check(tag, &src, scheme, &prepared.packed);
+        }
+        assert_eq!(rt.cache_stats().evictions, 1);
+    }
+
+    /// The whole 2 MiB extents of `plane`.
+    fn interior(plane: &[f32]) -> (usize, usize) {
+        huge_interior(plane.as_ptr() as usize, std::mem::size_of_val(plane))
+            .expect("a 4 MiB plane holds a whole 2 MiB extent")
+    }
+
+    #[test]
+    fn huge_interior_is_aligned_and_inside() {
+        let h = HUGE_PAGE;
+        let addrs = [
+            0,
+            1,
+            16,
+            4096,
+            h - 16,
+            h,
+            h + 16,
+            3 * h - 4096,
+            usize::MAX - h,
+        ];
+        let lens = [
+            0,
+            1,
+            h - 1,
+            h,
+            h + 1,
+            2 * h - 1,
+            2 * h,
+            2 * h + 4096,
+            5 * h + 7,
+        ];
+        for addr in addrs {
+            for len in lens {
+                let tag = format!("addr {addr:#x} len {len:#x}");
+                let fits = addr
+                    .checked_next_multiple_of(h)
+                    .zip(addr.checked_add(len))
+                    .is_some_and(|(first, end)| end >= first && end - first >= h);
+                match huge_interior(addr, len) {
+                    None => assert!(!fits, "{tag}: a whole extent fits but none was found"),
+                    Some((start, bytes)) => {
+                        assert!(fits, "{tag}: no whole extent fits");
+                        assert!(start.is_multiple_of(h) && bytes.is_multiple_of(h), "{tag}");
+                        assert!(bytes >= h, "{tag}: an advised range below 2 MiB");
+                        assert!(
+                            start >= addr && start + bytes <= addr + len,
+                            "{tag}: past an end"
+                        );
+                        // Every whole extent is in: what is left at
+                        // either end is less than one.
+                        assert!(
+                            start - addr < h && addr + len - (start + bytes) < h,
+                            "{tag}"
+                        );
+                    }
+                }
+            }
+        }
+        // The serve mix's largest B, 128 x 128, packs into 64 KiB planes.
+        assert_eq!(huge_interior(0, 4 * plane_len(128, 128) + 64), None);
+    }
+
+    #[test]
+    fn advised_planes_pack_bit_identical() {
+        // Every other pack test's planes are under 2 MiB, so only this
+        // one packs into advised planes, fresh and lent. k is a multiple
+        // of kc, so the plane is its panels back to back.
+        let (n, kc) = (1024usize, 256usize);
+        prepare_fresh_then_lent(|tag, src, scheme, packed| {
+            let split = SplitMatrix::split(src, scheme);
+            for lo_plane in [false, true] {
+                let plane = packed.plane(lo_plane);
+                interior(plane); // so the plane was advised
+                let mut want = vec![-1.0f32; plane.len()];
+                for (p, panel) in want.chunks_mut(n.div_ceil(NR) * kc * NR).enumerate() {
+                    pack_b(split.plane(lo_plane), n, 0, n, p * kc, kc, panel);
+                }
+                assert_eq!(bits(plane), bits(&want), "{tag} {scheme:?} lo={lo_plane}");
+            }
+        });
+    }
+
+    /// The `VmFlags` of the `/proc/self/smaps` entry whose range holds
+    /// `addr`.
+    fn vm_flags(addr: usize) -> Option<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut inside = false;
+        for line in smaps.lines() {
+            if let Some(flags) = line.strip_prefix("VmFlags:") {
+                if inside {
+                    return Some(flags.trim().to_string());
+                }
+            } else if let Some((lo, hi)) = line
+                .split_once(' ')
+                .and_then(|(range, _)| range.split_once('-'))
+            {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    inside = (lo..hi).contains(&addr);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn advised_planes_carry_the_huge_page_flag() {
+        // This checks the advice (`hg`, the mapping's VM_HUGEPAGE), not
+        // whether the kernel found a free huge page to back it.
+        let thp = std::path::Path::new("/sys/kernel/mm/transparent_hugepage/enabled");
+        if !cfg!(all(target_arch = "x86_64", target_os = "linux")) || !thp.exists() {
+            eprintln!("skipping: no transparent huge pages on this host");
+            return;
+        }
+        prepare_fresh_then_lent(|tag, _, _, packed| {
+            for lo_plane in [false, true] {
+                let (start, bytes) = interior(packed.plane(lo_plane));
+                for addr in [start, start + bytes - 1] {
+                    let flags = vm_flags(addr).expect("smaps lists every mapped address");
+                    assert!(
+                        flags.split_whitespace().any(|f| f == "hg"),
+                        "{tag} plane lo={lo_plane} at {addr:#x}: VmFlags {flags:?} lack hg"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn blocked_pack_bit_identical_at_real_depths() {
+        // k = 85 over kc = 40: panels of depth 40, 40 and 5, so panels
+        // span two full 16-row blocks and a ragged one (40 mod 16 = 8).
+        // n = 37 leaves the last strip 5 lanes wide. Rows 13..85 and
+        // 27..66 start off a kc multiple (panels 40 + 32 deep, and one
+        // 39 deep). Views of two of those row ranges are packed in one
+        // claim list on pools of 1, 2, 4 and 8 workers, into reused
+        // planes longer than needed and filled with NaN. Every fifth
+        // element of B is a special value, so NaN payloads, infinities,
+        // the binary16 overflow edge, subnormals and -0.0 cross the
+        // streaming stores of every pool width.
+        let (k, n, kc) = (85usize, 37usize, 40usize);
+        let strips = n.div_ceil(NR);
+        let src = with_specials(Matrix::<f32>::random_uniform(k, n, 85));
         let pools = [1usize, 2, 4, 8].map(|threads| {
             EngineRuntime::new(RuntimeConfig {
                 threads,

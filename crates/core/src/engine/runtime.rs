@@ -294,20 +294,25 @@ impl EngineRuntime {
     /// blocking depth `kc` (already clamped to the chunk grid), through
     /// the cache: a content-fingerprint hit skips the pack, and a miss
     /// packs into the planes of the entry it evicts when nobody holds
-    /// them.
+    /// them. A runtime that keeps nothing (`cache_bytes == 0`) packs
+    /// without fingerprinting.
     pub(crate) fn prepare_b(
         &self,
         src: &Matrix<f32>,
         scheme: SplitScheme,
         kc: usize,
     ) -> PreparedOperand {
-        let packed = self.cache.get_or_pack(key_of(src, scheme), kc, |planes| {
-            let rows = BRows::raw(src, 0..src.rows());
-            let mut op = [(PackedB::new(rows.k, rows.n, kc, planes), rows)];
-            self.pack_panels(&mut op, scheme);
-            let [(packed, _)] = op;
-            packed
-        });
+        let packed = self.cache.get_or_pack(
+            || key_of(src, scheme),
+            kc,
+            |planes| {
+                let rows = BRows::raw(src, 0..src.rows());
+                let mut op = [(PackedB::new(rows.k, rows.n, kc, planes), rows)];
+                self.pack_panels(&mut op, scheme);
+                let [(packed, _)] = op;
+                packed
+            },
+        );
         PreparedOperand { packed, scheme }
     }
 

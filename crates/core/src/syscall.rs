@@ -1,11 +1,13 @@
 //! The workspace's one raw-syscall shim, for x86-64 Linux.
 //!
 //! The workspace has a zero-external-dependency policy, so there is no
-//! `libc` crate to lean on. The JIT's code buffers (`mmap`, `mprotect`,
-//! `munmap`) and `egemm-serve`'s reactor (`epoll_*`, `eventfd2`) issue
-//! their syscalls through [`syscall6`], with the kernel ABI's numbers
-//! and struct layouts rather than glibc's. Each caller keeps its own
-//! typed, safe wrappers; this module holds only the instruction and the
+//! `libc` crate to lean on. Three callers issue their syscalls through
+//! [`syscall6`], with the kernel ABI's numbers and struct layouts
+//! rather than glibc's: the JIT's code buffers (`mmap`, `mprotect`,
+//! `munmap` in `engine/jit/exec.rs`), `egemm-serve`'s reactor
+//! (`epoll_*`, `eventfd2`), and the huge-page advice on fresh B planes
+//! (`madvise` in `engine/pack.rs`). Each caller keeps its own typed,
+//! safe wrappers; this module holds only the instruction and the
 //! negative-errno return convention (glibc's `-1`/`errno` split happens
 //! in userspace, so the kernel reports failure as `-errno` in `rax`).
 
