@@ -177,16 +177,16 @@ fn fmix64(mut h: u64) -> u64 {
     h
 }
 
-/// Cache key: content fingerprint + shape + split scheme. The packed-B
-/// blocking geometry is validated per entry (see
-/// [`PanelCache::get_or_pack`]) rather than keyed, since one `Egemm`
-/// uses one blocking config.
+/// Cache key: content fingerprint + shape + split scheme + panel depth
+/// (the `kc` the pack is laid out at, already clamped to the chunk
+/// grid). One operand at two depths is two entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     pub fp: (u64, u64),
     pub rows: usize,
     pub cols: usize,
     pub scheme: SplitScheme,
+    pub kc: usize,
 }
 
 /// One prepared operand: its packed panels, attached lazily. The mutex
@@ -283,9 +283,9 @@ impl PanelCache {
     }
 
     /// Return the packed panels for the key `key` computes, running
-    /// `pack_fn` (charged to the `packs` counter) only if none exist yet
-    /// or the stored geometry disagrees with `kc`. The entry's mutex is
-    /// held across the pack so concurrent callers pack exactly once.
+    /// `pack_fn` (charged to the `packs` counter) only if none exist
+    /// yet. The entry's mutex is held across the pack so concurrent
+    /// callers pack exactly once.
     ///
     /// Before packing, LRU slots are evicted to make room for the new
     /// pack, and `pack_fn` receives the planes of the first victim it
@@ -298,7 +298,6 @@ impl PanelCache {
     pub(crate) fn get_or_pack(
         &self,
         key: impl FnOnce() -> CacheKey,
-        kc: usize,
         pack_fn: impl FnOnce(Option<(Vec<f32>, Vec<f32>)>) -> PackedB,
     ) -> Arc<PackedB> {
         if self.capacity_bytes == 0 {
@@ -311,64 +310,44 @@ impl PanelCache {
         let t_lookup = telemetry::span_start();
         let mut guard = lock_unpoisoned(&entry);
         if let Some(p) = guard.as_ref() {
-            if p.kc() == kc {
-                telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 1);
-                return p.clone();
-            }
+            telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 1);
+            return p.clone();
         }
         telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 0);
-        let old_bytes = guard.as_ref().map_or(0, |p| p.bytes());
-        let planes = self.make_room(key, old_bytes, PackedB::bytes_for(key.rows, key.cols));
+        let bytes = PackedB::bytes_for(key.rows, key.cols);
+        let planes = self.make_room(key, bytes);
         self.packs.fetch_add(1, Ordering::Relaxed);
         // The pack records its own spans, one per panel.
         let packed = Arc::new(pack_fn(planes));
-        let new_bytes = packed.bytes();
         *guard = Some(packed.clone());
         drop(guard);
-        self.recharge(key, old_bytes, new_bytes);
+        self.charge(key, &entry, bytes);
         packed
     }
 
-    /// Evict LRU slots (never `keep`) until the bound holds with `keep`
-    /// charged `new_bytes` instead of `old_bytes`, and return the planes
-    /// of the first victim whose entry and pack nobody else holds and
-    /// whose planes hold `new_bytes`. Every other victim is dropped
-    /// outside the map lock.
-    fn make_room(
-        &self,
-        keep: CacheKey,
-        old_bytes: usize,
-        new_bytes: usize,
-    ) -> Option<(Vec<f32>, Vec<f32>)> {
-        let victims = self.evict_over_bound(
-            &mut lock_unpoisoned(&self.map),
-            keep,
-            new_bytes.saturating_sub(old_bytes),
-        );
+    /// Evict LRU slots (never `keep`) until the bound holds with `bytes`
+    /// more resident, and return the planes of the first victim whose
+    /// entry and pack nobody else holds and whose planes hold `bytes`.
+    /// Every other victim is dropped outside the map lock.
+    fn make_room(&self, keep: CacheKey, bytes: usize) -> Option<(Vec<f32>, Vec<f32>)> {
+        let victims = self.evict_over_bound(&mut lock_unpoisoned(&self.map), keep, bytes);
         victims.into_iter().find_map(|slot| {
             let entry = Arc::into_inner(slot.entry)?;
             let packed = entry.into_inner().unwrap_or_else(PoisonError::into_inner)?;
             let packed = Arc::into_inner(packed)?;
-            (packed.bytes() >= new_bytes).then(|| packed.into_planes())
+            (packed.bytes() >= bytes).then(|| packed.into_planes())
         })
     }
 
-    /// Replace `old_bytes` of `key`'s charge with `new_bytes` (a pack
-    /// was swapped for one with different geometry), keeping the slot's
-    /// `charged` and the global counter consistent, then re-enforce the
-    /// bound. A slot evicted in the meantime already gave its whole
-    /// charge back, so there is nothing to adjust.
-    fn recharge(&self, key: CacheKey, old_bytes: usize, new_bytes: usize) {
+    /// Charge `key`'s slot the `bytes` of the pack just attached to
+    /// `entry`, then re-enforce the bound. If the slot was evicted while
+    /// the pack ran (and perhaps replaced by a newer slot for the same
+    /// key), the cache no longer keeps this pack, so nothing is charged.
+    fn charge(&self, key: CacheKey, entry: &Arc<CacheEntry>, bytes: usize) {
         let mut map = lock_unpoisoned(&self.map);
-        if let Some(s) = map.get_mut(&key) {
-            s.charged = s.charged - old_bytes + new_bytes;
-            if new_bytes >= old_bytes {
-                self.bytes
-                    .fetch_add((new_bytes - old_bytes) as u64, Ordering::Relaxed);
-            } else {
-                self.bytes
-                    .fetch_sub((old_bytes - new_bytes) as u64, Ordering::Relaxed);
-            }
+        if let Some(s) = map.get_mut(&key).filter(|s| Arc::ptr_eq(&s.entry, entry)) {
+            s.charged = bytes;
+            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         }
         // Only a racing pack of another key can leave the bound exceeded
         // here, since make_room already fit this one.
@@ -415,6 +394,7 @@ mod tests {
             rows: m,
             cols: n,
             scheme: SplitScheme::Round,
+            kc: 8,
         };
         (mat, key)
     }
@@ -484,8 +464,8 @@ mod tests {
     fn hit_miss_and_split_counting() {
         let cache = PanelCache::new(usize::MAX);
         let (mat, key) = operand(8, 16, 1);
-        let p1 = cache.get_or_pack(|| key, 8, |_| pack(&mat));
-        let p2 = cache.get_or_pack(|| key, 8, |_| panic!("second lookup must not pack"));
+        let p1 = cache.get_or_pack(|| key, |_| pack(&mat));
+        let p2 = cache.get_or_pack(|| key, |_| panic!("second lookup must not pack"));
         assert!(Arc::ptr_eq(&p1, &p2));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.packs), (1, 1, 1));
@@ -499,7 +479,7 @@ mod tests {
         let cache = PanelCache::new(0);
         let mat = Matrix::<f32>::random_uniform(4, 4, 2);
         for _ in 0..3 {
-            cache.get_or_pack(|| panic!("the key must not be computed"), 8, |_| pack(&mat));
+            cache.get_or_pack(|| panic!("the key must not be computed"), |_| pack(&mat));
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.packs, s.bytes), (0, 3, 3, 0));
@@ -514,18 +494,18 @@ mod tests {
         let (m1, k1) = operand(8, 16, 3);
         let (m2, k2) = operand(8, 16, 4);
         let (m3, k3) = operand(8, 16, 5);
-        cache.get_or_pack(|| k1, 8, |_| pack(&m1));
-        cache.get_or_pack(|| k2, 8, |_| pack(&m2));
+        cache.get_or_pack(|| k1, |_| pack(&m1));
+        cache.get_or_pack(|| k2, |_| pack(&m2));
         // Touch k1 so k2 is the LRU victim.
-        cache.get_or_pack(|| k1, 8, |_| panic!("k1 should be resident"));
-        cache.get_or_pack(|| k3, 8, |_| pack(&m3));
+        cache.get_or_pack(|| k1, |_| panic!("k1 should be resident"));
+        cache.get_or_pack(|| k3, |_| pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= 2500, "resident {} over bound", s.bytes);
         // k1 survived, k2 was evicted.
-        cache.get_or_pack(|| k1, 8, |_| panic!("k1 evicted unexpectedly"));
+        cache.get_or_pack(|| k1, |_| panic!("k1 evicted unexpectedly"));
         let before = cache.stats().packs;
-        cache.get_or_pack(|| k2, 8, |_| pack(&m2));
+        cache.get_or_pack(|| k2, |_| pack(&m2));
         assert_eq!(cache.stats().packs, before + 1, "k2 should re-pack");
     }
 
@@ -537,13 +517,13 @@ mod tests {
         let cache = PanelCache::new(usize::MAX);
         let (mat, key) = operand(8, 16, 11);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_pack(|| key, 8, |_| panic!("pack failure"));
+            cache.get_or_pack(|| key, |_| panic!("pack failure"));
         }));
         assert!(poisoned.is_err());
-        let packed = cache.get_or_pack(|| key, 8, |_| pack(&mat));
+        let packed = cache.get_or_pack(|| key, |_| pack(&mat));
         assert_eq!(packed.kc(), 8);
         // And a further lookup hits the now-resident pack.
-        let again = cache.get_or_pack(|| key, 8, |_| panic!("must be resident"));
+        let again = cache.get_or_pack(|| key, |_| panic!("must be resident"));
         assert!(Arc::ptr_eq(&packed, &again));
     }
 
@@ -554,21 +534,21 @@ mod tests {
         // exactly to the surviving allocations.
         let cache = PanelCache::new(3000);
         let (m1, k1) = operand(8, 16, 21);
-        let p1 = cache.get_or_pack(|| k1, 8, |_| pack(&m1));
+        let p1 = cache.get_or_pack(|| k1, |_| pack(&m1));
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(p1.bytes(), 2 * 4 * 8 * 16);
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // A hit reuses the allocation: resident bytes unchanged.
-        let p1b = cache.get_or_pack(|| k1, 8, |_| panic!("must be resident"));
+        let p1b = cache.get_or_pack(|| k1, |_| panic!("must be resident"));
         assert!(Arc::ptr_eq(&p1, &p1b));
         assert_eq!(cache.stats().bytes, p1.bytes() as u64);
         // Two more entries (1024 B each) push past the 3000-byte bound;
         // after the eviction the counter matches the surviving
         // allocations exactly.
         let (m2, k2) = operand(8, 16, 22);
-        let p2 = cache.get_or_pack(|| k2, 8, |_| pack(&m2));
+        let p2 = cache.get_or_pack(|| k2, |_| pack(&m2));
         let (m3, k3) = operand(8, 16, 23);
-        let p3 = cache.get_or_pack(|| k3, 8, |_| pack(&m3));
+        let p3 = cache.get_or_pack(|| k3, |_| pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.bytes, (p2.bytes() + p3.bytes()) as u64);

@@ -46,13 +46,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError, Tr
 
 pub use super::cache::CacheStats;
 
-/// Cache key of `src` under `scheme`: content fingerprint + shape.
-fn key_of(src: &Matrix<f32>, scheme: SplitScheme) -> CacheKey {
+/// Cache key of `src` under `scheme` at panel depth `kc`: content
+/// fingerprint + shape + layout.
+fn key_of(src: &Matrix<f32>, scheme: SplitScheme, kc: usize) -> CacheKey {
     CacheKey {
         fp: fingerprint(src.as_slice()),
         rows: src.rows(),
         cols: src.cols(),
         scheme,
+        kc,
     }
 }
 
@@ -303,8 +305,7 @@ impl EngineRuntime {
         kc: usize,
     ) -> PreparedOperand {
         let packed = self.cache.get_or_pack(
-            || key_of(src, scheme),
-            kc,
+            || key_of(src, scheme, kc),
             |planes| {
                 let rows = BRows::raw(src, 0..src.rows());
                 let mut op = [(PackedB::new(rows.k, rows.n, kc, planes), rows)];
@@ -757,6 +758,28 @@ mod tests {
         let s = eg.runtime().cache_stats();
         assert_eq!((s.evictions, s.packs), (2, 3));
         assert_eq!(s.bytes, h2.bytes() as u64);
+    }
+
+    #[test]
+    fn panel_depth_is_part_of_the_cache_key() {
+        // One B at two panel depths is two entries: each depth misses
+        // and packs once, and a later lookup at either depth hits its
+        // own pack instead of repacking the other's.
+        let rt = EngineRuntime::new(RuntimeConfig {
+            threads: 1,
+            ..Default::default()
+        });
+        let b = Matrix::<f32>::random_uniform(32, 16, 5);
+        let depths = [8, 16, 8, 16];
+        let packs = depths.map(|kc| rt.prepare_b(&b, SplitScheme::Round, kc));
+        for (p, kc) in packs.iter().zip(depths) {
+            assert_eq!(p.packed.kc(), kc);
+        }
+        assert!(Arc::ptr_eq(&packs[0].packed, &packs[2].packed));
+        assert!(Arc::ptr_eq(&packs[1].packed, &packs[3].packed));
+        let s = rt.cache_stats();
+        assert_eq!((s.hits, s.misses, s.packs), (2, 2, 2));
+        assert_eq!(s.bytes, 2 * packs[0].bytes() as u64);
     }
 
     #[test]

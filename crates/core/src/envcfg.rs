@@ -1,16 +1,14 @@
 //! Shared environment-variable parsing with the one-time-warning
 //! discipline.
 //!
-//! Every numeric knob in this workspace (`EGEMM_THREADS`,
-//! `EGEMM_CACHE_BYTES`, `EGEMM_PROBE_RATE`, the serve layer's
-//! `EGEMM_SERVE_RESULT_CACHE_BYTES`) follows the same contract:
-//! the variable is read once, a value that does not parse is *ignored*
-//! (never a panic, never silent), and exactly one warning naming the
-//! variable, the rejected value, and the fallback is printed to stderr
-//! for the whole process lifetime. [`read_usize`] and [`warn_once`] are
-//! that contract factored out, so a new knob cannot drift from it by
-//! copy-paste. Public so sibling crates (the serving tier in
-//! particular) share the contract instead of re-implementing it.
+//! Every numeric knob in this crate (`EGEMM_THREADS`,
+//! `EGEMM_CACHE_BYTES`, `EGEMM_PROBE_RATE`, `EGEMM_JIT`) follows the
+//! same contract: the variable is read once, a value that does not
+//! parse is *ignored* (never a panic, never silent), and exactly one
+//! warning naming the variable, the rejected value, and the fallback is
+//! printed to stderr for the whole process lifetime. [`read_usize`] and
+//! [`warn_once`] are that contract factored out, so a new knob cannot
+//! drift from it by copy-paste.
 
 use std::sync::Once;
 

@@ -43,7 +43,7 @@ pub mod batched;
 pub mod config;
 pub mod emulation;
 pub mod engine;
-pub mod envcfg;
+pub(crate) mod envcfg;
 pub mod errbound;
 pub mod gemm;
 pub mod kernel;

@@ -38,11 +38,15 @@
 //! engine-level guarantee this repo enforces with property tests; the
 //! serving-level restatement lives in `tests/serve.rs`).
 //!
-//! Above admission sits a content-addressed layer (`dedupe`): an
-//! in-flight table coalescing identical concurrent requests into one
-//! dispatch fanned out to every waiter, and a byte-budgeted LRU result
-//! cache answering repeats without any engine time — both keyed by the
-//! full operand content, so neither can change a bit.
+//! Admission goes through one content-addressed result table
+//! (`dedupe`), keyed by the full operand content so it cannot change a
+//! bit. A key's entry is *running* while its primary request is queued
+//! or dispatched, and identical requests follow it: one dispatch fans
+//! out to every waiter. Once the primary resolves, the entry is *done*:
+//! its product, held in a byte-budgeted LRU
+//! ([`ServerConfig::result_cache_bytes`]), answers repeats without any
+//! engine time. Admission and resolution each take the table's one
+//! lock once, so an identical request always follows or hits.
 //!
 //! The network frontend is [`EventServer`] ([`reactor`]): a
 //! single-threaded epoll event loop (raw syscalls, no dependencies)

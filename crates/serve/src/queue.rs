@@ -13,9 +13,8 @@
 //! the panic barrier in the scheduler answers every outstanding ticket
 //! before the thread exits — so [`Ticket::wait`] never hangs forever.
 
+use crate::dedupe::ResultKey;
 use crate::request::{GemmRequest, ServeError, ServeOutput};
-use egemm::EmulationScheme;
-use egemm_matrix::GemmShape;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -27,32 +26,28 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Grouping key of the bucketing scheduler: requests agreeing on all
-/// fields are dispatched together (same shape and scheme are what
-/// `gemm_batched` requires; the B fingerprint makes the shared-operand
-/// split/pack hit the cache once per bucket). `with_c` and `SplitK`
-/// requests get singleton buckets — their entry points take one problem
-/// at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct BucketKey {
-    pub shape: GemmShape,
-    pub scheme: EmulationScheme,
-    /// Content fingerprint of the B operand ([`egemm::content_fingerprint`]).
-    pub b_fp: (u64, u64),
-    /// Kind discriminant: 0 = batchable gemm, 1 = gemm-with-C,
-    /// 2 = split-K (slice count folded in so identical jobs still share
-    /// a bucket slot in dispatch order).
-    pub kind: u64,
-}
-
 /// One admitted request waiting for dispatch.
 pub(crate) struct Pending {
     pub req: GemmRequest,
-    pub key: BucketKey,
+    /// Content address; `ResultKey::bucket` groups the dispatch.
+    pub key: ResultKey,
+    /// Whether this request is its key's primary in the result table:
+    /// its resolution must resolve the key, which memoizes a product
+    /// and answers every follower. False for a request that a
+    /// deadline-carrying primary of the same key refused.
+    pub primary: bool,
+    pub waiter: Waiter,
+}
+
+/// How to answer one admitted request: its ticket and timeline, kept
+/// apart from its operands (which move into the engine call). A
+/// follower in the result table is a waiter alone.
+#[derive(Clone)]
+pub(crate) struct Waiter {
+    pub ticket: Arc<TicketInner>,
     pub admitted: Instant,
     /// Absolute deadline (admission + requested duration).
     pub deadline: Option<Instant>,
-    pub ticket: Arc<TicketInner>,
     /// Process-unique id assigned at admission (returned to the client
     /// and threaded into engine trace spans).
     pub request_id: u64,
@@ -60,13 +55,6 @@ pub(crate) struct Pending {
     /// ([`egemm::telemetry::now_ns`]) so request spans and engine spans
     /// share one timeline in the Chrome-trace export.
     pub admitted_ns: u64,
-    /// `Some` when this pending is the *primary* for its content key in
-    /// the in-flight dedupe table: its resolution must clear the table
-    /// entry, fan the outcome out to every attached follower, and (on
-    /// success) feed the memoized result cache. `None` for requests that
-    /// bypassed the table (dedupe off, or a same-key primary with a
-    /// deadline already existed).
-    pub result_key: Option<crate::dedupe::ResultKey>,
 }
 
 /// Shared slot a response is delivered into, exactly once.
@@ -224,18 +212,15 @@ mod tests {
     fn pending() -> Pending {
         let req = GemmRequest::gemm(Matrix::zeros(2, 2), Matrix::zeros(2, 2));
         Pending {
-            key: BucketKey {
-                shape: req.shape(),
-                scheme: req.scheme,
-                b_fp: (0, 0),
-                kind: 0,
+            key: ResultKey::of(&req),
+            primary: false,
+            waiter: Waiter {
+                ticket: TicketInner::new(),
+                admitted: Instant::now(),
+                deadline: None,
+                request_id: 0,
+                admitted_ns: 0,
             },
-            admitted: Instant::now(),
-            deadline: None,
-            ticket: TicketInner::new(),
-            request_id: 0,
-            admitted_ns: 0,
-            result_key: None,
             req,
         }
     }

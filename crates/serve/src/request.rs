@@ -140,8 +140,8 @@ pub struct ServeOutput {
     /// Requests that rode in the same engine call (1 = dispatched solo).
     pub batched_with: usize,
     /// True when the product was served from the content-addressed
-    /// result cache (no engine dispatch; bit-identical to the dispatch
-    /// that populated the cache, and therefore to a cold call).
+    /// result table's memo (no engine dispatch; bit-identical to the
+    /// dispatch that produced it, and therefore to a cold call).
     pub cached: bool,
     /// Time spent queued before dispatch, nanoseconds.
     pub queue_ns: u64,

@@ -1,12 +1,12 @@
 //! The server: admission, the bucketing scheduler thread, dispatch.
 
-use crate::dedupe::{Attach, Follower, InFlightTable, ResultCache, ResultKey};
-use crate::queue::{lock_unpoisoned, AdmissionQueue, BucketKey, Pending, Ticket, TicketInner};
+use crate::dedupe::{Admit, BucketKey, ResultKey, ResultTable};
+use crate::queue::{lock_unpoisoned, AdmissionQueue, Pending, Ticket, TicketInner, Waiter};
 use crate::request::{GemmRequest, JobKind, ServeError, ServeOutput};
 use crate::stats::{ServeStats, StatsInner};
 use egemm::telemetry::{self, GemmReport, RequestTrace};
 use egemm::Egemm;
-use egemm_matrix::Matrix;
+use egemm_matrix::{GemmShape, Matrix};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,15 +31,12 @@ pub struct ServerConfig {
     /// NaN poisons every product it touches, so the serving tier
     /// rejects it at validation rather than burn engine time.
     pub allow_nonfinite: bool,
-    /// Byte budget of the content-addressed result cache; `0` disables
-    /// memoization entirely. Overridable per process via
-    /// `EGEMM_SERVE_RESULT_CACHE_BYTES` (see [`ServerConfig::from_env`]).
+    /// Byte budget of the memoized results in the content-addressed
+    /// result table; `0` memoizes nothing. Identical concurrent
+    /// requests coalesce into one engine dispatch at any budget: the
+    /// key covers the full content of every operand, so outputs are
+    /// bit-identical either way and only the work count changes.
     pub result_cache_bytes: usize,
-    /// Coalesce identical concurrent requests into one engine dispatch
-    /// (the in-flight dedupe table). On by default: the key covers the
-    /// full content of every operand, so outputs are bit-identical
-    /// either way and only the work count changes.
-    pub dedupe: bool,
 }
 
 /// Default result-cache budget: big enough to absorb a hot working set
@@ -55,32 +52,7 @@ impl Default for ServerConfig {
             batch_window: Duration::ZERO,
             allow_nonfinite: false,
             result_cache_bytes: DEFAULT_RESULT_CACHE_BYTES,
-            dedupe: true,
         }
-    }
-}
-
-impl ServerConfig {
-    /// Defaults with environment overrides applied:
-    /// `EGEMM_SERVE_RESULT_CACHE_BYTES` resizes (or, at `0`, disables)
-    /// the memoized result cache. Follows the workspace-wide env
-    /// contract ([`egemm::envcfg`]): read once, garbage ignored with one
-    /// stderr warning.
-    pub fn from_env() -> ServerConfig {
-        use egemm::envcfg::{read_usize, warn_once, EnvNum};
-        static WARN: std::sync::Once = std::sync::Once::new();
-        let mut cfg = ServerConfig::default();
-        match read_usize("EGEMM_SERVE_RESULT_CACHE_BYTES") {
-            EnvNum::Unset => {}
-            EnvNum::Parsed(v, _) => cfg.result_cache_bytes = v,
-            EnvNum::Garbage(raw) => warn_once(&WARN, || {
-                format!(
-                    "egemm-serve: ignoring EGEMM_SERVE_RESULT_CACHE_BYTES={raw:?} \
-                     (not a byte count); using {DEFAULT_RESULT_CACHE_BYTES}"
-                )
-            }),
-        }
-        cfg
     }
 }
 
@@ -92,22 +64,27 @@ pub(crate) struct ServerInner {
     /// Source of process-unique request ids (starts at 1; 0 is never a
     /// valid id, so exporters can treat it as "untracked").
     next_request_id: AtomicU64,
-    /// Keys with a primary currently queued or dispatched; identical
-    /// concurrent requests attach here instead of enqueueing.
-    inflight: InFlightTable,
-    /// Memoized whole-result cache (content-addressed, byte-budgeted).
-    results: ResultCache,
+    /// Running primaries and memoized products, by content.
+    table: ResultTable,
 }
 
-/// A primary's successful outcome as fanned to followers: the computed
-/// product, how many requests shared the dispatch, and the dispatching
-/// call's report if tracing collected one.
-type PrimaryOk<'a> = (&'a Matrix<f32>, usize, Option<&'a Arc<GemmReport>>);
+/// When and how one engine call ran, shared by every reply it produces.
+#[derive(Clone, Copy)]
+struct Dispatch<'a> {
+    shape: GemmShape,
+    batched_with: usize,
+    report: Option<&'a Arc<GemmReport>>,
+    dispatched_at: Instant,
+    finished: Instant,
+}
+
+/// How a request's dispatch ended: its product, or why it got none.
+type Outcome<'a> = Result<(Matrix<f32>, Dispatch<'a>), ServeError>;
 
 impl ServerInner {
     /// Serve counters plus the counters other owners keep: the result
-    /// cache's, the queue's length, and the work-stealing scheduler's
-    /// stolen-tile total on the shared runtime. Reading them
+    /// table's memo, the queue's length, and the work-stealing
+    /// scheduler's stolen-tile total on the shared runtime. Reading them
     /// at snapshot time covers every dispatch through this server's
     /// engine without counting any event twice.
     fn stats_snapshot(&self) -> ServeStats {
@@ -115,60 +92,80 @@ impl ServerInner {
         s.queue_depth = lock_unpoisoned(&self.queue.state).queue.len() as u64;
         let sched = self.engine.runtime().sched_stats();
         s.tiles_stolen = sched.tiles_stolen;
-        s.result_cache_hits = self.results.hits.load(Ordering::Relaxed);
-        s.result_cache_misses = self.results.misses.load(Ordering::Relaxed);
-        s.result_cache_evictions = self.results.evictions.load(Ordering::Relaxed);
-        s.result_cache_bytes = self.results.resident_bytes();
+        let memo = self.table.stats();
+        s.result_cache_hits = memo.hits;
+        s.result_cache_misses = memo.misses;
+        s.result_cache_evictions = memo.evictions;
+        s.result_cache_bytes = memo.bytes;
         s
     }
 
-    /// Clear `key`'s in-flight entry and fan the primary's outcome out to
-    /// every follower. On success the result is memoized *before* the
-    /// entry is cleared, so a concurrent identical submit observes one of
-    /// the two layers (in-flight or cache) and never recomputes in the
-    /// handover window while the cache is on.
-    fn resolve(&self, key: &ResultKey, outcome: Result<PrimaryOk<'_>, &ServeError>) {
-        if let Ok((d, _, _)) = outcome {
-            self.results.insert(*key, d);
-        }
-        let followers = self.inflight.resolve(key);
-        if followers.is_empty() {
+    /// Answer one request with the outcome of the dispatch it rode, by
+    /// the same rules for a dispatched request and a follower: an engine
+    /// failure is counted, a product past the request's deadline is a
+    /// timeout, and a served product records its latency.
+    fn deliver(&self, w: Waiter, outcome: Outcome<'_>) {
+        let (d, at) = match outcome {
+            Ok(served) => served,
+            Err(e) => {
+                if matches!(e, ServeError::Engine(_)) {
+                    StatsInner::bump(&self.stats.engine_failures);
+                }
+                w.ticket.fulfill(Err(e));
+                return;
+            }
+        };
+        if w.deadline.is_some_and(|dl| dl <= at.finished) {
+            StatsInner::bump(&self.stats.timed_out_after);
+            w.ticket.fulfill(Err(ServeError::TimedOut {
+                after_dispatch: true,
+            }));
             return;
         }
-        let finished = Instant::now();
-        for f in followers {
-            match outcome {
-                Err(e) => {
-                    if matches!(e, ServeError::Engine(_)) {
-                        StatsInner::bump(&self.stats.engine_failures);
-                    }
-                    f.ticket.fulfill(Err(e.clone()));
-                }
-                Ok((d, batched_with, report)) => {
-                    // A follower may carry its own deadline even though
-                    // the primary did not; honour it at delivery.
-                    if f.deadline.is_some_and(|dl| dl <= finished) {
-                        StatsInner::bump(&self.stats.timed_out_after);
-                        f.ticket.fulfill(Err(ServeError::TimedOut {
-                            after_dispatch: true,
-                        }));
-                        continue;
-                    }
-                    let total_ns = finished.duration_since(f.admitted).as_nanos() as u64;
-                    self.stats.record_latency(total_ns);
-                    StatsInner::bump(&self.stats.completed);
-                    f.ticket.fulfill(Ok(ServeOutput {
-                        d: d.clone(),
-                        request_id: f.request_id,
-                        shape: key.shape,
-                        batched_with,
-                        cached: false,
-                        queue_ns: total_ns,
-                        total_ns,
-                        report: report.cloned(),
-                    }));
-                }
-            }
+        let total_ns = at.finished.duration_since(w.admitted).as_nanos() as u64;
+        self.stats.record_latency(total_ns);
+        StatsInner::bump(&self.stats.completed);
+        w.ticket.fulfill(Ok(ServeOutput {
+            d,
+            request_id: w.request_id,
+            shape: at.shape,
+            batched_with: at.batched_with,
+            cached: false,
+            queue_ns: at.dispatched_at.duration_since(w.admitted).as_nanos() as u64,
+            total_ns,
+            report: at.report.cloned(),
+        }));
+    }
+
+    /// Answer a request that left the queue, resolving its key first if
+    /// it is the primary.
+    fn settle(&self, key: &ResultKey, primary: bool, w: Waiter, outcome: Outcome<'_>) {
+        if primary {
+            self.resolve(key, &outcome);
+        }
+        self.deliver(w, outcome);
+    }
+
+    /// Resolve primary `key` with its outcome: the table memoizes a
+    /// product that fits its budget, and every follower is answered
+    /// with its own copy of the outcome.
+    fn resolve(&self, key: &ResultKey, outcome: &Outcome<'_>) {
+        let followers = self
+            .table
+            .resolve(key, outcome.as_ref().ok().map(|(d, _)| d));
+        // A follower never dispatched: it is answered now, and its whole
+        // wait is queue time.
+        let now = Instant::now();
+        for w in followers {
+            let copy = outcome.as_ref().map(|(d, at)| {
+                let at = Dispatch {
+                    dispatched_at: now,
+                    finished: now,
+                    ..*at
+                };
+                (d.clone(), at)
+            });
+            self.deliver(w, copy.map_err(ServeError::clone));
         }
     }
 }
@@ -192,8 +189,7 @@ impl Server {
             queue: AdmissionQueue::new(cfg.queue_cap),
             stats: StatsInner::new(),
             next_request_id: AtomicU64::new(1),
-            inflight: InFlightTable::default(),
-            results: ResultCache::new(cfg.result_cache_bytes),
+            table: ResultTable::new(cfg.result_cache_bytes),
             cfg,
         });
         let sched_inner = Arc::clone(&inner);
@@ -257,88 +253,69 @@ impl Client {
             return Err(ServeError::Invalid(msg));
         }
         let admitted = Instant::now();
-        let request_id = inner.next_request_id.fetch_add(1, Ordering::Relaxed);
-        // A deadline past what `Instant` can represent never expires.
-        let deadline = req.deadline.and_then(|d| admitted.checked_add(d));
-        let ticket = TicketInner::new();
-
-        // Content-address the request once; the bucket key reuses the B
-        // fingerprint so operands are hashed exactly one time each.
-        let content = ResultKey::of(&req, kind_discriminant(&req));
-
-        // Layer 1: memoized result cache. A hit answers without touching
-        // the queue at all (and therefore works even under Busy).
-        if let Some(d) = inner.results.get(&content) {
-            let total_ns = admitted.elapsed().as_nanos() as u64;
-            inner.stats.record_latency(total_ns);
-            StatsInner::bump(&inner.stats.completed);
-            ticket.fulfill(Ok(ServeOutput {
-                d: (*d).clone(),
-                request_id,
-                shape: content.shape,
-                batched_with: 1,
-                cached: true,
-                queue_ns: 0,
-                total_ns,
-                report: None,
-            }));
-            return Ok(Ticket { inner: ticket });
-        }
-
-        // Layer 2: in-flight dedupe. Attach to an identical primary (one
-        // dispatch fans out to all of us) or become the primary.
-        let result_key = if inner.cfg.dedupe {
-            match inner
-                .inflight
-                .offer(content, deadline.is_some(), || Follower {
-                    ticket: Arc::clone(&ticket),
-                    admitted,
-                    deadline,
-                    request_id,
-                }) {
-                Attach::Followed => {
-                    StatsInner::bump(&inner.stats.dedup_hits);
-                    StatsInner::bump(&inner.stats.admitted);
-                    return Ok(Ticket { inner: ticket });
-                }
-                Attach::Primary => Some(content),
-                Attach::Refused => None,
-            }
-        } else {
-            None
+        let waiter = Waiter {
+            ticket: TicketInner::new(),
+            admitted,
+            // A deadline past what `Instant` can represent never expires.
+            deadline: req.deadline.and_then(|d| admitted.checked_add(d)),
+            request_id: inner.next_request_id.fetch_add(1, Ordering::Relaxed),
+            admitted_ns: telemetry::now_ns(),
+        };
+        let ticket = Ticket {
+            inner: Arc::clone(&waiter.ticket),
         };
 
+        // Content-address the request once; its bucket reuses the B
+        // fingerprint, so operands are hashed exactly one time each.
+        let key = ResultKey::of(&req);
+        let primary = match inner.table.admit(key, &waiter) {
+            // A memoized product answers without touching the queue at
+            // all (and therefore works even under Busy).
+            Admit::Hit(d) => {
+                let total_ns = admitted.elapsed().as_nanos() as u64;
+                inner.stats.record_latency(total_ns);
+                StatsInner::bump(&inner.stats.completed);
+                waiter.ticket.fulfill(Ok(ServeOutput {
+                    d: (*d).clone(),
+                    request_id: waiter.request_id,
+                    shape: key.shape,
+                    batched_with: 1,
+                    cached: true,
+                    queue_ns: 0,
+                    total_ns,
+                    report: None,
+                }));
+                return Ok(ticket);
+            }
+            // One dispatch of the running primary answers us too.
+            Admit::Followed => {
+                StatsInner::bump(&inner.stats.dedup_hits);
+                StatsInner::bump(&inner.stats.admitted);
+                return Ok(ticket);
+            }
+            Admit::Primary => true,
+            Admit::Refused => false,
+        };
         let pending = Pending {
-            key: BucketKey {
-                shape: content.shape,
-                scheme: content.scheme,
-                b_fp: content.b_fp,
-                kind: content.kind,
-            },
-            admitted,
-            deadline,
-            ticket: Arc::clone(&ticket),
-            request_id,
-            admitted_ns: telemetry::now_ns(),
-            result_key,
             req,
+            key,
+            primary,
+            waiter,
         };
         match inner.queue.push(pending) {
             Ok(()) => {
                 StatsInner::bump(&inner.stats.admitted);
-                Ok(Ticket { inner: ticket })
+                Ok(ticket)
             }
             Err(e) => {
                 if matches!(e, ServeError::Busy { .. }) {
                     StatsInner::bump(&inner.stats.rejected_busy);
                 }
-                // The primary never enqueued: clear its registration and
-                // answer any follower that raced in with the same
+                // The primary never enqueued: clear its key and answer
+                // any follower that attached meanwhile with the same
                 // admission verdict.
-                if result_key.is_some() {
-                    for f in inner.inflight.abort(&content) {
-                        f.ticket.fulfill(Err(e.clone()));
-                    }
+                if primary {
+                    inner.resolve(&key, &Err(e.clone()));
                 }
                 Err(e)
             }
@@ -426,24 +403,9 @@ fn validate(req: &GemmRequest, allow_nonfinite: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Kind discriminant shared by [`BucketKey`] and [`ResultKey`]:
-/// 0 = batchable gemm, 1 = gemm-with-C, split-K folds the slice count in.
-fn kind_discriminant(req: &GemmRequest) -> u64 {
-    match req.kind {
-        JobKind::Gemm if req.c.is_none() => 0,
-        JobKind::Gemm => 1,
-        JobKind::SplitK { slices } => 2 | ((slices as u64) << 2),
-    }
-}
-
 #[cfg(test)]
 fn bucket_key(req: &GemmRequest) -> BucketKey {
-    BucketKey {
-        shape: req.shape(),
-        scheme: req.scheme,
-        b_fp: egemm::content_fingerprint(req.b.as_slice()),
-        kind: kind_discriminant(req),
-    }
+    ResultKey::of(req).bucket()
 }
 
 /// Scheduler thread body. The inner loop is wrapped in a panic barrier:
@@ -462,13 +424,9 @@ fn scheduler(inner: &ServerInner) {
                     st.queue.drain(..).collect()
                 };
                 for p in drained {
-                    StatsInner::bump(&inner.stats.engine_failures);
                     let err =
                         ServeError::Engine("scheduler cycle panicked; request abandoned".into());
-                    if let Some(k) = &p.result_key {
-                        inner.resolve(k, Err(&err));
-                    }
-                    p.ticket.fulfill(Err(err));
+                    inner.settle(&p.key, p.primary, p.waiter, Err(err));
                 }
             }
         }
@@ -511,11 +469,12 @@ fn dispatch_cycle(inner: &ServerInner, snapshot: Vec<Pending>) {
     let mut order: Vec<(BucketKey, Vec<Pending>)> = Vec::new();
     let mut index: HashMap<BucketKey, usize> = HashMap::new();
     for p in snapshot {
-        match index.get(&p.key) {
+        let bucket = p.key.bucket();
+        match index.get(&bucket) {
             Some(&i) => order[i].1.push(p),
             None => {
-                index.insert(p.key, order.len());
-                order.push((p.key, vec![p]));
+                index.insert(bucket, order.len());
+                order.push((bucket, vec![p]));
             }
         }
     }
@@ -533,61 +492,35 @@ fn dispatch_cycle(inner: &ServerInner, snapshot: Vec<Pending>) {
 /// single calls for non-batchable kinds), honouring deadlines on both
 /// sides of the call and converting engine panics into per-request
 /// errors.
-/// Per-request metadata retained across the engine call (the matrices
-/// themselves move into the call and are lost on a panic).
-struct Meta {
-    ticket: Arc<TicketInner>,
-    admitted: Instant,
-    deadline: Option<Instant>,
-    request_id: u64,
-    admitted_ns: u64,
-    /// `Some` when this request is the dedupe primary for its content
-    /// key — every outcome below must route through `ServerInner::resolve`.
-    result_key: Option<ResultKey>,
-}
-
 fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
     // Pre-dispatch deadline check: expired requests cost no engine time.
+    // A deadline-carrying primary has no followers (fate-sharing rule)
+    // but still owns a table entry to clear.
     let now = Instant::now();
-    let mut live: Vec<Pending> = Vec::with_capacity(chunk.len());
-    for p in chunk {
-        if p.deadline.is_some_and(|d| d <= now) {
-            StatsInner::bump(&inner.stats.timed_out_before);
-            let err = ServeError::TimedOut {
-                after_dispatch: false,
-            };
-            // A deadline-carrying primary has no followers (fate-sharing
-            // rule) but still owns an in-flight entry to clear.
-            if let Some(k) = &p.result_key {
-                inner.resolve(k, Err(&err));
-            }
-            p.ticket.fulfill(Err(err));
-        } else {
-            live.push(p);
-        }
+    let (expired, live): (Vec<Pending>, Vec<Pending>) = chunk
+        .into_iter()
+        .partition(|p| p.waiter.deadline.is_some_and(|d| d <= now));
+    for p in expired {
+        StatsInner::bump(&inner.stats.timed_out_before);
+        let err = ServeError::TimedOut {
+            after_dispatch: false,
+        };
+        inner.settle(&p.key, p.primary, p.waiter, Err(err));
     }
     if live.is_empty() {
         return;
     }
 
-    // Tear the metadata off before the matrices move into the engine
+    // Tear the waiters off before the matrices move into the engine
     // closure: on a panic the operands are lost mid-call, but every
     // ticket must still be answered.
     let batched_with = live.len();
     let dispatched_at = Instant::now();
     let dispatched_ns = telemetry::now_ns();
-    let metas: Vec<Meta> = live
-        .iter()
-        .map(|p| Meta {
-            ticket: Arc::clone(&p.ticket),
-            admitted: p.admitted,
-            deadline: p.deadline,
-            request_id: p.request_id,
-            admitted_ns: p.admitted_ns,
-            result_key: p.result_key,
-        })
-        .collect();
-    let reqs: Vec<GemmRequest> = live.into_iter().map(|p| p.req).collect();
+    let (reqs, metas): (Vec<GemmRequest>, Vec<_>) = live
+        .into_iter()
+        .map(|p| (p.req, (p.key, p.primary, p.waiter)))
+        .unzip();
 
     StatsInner::bump(&inner.stats.engine_calls);
     let engine = inner.engine.clone().with_scheme(key.scheme);
@@ -603,55 +536,33 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
             let report = report.map(|mut rep| {
                 rep.requests = metas
                     .iter()
-                    .map(|m| RequestTrace {
-                        id: m.request_id,
-                        admitted_ns: m.admitted_ns,
+                    .map(|(_, _, w)| RequestTrace {
+                        id: w.request_id,
+                        admitted_ns: w.admitted_ns,
                         dispatched_ns,
                     })
                     .collect();
                 Arc::new(rep)
             });
-            for (d, meta) in ds.into_iter().zip(metas) {
-                let total_ns = finished.duration_since(meta.admitted).as_nanos() as u64;
+            let at = Dispatch {
+                shape: key.shape,
+                batched_with,
+                report: report.as_ref(),
+                dispatched_at,
+                finished,
+            };
+            for (d, (k, primary, w)) in ds.into_iter().zip(metas) {
                 StatsInner::bump(&inner.stats.dispatched);
                 if batched_with >= 2 {
                     StatsInner::bump(&inner.stats.coalesced);
                 }
-                // Memoize and fan out to followers before `d` moves into
-                // the primary's own response.
-                if let Some(k) = &meta.result_key {
-                    inner.resolve(k, Ok((&d, batched_with, report.as_ref())));
-                }
-                if meta.deadline.is_some_and(|dl| dl <= finished) {
-                    StatsInner::bump(&inner.stats.timed_out_after);
-                    meta.ticket.fulfill(Err(ServeError::TimedOut {
-                        after_dispatch: true,
-                    }));
-                } else {
-                    inner.stats.record_latency(total_ns);
-                    StatsInner::bump(&inner.stats.completed);
-                    meta.ticket.fulfill(Ok(ServeOutput {
-                        shape: key.shape,
-                        d,
-                        request_id: meta.request_id,
-                        batched_with,
-                        cached: false,
-                        queue_ns: dispatched_at.duration_since(meta.admitted).as_nanos() as u64,
-                        total_ns,
-                        report: report.clone(),
-                    }));
-                }
+                inner.settle(&k, primary, w, Ok((d, at)));
             }
         }
         Err(payload) => {
-            let msg = panic_message(&payload);
-            let err = ServeError::Engine(msg);
-            for meta in metas {
-                StatsInner::bump(&inner.stats.engine_failures);
-                if let Some(k) = &meta.result_key {
-                    inner.resolve(k, Err(&err));
-                }
-                meta.ticket.fulfill(Err(err.clone()));
+            let err = ServeError::Engine(panic_message(&payload));
+            for (k, primary, w) in metas {
+                inner.settle(&k, primary, w, Err(err.clone()));
             }
         }
     }

@@ -10,7 +10,7 @@
 //! allocates after construction).
 //!
 //! Each serve counter has one store: these atomics, the server's result
-//! cache and admission queue, or the engine runtime. A [`ServeStats`]
+//! table and admission queue, or the engine runtime. A [`ServeStats`]
 //! snapshot reads them, and both planes render that one snapshot:
 //! [`ServeStats::to_json`] answers the `STATS` verb, and
 //! [`ServeStats::series`] is what `METRICS` merges into the Prometheus
@@ -172,8 +172,8 @@ pub struct ServeStats {
     pub dispatched: u64,
     /// Requests that shared an engine call with at least one other.
     pub coalesced: u64,
-    /// Requests answered by attaching to an identical in-flight request
-    /// (the dedupe table): no queue slot, no engine dispatch of their
+    /// Requests answered by following an identical running request in
+    /// the result table: no queue slot, no engine dispatch of their
     /// own.
     pub dedup_hits: u64,
     /// Times the network frontend paused reading a socket because the
@@ -183,15 +183,17 @@ pub struct ServeStats {
     pub open_connections: u64,
     /// Requests in the admission queue at snapshot time.
     pub queue_depth: u64,
-    /// Content-addressed result cache hits (served without any
-    /// dispatch). Read from the server's result cache at snapshot time,
-    /// like the engine-runtime counters below.
+    /// Requests answered from a memoized product in the
+    /// content-addressed result table (served without any dispatch).
+    /// Read from the server's result table at snapshot time, like the
+    /// engine-runtime counters below.
     pub result_cache_hits: u64,
-    /// Result-cache lookups that missed (0 while the cache is disabled).
+    /// Admissions that found no memoized product (0 while the byte
+    /// budget is 0).
     pub result_cache_misses: u64,
-    /// Results evicted to respect the cache's byte budget.
+    /// Memoized products evicted to respect the byte budget.
     pub result_cache_evictions: u64,
-    /// Bytes currently resident in the result cache.
+    /// Bytes of the memoized products currently held.
     pub result_cache_bytes: u64,
     /// Tiles moved between engine workers by work-stealing, summed over
     /// the server's lifetime. Read from the shared engine runtime at

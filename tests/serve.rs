@@ -11,12 +11,16 @@
 //! - **Robustness**: invalid payloads and engine panics are per-request
 //!   errors — the scheduler and the shared pool keep serving.
 //! - **Shutdown**: drains every admitted request before exiting.
+//! - **Content addressing**: identical requests, however they
+//!   interleave, cost one dispatch per key; every other copy follows
+//!   the running primary or hits its memoized product.
 
 use egemm::{Egemm, EngineRuntime, RuntimeConfig, TilingConfig};
 use egemm_matrix::Matrix;
 use egemm_serve::{GemmRequest, JobKind, ServeError, Server, ServerConfig};
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// An engine on a private runtime with a pinned pool size (tests must
@@ -394,5 +398,50 @@ fn split_k_served_bit_identical() {
     let out = client.call(req).expect("served");
     let direct = cold().gemm_split_k(&a, &b, 4);
     assert_eq!(out.d.as_slice(), direct.d.as_slice());
+    server.shutdown();
+}
+
+/// Identical requests racing a primary's resolution never dispatch
+/// twice: each round sends a fresh key from 4 threads, 3 calls each, so
+/// calls keep arriving while the key's primary resolves. Every call but
+/// the primary must follow it or hit its product. With admission
+/// reading the memo and the in-flight set under two locks, a call that
+/// missed the memo just before the primary resolved and looked for it
+/// in flight just after became a second primary: over 10,000 rounds in
+/// release that happened in 8 of 8 runs. Each thread builds A after
+/// the barrier, which spreads the first calls of a round across the
+/// primary's dispatch.
+#[test]
+fn identical_requests_racing_resolution_dispatch_once() {
+    const ROUNDS: u64 = 10_000;
+    const THREADS: usize = 4;
+    const CALLS: usize = 3;
+    let server = Server::start(engine(1), ServerConfig::default());
+    let b = Matrix::<f32>::random_uniform(4, 4, 1);
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            let (client, b, barrier) = (server.client(), &b, &barrier);
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    let a = Matrix::<f32>::random_uniform(4, 4, 1000 + round);
+                    for _ in 0..CALLS {
+                        client
+                            .call(GemmRequest::gemm(a.clone(), b.clone()))
+                            .expect("served");
+                    }
+                }
+            });
+        }
+    });
+    let stats = server.stats();
+    assert_eq!(stats.submitted, ROUNDS * (THREADS * CALLS) as u64);
+    assert_eq!(stats.dispatched, ROUNDS, "one dispatch per key: {stats:?}");
+    assert_eq!(
+        stats.dedup_hits + stats.result_cache_hits,
+        stats.submitted - ROUNDS,
+        "{stats:?}"
+    );
     server.shutdown();
 }

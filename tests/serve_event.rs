@@ -131,47 +131,57 @@ proptest! {
     }
 }
 
+/// Identical requests submitted while their primary is still queued
+/// follow it whether or not the memo is on: one dispatch answers all.
 #[test]
 fn dedupe_coalesces_identical_concurrent_requests_into_one_dispatch() {
-    let server = Server::start(
-        engine(1),
-        ServerConfig {
-            // Memo off to isolate the in-flight table; a long batch
-            // window keeps the primary queued while the copies attach.
-            result_cache_bytes: 0,
-            batch_window: Duration::from_millis(40),
-            ..ServerConfig::default()
-        },
-    );
-    let client = server.client();
-    let a = Matrix::<f32>::random_uniform(24, 24, 61);
-    let b = Matrix::<f32>::random_uniform(24, 24, 62);
+    for budget in [0, ServerConfig::default().result_cache_bytes] {
+        let server = Server::start(
+            engine(1),
+            ServerConfig {
+                // A long batch window keeps the primary queued while the
+                // copies attach.
+                result_cache_bytes: budget,
+                batch_window: Duration::from_millis(40),
+                ..ServerConfig::default()
+            },
+        );
+        let client = server.client();
+        let a = Matrix::<f32>::random_uniform(24, 24, 61);
+        let b = Matrix::<f32>::random_uniform(24, 24, 62);
 
-    let tickets: Vec<_> = (0..4)
-        .map(|_| {
-            client
-                .submit(GemmRequest::gemm(a.clone(), b.clone()))
-                .expect("admitted")
-        })
-        .collect();
-    let outs: Vec<_> = tickets
-        .into_iter()
-        .map(|t| t.wait().expect("served"))
-        .collect();
+        let tickets: Vec<_> = (0..4)
+            .map(|_| {
+                client
+                    .submit(GemmRequest::gemm(a.clone(), b.clone()))
+                    .expect("admitted")
+            })
+            .collect();
+        let outs: Vec<_> = tickets
+            .into_iter()
+            .map(|t| t.wait().expect("served"))
+            .collect();
 
-    let direct = cold().gemm(&a, &b);
-    for out in &outs {
-        assert_eq!(bits(&out.d), bits(&direct.d), "fanned result bit-identical");
-        assert!(!out.cached);
+        let direct = cold().gemm(&a, &b);
+        for out in &outs {
+            assert_eq!(bits(&out.d), bits(&direct.d), "fanned result bit-identical");
+            assert!(!out.cached);
+        }
+        let ids: std::collections::HashSet<u64> = outs.iter().map(|o| o.request_id).collect();
+        assert_eq!(ids.len(), 4, "every waiter keeps its own request id");
+        let followers = outs.iter().filter(|o| o.queue_ns == o.total_ns).count();
+        assert_eq!(followers, 3, "a follower's whole wait is queue time");
+
+        let stats = server.stats();
+        assert_eq!(stats.engine_calls, 1, "exactly one dispatch: {stats:?}");
+        assert_eq!(stats.dedup_hits, 3, "three followers: {stats:?}");
+        assert_eq!(stats.completed, 4);
+        // Budget 0 keeps nothing and counts no miss; otherwise all four
+        // missed and the one product is kept.
+        let memo = (stats.result_cache_misses, stats.result_cache_bytes > 0);
+        assert_eq!(memo, if budget == 0 { (0, false) } else { (4, true) });
+        server.shutdown();
     }
-    let ids: std::collections::HashSet<u64> = outs.iter().map(|o| o.request_id).collect();
-    assert_eq!(ids.len(), 4, "every waiter keeps its own request id");
-
-    let stats = server.stats();
-    assert_eq!(stats.engine_calls, 1, "exactly one dispatch: {stats:?}");
-    assert_eq!(stats.dedup_hits, 3, "three followers: {stats:?}");
-    assert_eq!(stats.completed, 4);
-    server.shutdown();
 }
 
 #[test]
